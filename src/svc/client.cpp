@@ -39,6 +39,7 @@ Client::~Client() { close(); }
 
 Client::Client(Client&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
+      reader_(std::exchange(other.reader_, FrameReader())),
       timeout_ms_(other.timeout_ms_),
       transport_error_(other.transport_error_) {}
 
@@ -46,6 +47,7 @@ Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
+    reader_ = std::exchange(other.reader_, FrameReader());
     timeout_ms_ = other.timeout_ms_;
     transport_error_ = other.transport_error_;
   }
@@ -57,6 +59,7 @@ void Client::close() {
     ::close(fd_);
     fd_ = -1;
   }
+  reader_.reset();
 }
 
 bool Client::apply_io_timeout(std::string* error) {
@@ -77,6 +80,7 @@ bool Client::apply_io_timeout(std::string* error) {
 bool Client::finish_connect(int fd, const void* addr, std::size_t addr_len,
                             const std::string& what, std::string* error) {
   fd_ = fd;
+  reader_.reset(fd);
   auto fail = [&](const std::string& why) {
     *error = "connect " + what + ": " + why;
     transport_error_ = TransportError::kConnect;
@@ -181,7 +185,7 @@ bool Client::call(const WireMap& request, WireMap* response,
     return false;
   }
   std::string payload;
-  switch (read_frame(fd_, &payload)) {
+  switch (reader_.read(&payload)) {
     case FrameStatus::kOk:
       break;
     case FrameStatus::kEof:

@@ -72,6 +72,7 @@ class Client {
   bool apply_io_timeout(std::string* error);
 
   int fd_ = -1;
+  FrameReader reader_;  ///< bound to fd_; reset on every connect and close
   std::uint64_t timeout_ms_ = 0;
   TransportError transport_error_ = TransportError::kNone;
 };

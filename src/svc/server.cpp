@@ -497,9 +497,10 @@ void Server::accept_loop(int listen_fd) {
 }
 
 void Server::session_loop(Session* session) {
+  FrameReader reader(session->fd);
   std::string payload;
   while (!stop_.load(std::memory_order_acquire)) {
-    const FrameStatus fs = read_frame(session->fd, &payload);
+    const FrameStatus fs = reader.read(&payload);
     if (fs != FrameStatus::kOk) {
       // kTooLarge is the one protocol error worth answering before the
       // drop — the peer is alive, merely talking garbage.

@@ -77,6 +77,7 @@ void Supervisor::shutdown() {
       ::close(slot.fd);
       slot.fd = -1;
     }
+    slot.reader.reset();
   }
   started_ = false;
 }
@@ -100,6 +101,7 @@ bool Supervisor::spawn(Slot* slot) {
   ::close(sp[1]);
   slot->pid = pid;
   slot->fd = sp[0];
+  slot->reader.reset(sp[0]);
   spawned_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -123,6 +125,7 @@ void Supervisor::reap(Slot* slot, std::string* detail) {
     ::close(slot->fd);
     slot->fd = -1;
   }
+  slot->reader.reset();
   if (slot->pid > 0) {
     int status = 0;
     if (::waitpid(slot->pid, &status, 0) == slot->pid) {
@@ -192,10 +195,14 @@ Supervisor::DispatchOutcome Supervisor::dispatch(Slot* slot,
                         cfg_.kill_grace;
   std::string detail;
   for (;;) {
-    pollfd p{};
-    p.fd = slot->fd;
-    p.events = POLLIN;
-    const int rc = ::poll(&p, 1, 50);
+    // A frame already buffered by the reader would never wake poll().
+    int rc = 1;
+    if (!slot->reader.frame_buffered()) {
+      pollfd p{};
+      p.fd = slot->fd;
+      p.events = POLLIN;
+      rc = ::poll(&p, 1, 50);
+    }
     if (rc < 0) {
       if (errno == EINTR) continue;
       kill_and_reap(slot, &detail);
@@ -204,7 +211,7 @@ Supervisor::DispatchOutcome Supervisor::dispatch(Slot* slot,
     }
     if (rc > 0) {
       std::string payload;
-      const FrameStatus fs = read_frame(slot->fd, &payload);
+      const FrameStatus fs = slot->reader.read(&payload);
       if (fs == FrameStatus::kOk) {
         std::string error;
         const auto map = WireMap::parse_json(payload, &error);

@@ -42,6 +42,7 @@
 #include "ckpt/checkpoint.h"
 #include "common/budget.h"
 #include "svc/request.h"
+#include "svc/wire.h"
 
 namespace quanta::svc {
 
@@ -107,6 +108,7 @@ class Supervisor {
   struct Slot {
     pid_t pid = -1;
     int fd = -1;  ///< supervisor end of the job pipe
+    FrameReader reader;  ///< reads fd; reset whenever fd changes
     bool busy = false;
     unsigned consecutive_crashes = 0;  ///< drives the respawn backoff
   };

@@ -1,8 +1,9 @@
 #include "svc/wire.h"
 
 #include <sys/socket.h>
-#include <unistd.h>
+#include <sys/uio.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -243,72 +244,104 @@ std::optional<WireMap> WireMap::parse_json(const std::string& text,
 
 namespace {
 
-bool write_all(int fd, const void* data, std::size_t size) {
-  const char* p = static_cast<const char*>(data);
-  while (size > 0) {
-    // MSG_NOSIGNAL: a peer that vanished mid-response must surface as a
-    // return value, not a SIGPIPE that kills the daemon.
-    const ssize_t n = ::send(fd, p, size, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// 1 = full read, 0 = clean EOF before the first byte, -1 = socket error,
-/// -2 = EOF after at least one byte (peer died mid-read).
-int read_all(int fd, void* data, std::size_t size) {
-  char* p = static_cast<char*>(data);
-  std::size_t got = 0;
-  while (got < size) {
-    const ssize_t n = ::recv(fd, p + got, size - got, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    if (n == 0) return got == 0 ? 0 : -2;
-    got += static_cast<std::size_t>(n);
-  }
-  return 1;
-}
+constexpr std::size_t kHeaderBytes = 4;
+/// A reader's smallest buffer, so that one recv takes in any ordinary
+/// request or answer whole.
+constexpr std::size_t kReadChunk = std::size_t{16} << 10;
 
 }  // namespace
 
 bool write_frame(int fd, const std::string& payload) {
   if (payload.size() > kMaxFrameBytes) return false;
   const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  unsigned char hdr[4] = {
+  unsigned char hdr[kHeaderBytes] = {
       static_cast<unsigned char>(len & 0xFF),
       static_cast<unsigned char>((len >> 8) & 0xFF),
       static_cast<unsigned char>((len >> 16) & 0xFF),
       static_cast<unsigned char>((len >> 24) & 0xFF),
   };
-  return write_all(fd, hdr, sizeof(hdr)) &&
-         write_all(fd, payload.data(), payload.size());
+  iovec iov[2] = {{hdr, sizeof(hdr)},
+                  {const_cast<char*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
+    // MSG_NOSIGNAL: a peer that vanished mid-response must surface as a
+    // return value, not a SIGPIPE that kills the daemon.
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    // Partial write: drop what went out and send the rest.
+    auto sent = static_cast<std::size_t>(n);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
+  }
+  return true;
 }
 
-FrameStatus read_frame(int fd, std::string* payload) {
-  unsigned char hdr[4];
-  const int h = read_all(fd, hdr, sizeof(hdr));
-  if (h == 0) return FrameStatus::kEof;
-  if (h == -2) return FrameStatus::kTruncated;
-  if (h < 0) return FrameStatus::kError;
-  const std::uint32_t len = static_cast<std::uint32_t>(hdr[0]) |
-                            (static_cast<std::uint32_t>(hdr[1]) << 8) |
-                            (static_cast<std::uint32_t>(hdr[2]) << 16) |
-                            (static_cast<std::uint32_t>(hdr[3]) << 24);
-  if (len > kMaxFrameBytes) return FrameStatus::kTooLarge;
-  payload->resize(len);
-  if (len > 0) {
-    const int b = read_all(fd, payload->data(), len);
-    if (b == 0 || b == -2) return FrameStatus::kTruncated;
-    if (b != 1) return FrameStatus::kError;
+void FrameReader::reset(int fd) {
+  fd_ = fd;
+  head_ = tail_ = 0;
+}
+
+std::uint32_t FrameReader::buffered_length() const {
+  const auto* h = reinterpret_cast<const unsigned char*>(buf_.data() + head_);
+  return static_cast<std::uint32_t>(h[0]) |
+         (static_cast<std::uint32_t>(h[1]) << 8) |
+         (static_cast<std::uint32_t>(h[2]) << 16) |
+         (static_cast<std::uint32_t>(h[3]) << 24);
+}
+
+bool FrameReader::frame_buffered() const {
+  const std::size_t avail = tail_ - head_;
+  if (avail < kHeaderBytes) return false;
+  const std::uint32_t len = buffered_length();
+  return len > kMaxFrameBytes || avail - kHeaderBytes >= len;
+}
+
+FrameStatus FrameReader::read(std::string* payload) {
+  for (;;) {
+    const std::size_t avail = tail_ - head_;
+    std::size_t need = kHeaderBytes;  // buffered bytes the next frame takes
+    if (avail >= kHeaderBytes) {
+      const std::uint32_t len = buffered_length();
+      if (len > kMaxFrameBytes) return FrameStatus::kTooLarge;
+      need += len;
+      if (avail >= need) {
+        payload->assign(buf_.data() + head_ + kHeaderBytes, len);
+        head_ += need;
+        if (head_ == tail_) head_ = tail_ = 0;
+        return FrameStatus::kOk;
+      }
+    }
+    // Move the partial frame to the front, then make room for at least the
+    // rest of it and recv whatever the socket holds.
+    if (head_ > 0) {
+      std::memmove(buf_.data(), buf_.data() + head_, avail);
+      head_ = 0;
+      tail_ = avail;
+    }
+    if (buf_.size() < std::max(need, kReadChunk)) {
+      buf_.resize(std::max(need, kReadChunk));
+    }
+    const ssize_t n = ::recv(fd_, buf_.data() + tail_, buf_.size() - tail_, 0);
+    ++recv_calls_;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return FrameStatus::kError;
+    }
+    if (n == 0) return avail == 0 ? FrameStatus::kEof : FrameStatus::kTruncated;
+    tail_ += static_cast<std::size_t>(n);
   }
-  return FrameStatus::kOk;
 }
 
 }  // namespace quanta::svc

@@ -70,10 +70,49 @@ enum class FrameStatus {
   kError,      ///< socket error (recv failure)
 };
 
-/// Blocking frame I/O over a connected stream socket fd. write_frame
-/// returns false on any socket error (EPIPE included; callers must ignore
-/// SIGPIPE or send with MSG_NOSIGNAL, which this does).
+/// Writes one frame — header and payload — with a single sendmsg, looping
+/// only on a partial write. False on any socket error (EPIPE included: the
+/// send uses MSG_NOSIGNAL, so a vanished peer never raises SIGPIPE).
 bool write_frame(int fd, const std::string& payload);
-FrameStatus read_frame(int fd, std::string* payload);
+
+/// The one read path for frames: a per-connection buffered reader. Each
+/// recv takes whatever the socket holds into a persistent buffer, and
+/// complete frames are cut from it, so a frame normally costs one recv and
+/// a frame already buffered behind another (pipelined) costs none. Bytes
+/// past the returned frame are kept for the next read(). A reader belongs
+/// to one fd at a time: reset() it whenever its connection is (re)opened or
+/// closed, so no stale bytes leak into the next peer's stream.
+class FrameReader {
+ public:
+  FrameReader() = default;
+  explicit FrameReader(int fd) : fd_(fd) {}
+
+  /// Rebinds the reader to `fd` (-1 = none) and drops every buffered byte.
+  void reset(int fd = -1);
+
+  /// Blocks until one frame is read or the stream ends. kEof only at a
+  /// frame boundary with nothing buffered, kTruncated on EOF after partial
+  /// bytes, kTooLarge as soon as an oversized length prefix is seen (the
+  /// payload is neither awaited nor allocated), kError on a recv failure.
+  FrameStatus read(std::string* payload);
+
+  /// True when read() can answer without touching the socket: a complete
+  /// frame, or an oversized header, is already buffered. Callers that
+  /// poll() the fd before reading must check this first.
+  bool frame_buffered() const;
+
+  /// recv calls issued so far (pins the one-syscall-per-frame contract).
+  std::uint64_t recv_calls() const { return recv_calls_; }
+
+ private:
+  /// Length prefix of the frame at head_; needs 4 buffered bytes.
+  std::uint32_t buffered_length() const;
+
+  int fd_ = -1;
+  std::string buf_;        ///< capacity; valid bytes are [head_, tail_)
+  std::size_t head_ = 0;
+  std::size_t tail_ = 0;
+  std::uint64_t recv_calls_ = 0;
+};
 
 }  // namespace quanta::svc

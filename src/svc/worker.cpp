@@ -203,9 +203,10 @@ void worker_process_init(int job_fd) {
 }
 
 int worker_main(int job_fd) {
+  FrameReader reader(job_fd);
   std::string payload;
   for (;;) {
-    if (read_frame(job_fd, &payload) != FrameStatus::kOk) {
+    if (reader.read(&payload) != FrameStatus::kOk) {
       return 0;  // supervisor hung up (shutdown) or the pipe broke
     }
     if (!write_frame(job_fd, run_one_job(payload).to_json())) return 0;

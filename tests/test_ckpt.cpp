@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -95,6 +96,64 @@ ckpt::Snapshot make_snapshot(std::uint64_t fingerprint) {
   for (int i = 0; i < 100; ++i) b.f64(i * 0.25);
   snap.add_section(2, std::move(b));
   return snap;
+}
+
+// ---- CRC32 -----------------------------------------------------------------
+
+/// The bytewise CRC32 the slice-by-8 kernel must reproduce bit for bit.
+std::uint32_t reference_crc32_update(std::uint32_t crc,
+                                     const unsigned char* p, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc;
+}
+
+TEST(CkptCrc32, KnownAnswer) {
+  EXPECT_EQ(ckpt::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(ckpt::crc32("", 0), 0u);
+}
+
+TEST(CkptCrc32, MatchesTheBytewiseReferenceAtEveryOffsetAndLength) {
+  // Seeded bytes; every start offset 0-39 (all alignments mod 8, several
+  // times over) against every length 0-255 and a stride of lengths up to
+  // 99,999, so the 8-byte loop and the byte tail both see every split.
+  constexpr std::size_t kMaxLen = 99999;
+  std::vector<unsigned char> buf(40 + kMaxLen);
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (unsigned char& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<unsigned char>(x);
+  }
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n < 256; ++n) lengths.push_back(n);
+  for (std::size_t n = 256; n < kMaxLen; n += 4093) lengths.push_back(n);
+  lengths.push_back(kMaxLen);
+  for (std::size_t off = 0; off < 40; ++off) {
+    const unsigned char* p = buf.data() + off;
+    // The reference runs once over the whole range; its running value at
+    // each length is the expected CRC of that prefix.
+    std::uint32_t ref = ckpt::kCrc32Init;
+    std::size_t done = 0;
+    for (const std::size_t n : lengths) {
+      ref = reference_crc32_update(ref, p + done, n - done);
+      done = n;
+      ASSERT_EQ(ckpt::crc32(p, n), ckpt::crc32_final(ref))
+          << "offset " << off << " length " << n;
+    }
+    // Incremental feeding in odd-sized chunks agrees with one shot.
+    std::uint32_t inc = ckpt::kCrc32Init;
+    for (std::size_t at = 0, step = 1; at < kMaxLen;
+         at += step, step = step * 3 % 1031 + 1) {
+      inc = ckpt::crc32_update(inc, p + at, std::min(step, kMaxLen - at));
+    }
+    ASSERT_EQ(inc, ref) << "offset " << off;
+  }
 }
 
 // ---- format layer ---------------------------------------------------------

@@ -22,9 +22,11 @@
 #include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -32,6 +34,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -242,12 +245,13 @@ TEST(Wire, FrameRoundTripOverSocketpair) {
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   const std::string payload = R"({"engine":"mc"})";
   ASSERT_TRUE(write_frame(fds[0], payload));
+  FrameReader reader(fds[1]);
   std::string got;
-  EXPECT_EQ(read_frame(fds[1], &got), FrameStatus::kOk);
+  EXPECT_EQ(reader.read(&got), FrameStatus::kOk);
   EXPECT_EQ(got, payload);
   // Clean close at a frame boundary reads as EOF, not an error.
   ::close(fds[0]);
-  EXPECT_EQ(read_frame(fds[1], &got), FrameStatus::kEof);
+  EXPECT_EQ(reader.read(&got), FrameStatus::kEof);
   ::close(fds[1]);
 }
 
@@ -263,10 +267,247 @@ TEST(Wire, OversizedFrameIsAProtocolError) {
   };
   ASSERT_EQ(::send(fds[0], header, sizeof(header), 0),
             static_cast<ssize_t>(sizeof(header)));
+  FrameReader reader(fds[1]);
   std::string got;
-  EXPECT_EQ(read_frame(fds[1], &got), FrameStatus::kTooLarge);
+  EXPECT_EQ(reader.read(&got), FrameStatus::kTooLarge);
   ::close(fds[0]);
   ::close(fds[1]);
+}
+
+namespace frames {
+
+/// The wire bytes of one frame, encoded independently of write_frame.
+std::string header(std::uint32_t len) {
+  std::string h(4, '\0');
+  for (int i = 0; i < 4; ++i) h[i] = static_cast<char>((len >> (8 * i)) & 0xff);
+  return h;
+}
+std::string bytes(const std::string& payload) {
+  return header(static_cast<std::uint32_t>(payload.size())) + payload;
+}
+
+/// A socketpair (w writes, r reads) whose read end gives up after 2 s: a
+/// reader waiting for bytes that never come fails with kError instead of
+/// hanging the suite.
+struct Pair {
+  int w = -1;
+  int r = -1;
+  Pair() {
+    int sp[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sp) != 0) return;
+    w = sp[0];
+    r = sp[1];
+    timeval tv{};
+    tv.tv_sec = 2;
+    ::setsockopt(r, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+  ~Pair() {
+    close_writer();
+    if (r >= 0) ::close(r);
+  }
+  Pair(const Pair&) = delete;
+  Pair& operator=(const Pair&) = delete;
+  void close_writer() {
+    if (w >= 0) ::close(w);
+    w = -1;
+  }
+  /// One send of `data`, never blocking: a full socket buffer fails the
+  /// send rather than deadlocking the single-threaded test.
+  bool send(const std::string& data, std::size_t from = 0,
+            std::size_t n = std::string::npos) {
+    if (n == std::string::npos) n = data.size() - from;
+    return ::send(w, data.data() + from, n, MSG_DONTWAIT | MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(n);
+  }
+};
+
+}  // namespace frames
+
+TEST(Wire, WriteFrameSendsHeaderAndPayloadInOneCall) {
+  // A seqpacket socket keeps each send a record of its own, so one recv
+  // returns exactly what one send call carried.
+  int sp[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, sp), 0);
+  for (const std::string& payload : {std::string(R"({"engine":"mc"})"),
+                                     std::string(), std::string(3000, 'q')}) {
+    ASSERT_TRUE(write_frame(sp[0], payload));
+    std::string got(8192, '\0');
+    const ssize_t n = ::recv(sp[1], got.data(), got.size(), 0);
+    ASSERT_EQ(n, static_cast<ssize_t>(payload.size() + 4));
+    got.resize(static_cast<std::size_t>(n));
+    EXPECT_EQ(got, frames::bytes(payload));  // the wire bytes are unchanged
+  }
+  ::close(sp[0]);
+  ::close(sp[1]);
+}
+
+TEST(Wire, FrameReaderSpendsOneRecvPerFrameAndNoneOnAPipelinedOne) {
+  frames::Pair p;
+  ASSERT_TRUE(p.send(frames::bytes("one") + frames::bytes("two")));
+  FrameReader reader(p.r);
+  std::string got;
+  ASSERT_EQ(reader.read(&got), FrameStatus::kOk);
+  EXPECT_EQ(got, "one");
+  EXPECT_EQ(reader.recv_calls(), 1u);
+  EXPECT_TRUE(reader.frame_buffered());
+  ASSERT_EQ(reader.read(&got), FrameStatus::kOk);
+  EXPECT_EQ(got, "two");
+  EXPECT_EQ(reader.recv_calls(), 1u);  // the pipelined frame cost no recv
+  EXPECT_FALSE(reader.frame_buffered());
+  ASSERT_TRUE(write_frame(p.w, "three"));
+  ASSERT_EQ(reader.read(&got), FrameStatus::kOk);
+  EXPECT_EQ(got, "three");
+  EXPECT_EQ(reader.recv_calls(), 2u);
+  p.close_writer();
+  EXPECT_EQ(reader.read(&got), FrameStatus::kEof);
+  EXPECT_EQ(reader.recv_calls(), 3u);
+}
+
+TEST(Wire, FrameReaderReassemblesSeededRandomSplitsOfFrameStreams) {
+  // 10^4 seeded streams of 1-6 frames (a quarter of them empty), each sent
+  // in random splits: 1 byte at a time, a few bytes (headers split across
+  // sends), 64 bytes (several frames pipelined in one send) or the whole
+  // stream at once. Every 50th stream carries one frame larger than the
+  // reader's 16 KiB chunk, so its buffer must grow. Frames are read as soon
+  // as they are fully sent, so a blocking read never waits.
+  std::mt19937_64 rng(0x5155414e5441ull);
+  std::uint64_t frames_read = 0;
+  for (int c = 0; c < 10000; ++c) {
+    std::vector<std::string> payloads(1 + rng() % 6);
+    for (std::string& pl : payloads) {
+      pl.resize(rng() % 4 == 0 ? 0 : rng() % 80);
+      for (char& ch : pl) ch = static_cast<char>(rng());
+    }
+    const bool big = c % 50 == 0;
+    if (big) {
+      payloads[rng() % payloads.size()].assign(20000 + rng() % 20000, 'x');
+    }
+    std::string stream;
+    std::vector<std::size_t> ends;
+    for (const std::string& pl : payloads) {
+      stream += frames::bytes(pl);
+      ends.push_back(stream.size());
+    }
+    const std::size_t caps[] = {1, 2, 3, 5, 64, stream.size()};
+    std::size_t hi = caps[rng() % 6];
+    std::size_t lo = 1;
+    if (big) {
+      hi = std::max<std::size_t>(hi, 4096);
+      lo = hi / 2;
+    }
+
+    frames::Pair p;
+    FrameReader reader(p.r);
+    std::size_t sent = 0, sends = 0, next = 0;
+    std::string got;
+    while (sent < stream.size()) {
+      const std::size_t n =
+          std::min(stream.size() - sent, lo + rng() % (hi - lo + 1));
+      ASSERT_TRUE(p.send(stream, sent, n)) << "case " << c;
+      sent += n;
+      ++sends;
+      for (; next < ends.size() && ends[next] <= sent; ++next) {
+        ASSERT_EQ(reader.read(&got), FrameStatus::kOk) << "case " << c;
+        ASSERT_EQ(got, payloads[next]) << "case " << c << " frame " << next;
+        ++frames_read;
+      }
+    }
+    p.close_writer();
+    ASSERT_EQ(reader.read(&got), FrameStatus::kEof) << "case " << c;
+    if (!big) {
+      // Each recv drains the socket, so no send costs more than one recv
+      // (plus the one that sees EOF); a one-send stream costs exactly two.
+      EXPECT_LE(reader.recv_calls(), sends + 1) << "case " << c;
+      if (sends == 1) {
+        EXPECT_EQ(reader.recv_calls(), 2u) << "case " << c;
+      }
+    }
+  }
+  EXPECT_GT(frames_read, 30000u);
+}
+
+TEST(Wire, FrameReaderEofIsCleanOnlyAtFrameBoundaries) {
+  // Every prefix of seeded streams (empty frames included), then EOF: the
+  // whole frames in it read back, then kEof exactly at a boundary and
+  // kTruncated at every other byte offset.
+  std::mt19937_64 rng(7);
+  for (int s = 0; s < 40; ++s) {
+    std::vector<std::string> payloads(1 + rng() % 4);
+    for (std::string& pl : payloads) {
+      pl.assign(rng() % 3 == 0 ? 0 : rng() % 60, 'p');
+    }
+    std::string stream;
+    std::vector<std::size_t> ends;
+    for (const std::string& pl : payloads) {
+      stream += frames::bytes(pl);
+      ends.push_back(stream.size());
+    }
+    for (std::size_t k = 0; k <= stream.size(); ++k) {
+      frames::Pair p;
+      // Split the prefix once at a random point, so partial frames also
+      // arrive in two pieces.
+      const std::size_t cut = k == 0 ? 0 : rng() % (k + 1);
+      ASSERT_TRUE(cut == 0 || p.send(stream, 0, cut));
+      ASSERT_TRUE(cut == k || p.send(stream, cut, k - cut));
+      p.close_writer();
+      FrameReader reader(p.r);
+      std::string got;
+      std::size_t next = 0;
+      for (; next < ends.size() && ends[next] <= k; ++next) {
+        ASSERT_EQ(reader.read(&got), FrameStatus::kOk);
+        ASSERT_EQ(got, payloads[next]);
+      }
+      const bool boundary = next == 0 ? k == 0 : ends[next - 1] == k;
+      ASSERT_EQ(reader.read(&got),
+                boundary ? FrameStatus::kEof : FrameStatus::kTruncated)
+          << "stream " << s << " offset " << k;
+    }
+  }
+}
+
+TEST(Wire, FrameReaderRejectsAnOversizedPrefixWithoutAwaitingItsPayload) {
+  // A good frame and an oversized header in one send; no payload follows
+  // and the writer stays open, so waiting for one would time out (kError).
+  frames::Pair p;
+  ASSERT_TRUE(p.send(frames::bytes("ok") + frames::header(kMaxFrameBytes + 1)));
+  FrameReader reader(p.r);
+  std::string got;
+  ASSERT_EQ(reader.read(&got), FrameStatus::kOk);
+  EXPECT_EQ(got, "ok");
+  EXPECT_TRUE(reader.frame_buffered());  // decidable from the header alone
+  EXPECT_EQ(reader.read(&got), FrameStatus::kTooLarge);
+  EXPECT_EQ(reader.recv_calls(), 1u);
+
+  // The same with the header split across two sends.
+  frames::Pair q;
+  const std::string h = frames::header(0xffffffffu);
+  ASSERT_TRUE(q.send(h, 0, 1));
+  FrameReader split(q.r);
+  std::thread late([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    (void)q.send(h, 1, 3);
+  });
+  EXPECT_EQ(split.read(&got), FrameStatus::kTooLarge);
+  late.join();
+}
+
+TEST(Wire, FrameReaderResetDropsTheOldConnectionsBytes) {
+  frames::Pair a, b;
+  // Connection a leaves a frame and a partial one behind.
+  const std::string stale = frames::bytes("stale frame");
+  ASSERT_TRUE(a.send(frames::bytes("first") + stale.substr(0, 6)));
+  FrameReader reader(a.r);
+  std::string got;
+  ASSERT_EQ(reader.read(&got), FrameStatus::kOk);
+  EXPECT_EQ(got, "first");
+
+  ASSERT_TRUE(b.send(frames::bytes("fresh")));
+  b.close_writer();
+  reader.reset(b.r);
+  ASSERT_EQ(reader.read(&got), FrameStatus::kOk);
+  EXPECT_EQ(got, "fresh");
+  // The stale partial frame is gone: b ends cleanly at its boundary.
+  EXPECT_EQ(reader.read(&got), FrameStatus::kEof);
 }
 
 // ---------------------------------------------------------------------------
@@ -1050,7 +1291,7 @@ TEST(Wire, TruncatedFrameIsDistinctFromCleanEof) {
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sp), 0);
   ::close(sp[1]);
   std::string payload;
-  EXPECT_EQ(read_frame(sp[0], &payload), FrameStatus::kEof);
+  EXPECT_EQ(FrameReader(sp[0]).read(&payload), FrameStatus::kEof);
   ::close(sp[0]);
 
   // Death mid-header: two of four length bytes, then EOF.
@@ -1058,7 +1299,7 @@ TEST(Wire, TruncatedFrameIsDistinctFromCleanEof) {
   const unsigned char partial_hdr[2] = {0x10, 0x00};
   ASSERT_EQ(::send(sp[1], partial_hdr, 2, 0), 2);
   ::close(sp[1]);
-  EXPECT_EQ(read_frame(sp[0], &payload), FrameStatus::kTruncated);
+  EXPECT_EQ(FrameReader(sp[0]).read(&payload), FrameStatus::kTruncated);
   ::close(sp[0]);
 
   // Death mid-payload: header claims 100 bytes, 10 arrive, then EOF.
@@ -1067,7 +1308,7 @@ TEST(Wire, TruncatedFrameIsDistinctFromCleanEof) {
   ASSERT_EQ(::send(sp[1], hdr, 4, 0), 4);
   ASSERT_EQ(::send(sp[1], "0123456789", 10, 0), 10);
   ::close(sp[1]);
-  EXPECT_EQ(read_frame(sp[0], &payload), FrameStatus::kTruncated);
+  EXPECT_EQ(FrameReader(sp[0]).read(&payload), FrameStatus::kTruncated);
   ::close(sp[0]);
 }
 
@@ -1081,7 +1322,8 @@ void serve_one(int listen_fd, Mode mode) {
   const int fd = ::accept(listen_fd, nullptr, nullptr);
   if (fd < 0) return;
   std::string request;
-  (void)read_frame(fd, &request);  // drain the request; close = daemon died
+  // Drain the request; the close below is the daemon dying.
+  (void)FrameReader(fd).read(&request);
   if (mode == Mode::kTruncateReply) {
     const unsigned char hdr[4] = {100, 0, 0, 0};
     (void)::send(fd, hdr, 4, 0);
