@@ -1,6 +1,6 @@
 // ESVC — analysis-service throughput: cold (engine-bound) versus cached
 // (fingerprint-hit) request rates of a quantad server over a real Unix
-// socket, per session count, with and without process-isolated workers.
+// socket, per session count.
 //
 //   bench_svc_throughput [--model train-gate-3] [--clients "1 2 4 8"]
 //                        [--seconds S] [--cold-reps R]
@@ -11,17 +11,14 @@
 // ceiling (framing + admission + governance on top of the raw engine).
 // Cold throughput saturates at the engine's single-core rate times the
 // worker count; cached throughput is protocol-bound and scales with
-// sessions until the accept/session threads saturate a core.
-//
-// Two servers run side by side: one executing jobs in-process, one
-// dispatching them to sandboxed worker processes (the production default).
-// The "iso cold" column and the overhead line price the isolation tax —
-// one frame hop each way over the worker socketpair per job (workers are
-// preforked and reused, so no fork cost appears on the steady-state path).
+// sessions until the accept/session threads saturate a core. Every cold
+// job pays one frame hop each way to a sandboxed worker process (workers
+// are preforked and reused, so no fork cost appears on the steady-state
+// path).
 //
 // The ESVC-DUR section prices durability (--state-dir): the journaled cold
-// latency against the in-memory daemon's (the write-ahead admit/complete
-// records sit on the response path — acceptance is <= 5% overhead), boot
+// latency against an in-memory daemon's, measured back-to-back (the
+// write-ahead admit/complete records sit on the response path), boot
 // replay time as a function of journal length, and the warm hit latency a
 // restarted daemon serves from its reloaded cache segment.
 #include <unistd.h>
@@ -100,7 +97,7 @@ std::string fmt(double v, const char* spec = "%.1f") {
 }
 
 /// Mean sequential cache-bypassed latency in ms: every request pays one
-/// full engine run plus the service (and, when isolated, dispatch) overhead.
+/// full engine run plus the service and worker-dispatch overhead.
 double cold_latency_ms(const std::string& socket_path, const std::string& model,
                        int reps) {
   svc::Client client;
@@ -212,26 +209,17 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string socket_path = std::string(dir) + "/d.sock";
-  const std::string iso_socket_path = std::string(dir) + "/d-iso.sock";
   svc::ServerConfig cfg;
   cfg.socket_path = socket_path;
-  cfg.isolate = false;
   svc::Server server(cfg);
-  svc::ServerConfig iso_cfg;
-  iso_cfg.socket_path = iso_socket_path;
-  iso_cfg.isolate = true;
-  svc::Server iso_server(iso_cfg);
   std::string error;
-  if (!server.start(&error) || !iso_server.start(&error)) {
+  if (!server.start(&error)) {
     std::fprintf(stderr, "bench_svc_throughput: %s\n", error.c_str());
     return 1;
   }
 
   const double cold_ms = cold_latency_ms(socket_path, model, cold_reps);
-  const double iso_cold_ms = cold_latency_ms(iso_socket_path, model, cold_reps);
-  if (cold_ms < 0.0 || iso_cold_ms < 0.0) return 1;
-  const double overhead_pct =
-      cold_ms > 0.0 ? 100.0 * (iso_cold_ms - cold_ms) / cold_ms : 0.0;
+  if (cold_ms < 0.0) return 1;
 
   // Warm the single cache entry the cached rows will hit.
   {
@@ -246,40 +234,30 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf(
-      "== ESVC: service throughput, %s mutex, cold %.2f ms/query "
-      "(isolated %.2f ms, overhead %+.1f%%) ==\n",
-      model.c_str(), cold_ms, iso_cold_ms, overhead_pct);
-  bench::Table table(
-      {"sessions", "cold q/s", "iso cold q/s", "cached q/s", "speedup"});
+  std::printf("== ESVC: service throughput, %s mutex, cold %.2f ms/query ==\n",
+              model.c_str(), cold_ms);
+  bench::Table table({"sessions", "cold q/s", "cached q/s", "speedup"});
   std::istringstream spec(clients_spec);
   int clients = 0;
   bool ok = true;
   while (spec >> clients) {
     const double cold_qps =
         measure_qps(socket_path, model, /*use_cache=*/false, clients, seconds);
-    const double iso_cold_qps = measure_qps(iso_socket_path, model,
-                                            /*use_cache=*/false, clients,
-                                            seconds);
     const double cached_qps =
         measure_qps(socket_path, model, /*use_cache=*/true, clients, seconds);
-    if (cold_qps == 0.0 || iso_cold_qps == 0.0 || cached_qps == 0.0) ok = false;
-    table.row({std::to_string(clients), fmt(cold_qps), fmt(iso_cold_qps),
-               fmt(cached_qps),
+    if (cold_qps == 0.0 || cached_qps == 0.0) ok = false;
+    table.row({std::to_string(clients), fmt(cold_qps), fmt(cached_qps),
                fmt(cold_qps > 0 ? cached_qps / cold_qps : 0.0, "%.0fx")});
   }
   table.print();
   const auto stats = server.stats();
-  const auto iso_stats = iso_server.stats();
-  std::printf("  cache: %llu hits / %llu misses, engine runs: %llu, "
-              "isolated runs: %llu (workers spawned: %llu)\n",
+  std::printf("  cache: %llu hits / %llu misses, engine runs: %llu "
+              "(workers spawned: %llu)\n",
               static_cast<unsigned long long>(stats.cache.hits),
               static_cast<unsigned long long>(stats.cache.misses),
               static_cast<unsigned long long>(stats.jobs_executed),
-              static_cast<unsigned long long>(iso_stats.jobs_executed),
-              static_cast<unsigned long long>(iso_stats.supervisor.spawned));
+              static_cast<unsigned long long>(stats.supervisor.spawned));
   server.stop();
-  iso_server.stop();
 
   // --- ESVC-DUR: the price and payoff of --state-dir durability ---------
   // A fresh in-memory baseline measured back-to-back with the journaled
@@ -288,11 +266,9 @@ int main(int argc, char** argv) {
   // warm-up and would overstate — or understate — the difference).
   svc::ServerConfig base_cfg;
   base_cfg.socket_path = std::string(dir) + "/d-base.sock";
-  base_cfg.isolate = false;
   svc::Server base_server(base_cfg);
   svc::ServerConfig dur_cfg;
   dur_cfg.socket_path = std::string(dir) + "/d-dur.sock";
-  dur_cfg.isolate = false;
   dur_cfg.state_dir = std::string(dir) + "/state";
   auto dur_server = std::make_unique<svc::Server>(dur_cfg);
   if (!base_server.start(&error) || !dur_server->start(&error)) {

@@ -30,14 +30,6 @@ std::size_t default_cache_bytes() {
   return kDefaultCacheBytes;
 }
 
-bool default_isolate() {
-  // Not env_u64: "0" is a meaningful value here, and anything that is not
-  // exactly "0" keeps the safe default (isolation on) — a garbled value must
-  // never silently strip the daemon of crash containment.
-  const char* s = std::getenv("QUANTAD_ISOLATE");
-  return s == nullptr || std::strcmp(s, "0") != 0;
-}
-
 unsigned default_retries() {
   if (const auto v = common::env_u64("QUANTAD_RETRIES", kMaxRetries)) {
     return static_cast<unsigned>(*v);
@@ -58,8 +50,9 @@ std::string default_state_dir() {
 }
 
 bool default_journal() {
-  // Same rule as QUANTAD_ISOLATE: only an explicit "0" weakens the posture;
-  // a garbled value must never silently drop restart durability.
+  // Not env_u64: "0" is a meaningful value here. Only an explicit "0"
+  // weakens the posture; a garbled value must never silently drop restart
+  // durability.
   const char* s = std::getenv("QUANTAD_JOURNAL");
   return s == nullptr || std::strcmp(s, "0") != 0;
 }

@@ -27,13 +27,6 @@ std::size_t default_cache_bytes();
 inline constexpr std::size_t kDefaultCacheBytes = 64ull << 20;
 inline constexpr std::size_t kMaxCacheBytes = 1ull << 40;
 
-/// Process isolation for job execution. QUANTAD_ISOLATE: "0" disables the
-/// worker pool (jobs run in the daemon's address space — zero dispatch
-/// overhead, zero crash containment), anything else keeps the default: on.
-/// This is the daemon tool's posture; the Server library defaults to
-/// in-process and opts in via ServerConfig::isolate.
-bool default_isolate();
-
 /// Crash re-dispatches per job before its fingerprint is quarantined.
 /// QUANTAD_RETRIES, clamp 1000; default 2 (so a fingerprint crashing
 /// QUANTAD_RETRIES+1 times in one submission enters the poison list).
@@ -55,7 +48,7 @@ std::string default_state_dir();
 
 /// Write-ahead job journaling, effective only with a state dir.
 /// QUANTAD_JOURNAL: "0" disables, anything else keeps the default: on
-/// (same never-weaken-on-garble rule as QUANTAD_ISOLATE).
+/// (a garbled value never weakens the posture).
 bool default_journal();
 
 /// Result-cache spill to disk, effective only with a state dir.

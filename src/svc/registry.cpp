@@ -1,5 +1,6 @@
 #include "svc/registry.h"
 
+#include <chrono>
 #include <cstdio>
 #include <utility>
 #include <vector>
@@ -220,6 +221,27 @@ std::string fingerprint_token(std::uint64_t fingerprint) {
   return buf;
 }
 
+common::Budget job_budget(const Request& r, const common::CancelToken* cancel) {
+  common::Budget budget;
+  budget.with_cancel(cancel);
+  if (r.deadline_ms != 0) {
+    budget.with_deadline_after(std::chrono::milliseconds(r.deadline_ms));
+  }
+  if (r.memory_mb != 0) budget.with_memory_limit(r.memory_mb << 20);
+  return budget;
+}
+
+ckpt::Options job_checkpoint(const std::string& ckpt_dir, const Request& r,
+                             std::uint64_t fingerprint, bool resume) {
+  ckpt::Options checkpoint;
+  if (ckpt_dir.empty()) return checkpoint;
+  checkpoint.path = ckpt_dir + "/job-" + r.engine + "-" +
+                    fingerprint_token(fingerprint) + ".qckpt";
+  checkpoint.interval = r.ckpt_interval;
+  checkpoint.resume = resume;
+  return checkpoint;
+}
+
 Response response_from_result(const JobResult& jr, const std::string& token) {
   Response r;
   r.status = Status::kOk;
@@ -236,6 +258,14 @@ Response response_from_result(const JobResult& jr, const std::string& token) {
   if (jr.resume.saved && jr.verdict == common::Verdict::kUnknown) {
     r.resume = token;
   }
+  return r;
+}
+
+Response stopped_response(common::StopReason reason) {
+  Response r;
+  r.status = Status::kOk;
+  r.verdict = common::Verdict::kUnknown;
+  r.stop = reason;
   return r;
 }
 

@@ -79,10 +79,27 @@ std::optional<PreparedJob> prepare_job(const Request& r, std::string* error);
 /// by the server (token validation) and the worker (token attachment).
 std::string fingerprint_token(std::uint64_t fingerprint);
 
+/// The budget a job runs under: the request's deadline (counted from this
+/// call) and memory ceiling, plus `cancel` when non-null. The server's
+/// copy carries its shutdown token; the worker's copy is the one the
+/// engine polls.
+common::Budget job_budget(const Request& r, const common::CancelToken* cancel);
+
+/// The checkpoint policy of a job: its chain
+/// <ckpt_dir>/job-<engine>-<token>.qckpt at the request's cadence, resumed
+/// when `resume` is set. One chain per query, so live resumes, crash
+/// retries and journal replays all continue the same snapshots. An empty
+/// ckpt_dir disables checkpointing.
+ckpt::Options job_checkpoint(const std::string& ckpt_dir, const Request& r,
+                             std::uint64_t fingerprint, bool resume);
+
 /// Canonical JobResult → Response mapping: definite verdicts require
 /// completion; a budget-tripped job that saved a checkpoint carries `token`
-/// back as its resume handle. Used identically by the in-process execution
-/// path and the isolated worker, so both produce the same bytes.
+/// back as its resume handle. The worker builds every engine answer here.
 Response response_from_result(const JobResult& jr, const std::string& token);
+
+/// The answer of a job stopped before it produced a result (a governed
+/// exception, a fault, a cancellation): status ok, verdict unknown.
+Response stopped_response(common::StopReason reason);
 
 }  // namespace quanta::svc

@@ -162,6 +162,20 @@ WireMap to_wire(const Request& r) {
   return m;
 }
 
+bool has_debug_knobs(const Request& r) {
+  return r.hold_ms != 0 || r.throttle_us != 0 || !r.fault.empty() ||
+         r.crash_signal != 0 || r.rlimit_mb != 0;
+}
+
+Request without_debug_knobs(Request r) {
+  r.hold_ms = 0;
+  r.throttle_us = 0;
+  r.fault.clear();
+  r.crash_signal = 0;
+  r.rlimit_mb = 0;
+  return r;
+}
+
 WireMap to_wire(const Response& r) {
   WireMap m;
   m.set("status", to_string(r.status));

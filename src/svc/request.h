@@ -55,8 +55,8 @@ inline constexpr int kLaneCount = 3;
 ///   crash_signal        debug-only: worker raises this signal at job start
 ///   rlimit_mb           debug-only: worker sets RLIMIT_AS to this many MiB
 ///                       before running the job (OOM drills)
-/// The three fault knobs require both --debug and an isolated daemon; an
-/// in-process daemon rejects them rather than crash itself.
+/// A daemon without --debug rejects all five debug knobs, and the job
+/// journal never records them (see without_debug_knobs).
 /// (*) not required for engine "svc" builtins ("stats", "ping").
 struct Request {
   std::string engine;
@@ -85,6 +85,13 @@ struct Request {
 /// malformed values of known keys are rejected, never half-parsed).
 std::optional<Request> parse_request(const WireMap& m, std::string* error);
 WireMap to_wire(const Request& r);
+
+/// True when any of the five debug-only fields (hold_ms, throttle_us,
+/// fault, crash_signal, rlimit_mb) is set.
+bool has_debug_knobs(const Request& r);
+/// `r` with all five debug-only fields cleared: the form the job journal
+/// records, so a replay always runs the job calm, on any daemon.
+Request without_debug_knobs(Request r);
 
 /// One analysis response. `verdict`/`stop` use the common vocabulary;
 /// stats are the engine-specific mapping documented in svc/registry.h.

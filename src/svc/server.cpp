@@ -19,7 +19,6 @@
 
 #include "ckpt/delta.h"
 #include "common/fault.h"
-#include "core/observer.h"
 #include "svc/config.h"
 #include "svc/wire.h"
 
@@ -37,27 +36,10 @@ Response make_error(Status status, std::string why) {
 /// The deterministic poison-list answer: every quarantine hit (live or
 /// during journal replay) serves these exact bytes.
 Response quarantine_response() {
-  Response r;
-  r.status = Status::kOk;
-  r.verdict = common::Verdict::kUnknown;
-  r.stop = common::StopReason::kFault;
+  Response r = stopped_response(common::StopReason::kFault);
   r.error = "quarantined: repeated worker crashes on this query";
   return r;
 }
-
-/// Debug pacing for the CI smoke and the budget-trip tests: stretches a
-/// symbolic search so deadlines and SIGKILLs land mid-run (the service
-/// twin of tools/ckpt_smoke's Throttle).
-class Throttle final : public core::ExplorationObserver {
- public:
-  explicit Throttle(std::uint64_t us) : us_(us) {}
-  void on_state_explored(std::int32_t) override {
-    if (us_ > 0) std::this_thread::sleep_for(std::chrono::microseconds(us_));
-  }
-
- private:
-  std::uint64_t us_;
-};
 
 }  // namespace
 
@@ -176,6 +158,11 @@ bool Server::start(std::string* error) {
     *error = "no listener configured (socket_path or tcp_port)";
     return false;
   }
+  if (!cfg_.isolate) {
+    *error = "ServerConfig::isolate=false is not supported: every job runs "
+             "in a supervised worker process";
+    return false;
+  }
   if (!cfg_.ckpt_dir.empty()) {
     if (::mkdir(cfg_.ckpt_dir.c_str(), 0755) != 0 && errno != EEXIST) {
       *error = "mkdir " + cfg_.ckpt_dir + ": " + std::strerror(errno);
@@ -197,40 +184,38 @@ bool Server::start(std::string* error) {
                                std::memory_order_relaxed);
     last_gc_ = std::chrono::steady_clock::now();
   }
-  if (cfg_.isolate) {
-    SupervisorConfig scfg;
-    scfg.workers = cfg_.jobs;
-    scfg.retries = static_cast<unsigned>(cfg_.retries);
-    // Journaling hooks: poison-list transitions and worker deaths go to the
-    // write-ahead journal, so a restart reconstructs the quarantine set.
-    // Both no-op until setup_durable_state() opens the journal.
-    scfg.quarantine_changed = [this](std::uint64_t fp, bool added) {
-      std::lock_guard<std::mutex> lock(journal_mu_);
-      if (journal_ == nullptr) return;
-      if (added) {
-        journal_->quarantine(fp);
-      } else {
-        journal_->clear_quarantine(fp);
-      }
-    };
-    scfg.job_crashed = [this](std::uint64_t fp, const std::string& detail) {
-      std::lock_guard<std::mutex> lock(journal_mu_);
-      if (journal_ != nullptr) journal_->crash(0, fp, detail);
-    };
-    supervisor_ = std::make_unique<Supervisor>(scfg);
-    if (!supervisor_->start(error)) {
-      supervisor_.reset();
-      if (unix_fd_ >= 0) {
-        ::close(unix_fd_);
-        unix_fd_ = -1;
-        ::unlink(cfg_.socket_path.c_str());
-      }
-      if (tcp_fd_ >= 0) {
-        ::close(tcp_fd_);
-        tcp_fd_ = -1;
-      }
-      return false;
+  SupervisorConfig scfg;
+  scfg.workers = cfg_.jobs;
+  scfg.retries = static_cast<unsigned>(cfg_.retries);
+  // Journaling hooks: poison-list transitions and worker deaths go to the
+  // write-ahead journal, so a restart reconstructs the quarantine set.
+  // Both no-op until setup_durable_state() opens the journal.
+  scfg.quarantine_changed = [this](std::uint64_t fp, bool added) {
+    std::lock_guard<std::mutex> lock(journal_mu_);
+    if (journal_ == nullptr) return;
+    if (added) {
+      journal_->quarantine(fp);
+    } else {
+      journal_->clear_quarantine(fp);
     }
+  };
+  scfg.job_crashed = [this](std::uint64_t fp, const std::string& detail) {
+    std::lock_guard<std::mutex> lock(journal_mu_);
+    if (journal_ != nullptr) journal_->crash(0, fp, detail);
+  };
+  supervisor_ = std::make_unique<Supervisor>(scfg);
+  if (!supervisor_->start(error)) {
+    supervisor_.reset();
+    if (unix_fd_ >= 0) {
+      ::close(unix_fd_);
+      unix_fd_ = -1;
+      ::unlink(cfg_.socket_path.c_str());
+    }
+    if (tcp_fd_ >= 0) {
+      ::close(tcp_fd_);
+      tcp_fd_ = -1;
+    }
+    return false;
   }
   queue_ = std::make_unique<JobQueue>(JobQueue::Limits{
       cfg_.jobs, cfg_.queue_depth, cfg_.inflight_bytes});
@@ -291,14 +276,7 @@ void Server::setup_durable_state() {
         tickets_pending_.insert(job.ticket);
       }
     }
-    if (supervisor_ != nullptr) {
-      supervisor_->restore_quarantine(replay.quarantined);
-    } else if (!replay.quarantined.empty()) {
-      std::fprintf(stderr,
-                   "quantad: %zu journaled quarantine entries ignored "
-                   "(daemon runs in-process, no poison list)\n",
-                   replay.quarantined.size());
-    }
+    supervisor_->restore_quarantine(replay.quarantined);
     recovery_jobs_ = std::move(replay.pending);
   }
   if (cfg_.cache_persist) {
@@ -343,55 +321,33 @@ void Server::run_recovery() {
           make_error(Status::kError, "journaled request unreadable: " + error));
       continue;
     }
-    req->hold_ms = 0;  // queue-occupancy drill knob, meaningless on replay
     const auto prepared = prepare_job(*req, &error);
     if (!prepared) {
       finish_ticket(pending.ticket, pending.fingerprint,
                     make_error(Status::kBadRequest, error));
       continue;
     }
-    if (supervisor_ != nullptr && req->use_quarantine &&
-        supervisor_->quarantined(prepared->fingerprint)) {
-      quarantine_hits_.fetch_add(1, std::memory_order_relaxed);
+    if (held_by_quarantine(*req, prepared->fingerprint)) {
       finish_ticket(pending.ticket, prepared->fingerprint,
                     quarantine_response());
       continue;
     }
-    common::Budget budget;
-    budget.with_cancel(&recovery_cancel_);
-    if (req->deadline_ms != 0) {
-      budget.with_deadline_after(std::chrono::milliseconds(req->deadline_ms));
-    }
-    if (req->memory_mb != 0) {
-      budget.with_memory_limit(req->memory_mb << 20);
-    }
-    ckpt::Options checkpoint;
-    if (!cfg_.ckpt_dir.empty()) {
-      checkpoint.path = cfg_.ckpt_dir + "/job-" + req->engine + "-" +
-                        fingerprint_token(prepared->fingerprint) + ".qckpt";
-      checkpoint.interval = req->ckpt_interval;
-      // Continue from whatever periodic snapshot the killed daemon managed
-      // to write; a missing or torn chain degrades to a fresh start, and
-      // either way src/ckpt guarantees bit-identity with an uninterrupted
-      // run.
-      checkpoint.resume = true;
-    }
+    // Continue from whatever periodic snapshot the killed daemon managed to
+    // write; a missing or torn chain degrades to a fresh start, and either
+    // way src/ckpt guarantees bit-identity with an uninterrupted run.
+    const ckpt::Options checkpoint =
+        job_checkpoint(cfg_.ckpt_dir, *req, prepared->fingerprint,
+                       /*resume=*/true);
     // Replayed jobs bypass JobQueue admission: they were admitted before
     // the crash, and the supervisor slots / engine budgets still bound the
     // actual resource use. Recovery runs them one at a time behind live
     // traffic.
-    const Response resp = execute_job(*req, *prepared, budget, checkpoint);
-    if (resp.status == Status::kOk &&
-        resp.stop == common::StopReason::kCancelled) {
+    const Response resp =
+        execute_job(*req, prepared->fingerprint,
+                    job_budget(*req, &recovery_cancel_), checkpoint);
+    if (!settle(*req, *prepared, checkpoint, pending.ticket, resp)) {
       break;  // shutting down again: the job stays pending for the next boot
     }
-    const bool completed = resp.status == Status::kOk &&
-                           resp.stop == common::StopReason::kCompleted;
-    if (req->use_cache && completed) {
-      cache_->insert(prepared->fingerprint, prepared->cache_key, resp);
-    }
-    if (completed && checkpoint.enabled()) ckpt::remove_chain(checkpoint.path);
-    finish_ticket(pending.ticket, prepared->fingerprint, resp);
     jobs_recovered_.fetch_add(1, std::memory_order_relaxed);
   }
   recovery_done_.store(true, std::memory_order_release);
@@ -417,11 +373,11 @@ void Server::stop() {
   if (tcp_fd_ >= 0) ::close(tcp_fd_);
   unix_fd_ = tcp_fd_ = -1;
   // 2. Cancel + drain the job queue: every session blocked on a job's
-  //    promise receives its (kCancelled) result. In-flight isolated
+  //    promise receives its (kCancelled) result. In-flight worker
   //    dispatches see their CancelToken fire, kill their worker and return
   //    kCancelled — so the pool is idle before step 2b kills it.
   queue_->shutdown();
-  if (supervisor_ != nullptr) supervisor_->shutdown();
+  supervisor_->shutdown();
   // 2c. Join recovery after the queue and pool are down: its in-flight job
   //     has seen the cancel token (or its killed worker) by now.
   if (recovery_thread_.joinable()) recovery_thread_.join();
@@ -559,7 +515,6 @@ WireMap Server::handle_builtin(const Request& req) {
     m.set_u64("bad_requests", s.bad_requests);
     m.set_u64("overloads", s.overloads);
     m.set_u64("jobs_executed", s.jobs_executed);
-    m.set("isolated", s.isolated ? "1" : "0");
     m.set_u64("workers_spawned", s.supervisor.spawned);
     m.set_u64("worker_crashes", s.supervisor.crashes);
     m.set_u64("job_retries", s.supervisor.retries);
@@ -645,42 +600,23 @@ Response Server::run_analysis(const Request& req) {
   std::string error;
   const auto prepared = prepare_job(req, &error);
   if (!prepared) return make_error(Status::kBadRequest, error);
-  if (!cfg_.enable_debug && (req.hold_ms != 0 || req.throttle_us != 0)) {
+  if (!cfg_.enable_debug && has_debug_knobs(req)) {
     return make_error(Status::kBadRequest,
-                      "hold_ms/throttle_us require a --debug daemon");
+                      "hold_ms/throttle_us/fault/crash_signal/rlimit_mb "
+                      "require a --debug daemon");
   }
-  const bool has_fault_knobs =
-      !req.fault.empty() || req.crash_signal != 0 || req.rlimit_mb != 0;
-  if (has_fault_knobs && !cfg_.enable_debug) {
-    return make_error(Status::kBadRequest,
-                      "fault/crash_signal/rlimit_mb require a --debug daemon");
-  }
-  if (has_fault_knobs && supervisor_ == nullptr) {
-    // An in-process daemon honoring these would crash itself — the knobs
-    // exist to drill the containment layer, not to bypass it.
-    return make_error(Status::kBadRequest,
-                      "fault/crash_signal/rlimit_mb require an isolated "
-                      "daemon (QUANTAD_ISOLATE=1)");
-  }
-
-  const std::string token = fingerprint_token(prepared->fingerprint);
-  ckpt::Options checkpoint;
-  if (!cfg_.ckpt_dir.empty()) {
-    checkpoint.path =
-        cfg_.ckpt_dir + "/job-" + req.engine + "-" + token + ".qckpt";
-    checkpoint.interval = req.ckpt_interval;
-    checkpoint.resume = false;
-    if (!req.resume.empty()) {
-      if (req.resume != token) {
-        return make_error(Status::kBadRequest,
-                          "resume token does not match this query");
-      }
-      checkpoint.resume = true;
+  if (!req.resume.empty()) {
+    if (cfg_.ckpt_dir.empty()) {
+      return make_error(Status::kBadRequest,
+                        "daemon runs without --ckpt-dir; resume unavailable");
     }
-  } else if (!req.resume.empty()) {
-    return make_error(Status::kBadRequest,
-                      "daemon runs without --ckpt-dir; resume unavailable");
+    if (req.resume != fingerprint_token(prepared->fingerprint)) {
+      return make_error(Status::kBadRequest,
+                        "resume token does not match this query");
+    }
   }
+  const ckpt::Options checkpoint = job_checkpoint(
+      cfg_.ckpt_dir, req, prepared->fingerprint, !req.resume.empty());
 
   if (req.use_cache) {
     Response hit;
@@ -694,9 +630,7 @@ Response Server::run_analysis(const Request& req) {
   // quarantine is still perfectly good) and before admission (a crash loop
   // must cost the pool nothing). The response is deterministic: every hit
   // answers with the same bytes.
-  if (supervisor_ != nullptr && req.use_quarantine &&
-      supervisor_->quarantined(prepared->fingerprint)) {
-    quarantine_hits_.fetch_add(1, std::memory_order_relaxed);
+  if (held_by_quarantine(req, prepared->fingerprint)) {
     return quarantine_response();
   }
 
@@ -704,6 +638,8 @@ Response Server::run_analysis(const Request& req) {
   // hits disk before submission, so a SIGKILL at any later point leaves a
   // replayable trail (cache hits and quarantine answers never get here —
   // they consume no ticket, keeping the sequence deterministic for CI).
+  // The record carries no debug knobs: a replay runs the job calm, even on
+  // a daemon restarted without --debug.
   const std::uint64_t ticket =
       next_ticket_.fetch_add(1, std::memory_order_relaxed);
   tickets_issued_.fetch_add(1, std::memory_order_relaxed);
@@ -711,9 +647,8 @@ Response Server::run_analysis(const Request& req) {
     std::lock_guard<std::mutex> jlock(journal_mu_);
     tickets_pending_.insert(ticket);
     if (journal_ != nullptr) {
-      Request admit = req;
-      admit.hold_ms = 0;  // queue-occupancy drill knob, meaningless on replay
-      journal_->admit(ticket, prepared->fingerprint, to_wire(admit).to_json());
+      journal_->admit(ticket, prepared->fingerprint,
+                      to_wire(without_debug_knobs(req)).to_json());
     }
   }
 
@@ -722,14 +657,7 @@ Response Server::run_analysis(const Request& req) {
   // run, and JobQueue::shutdown() draining every admitted job guarantees
   // the wait always ends.
   common::CancelToken cancel;
-  common::Budget budget;
-  budget.with_cancel(&cancel);
-  if (req.deadline_ms != 0) {
-    budget.with_deadline_after(std::chrono::milliseconds(req.deadline_ms));
-  }
-  if (req.memory_mb != 0) {
-    budget.with_memory_limit(req.memory_mb << 20);
-  }
+  const common::Budget budget = job_budget(req, &cancel);
   std::promise<Response> done;
   std::future<Response> result = done.get_future();
   JobQueue::Job job;
@@ -744,7 +672,8 @@ Response Server::run_analysis(const Request& req) {
       if (journal_ != nullptr) journal_->start(ticket, prepared->fingerprint);
     }
     try {
-      done.set_value(execute_job(req, *prepared, budget, checkpoint));
+      done.set_value(
+          execute_job(req, prepared->fingerprint, budget, checkpoint));
     } catch (...) {
       // execute_job absorbs everything an engine can throw; this is the
       // belt-and-braces path that keeps the session from deadlocking even
@@ -768,36 +697,48 @@ Response Server::run_analysis(const Request& req) {
     return rejected;
   }
   Response resp = result.get();
-  const bool completed = resp.status == Status::kOk &&
-                         resp.stop == common::StopReason::kCompleted;
-  // Only completed results are cached: a kUnknown verdict depends on the
-  // submitting client's budget and must never answer another client.
-  // (resp is still ticket-free here, so the cache — and its on-disk
-  // segment — stores the canonical cold-run bytes.)
-  if (req.use_cache && completed) {
-    cache_->insert(prepared->fingerprint, prepared->cache_key, resp);
+  settle(req, *prepared, checkpoint, ticket, resp);
+  maybe_gc_checkpoints();
+  if (req.want_ticket) resp.ticket = ticket;
+  return resp;
+}
+
+bool Server::held_by_quarantine(const Request& req, std::uint64_t fingerprint) {
+  if (!req.use_quarantine || !supervisor_->quarantined(fingerprint)) {
+    return false;
   }
-  if (completed) {
-    // The resume token (if any) is claimed: its checkpoint chain is dead
-    // weight from here on. A completed quarantine-bypass run additionally
-    // proves the input no longer crash-loops.
-    if (checkpoint.enabled()) ckpt::remove_chain(checkpoint.path);
-    if (supervisor_ != nullptr && !req.use_quarantine) {
-      supervisor_->clear_quarantine(prepared->fingerprint);
-    }
-  }
+  quarantine_hits_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+bool Server::settle(const Request& req, const PreparedJob& prepared,
+                    const ckpt::Options& checkpoint, std::uint64_t ticket,
+                    const Response& resp) {
   if (resp.status == Status::kOk &&
       resp.stop == common::StopReason::kCancelled) {
     // Shutdown took this job down mid-run. Its ticket stays pending: the
     // admit record makes the next boot replay it to completion (resuming
     // from its last periodic checkpoint), so a graceful stop loses zero
     // accepted work.
-  } else {
-    finish_ticket(ticket, prepared->fingerprint, resp);
+    return false;
   }
-  maybe_gc_checkpoints();
-  if (req.want_ticket) resp.ticket = ticket;
-  return resp;
+  if (resp.status == Status::kOk &&
+      resp.stop == common::StopReason::kCompleted) {
+    // Only completed results are cached: a kUnknown verdict depends on the
+    // submitting client's budget and must never answer another client.
+    // (resp is still ticket-free here, so the cache — and its on-disk
+    // segment — stores the canonical cold-run bytes.)
+    if (req.use_cache) {
+      cache_->insert(prepared.fingerprint, prepared.cache_key, resp);
+    }
+    // The resume chain (if any) is claimed: dead weight from here on. A
+    // completed quarantine-bypass run additionally proves the input no
+    // longer crash-loops.
+    if (checkpoint.enabled()) ckpt::remove_chain(checkpoint.path);
+    if (!req.use_quarantine) supervisor_->clear_quarantine(prepared.fingerprint);
+  }
+  finish_ticket(ticket, prepared.fingerprint, resp);
+  return true;
 }
 
 void Server::maybe_gc_checkpoints() {
@@ -816,7 +757,7 @@ void Server::maybe_gc_checkpoints() {
                              std::memory_order_relaxed);
 }
 
-Response Server::execute_job(const Request& req, const PreparedJob& prepared,
+Response Server::execute_job(const Request& req, std::uint64_t fingerprint,
                              const common::Budget& budget,
                              const ckpt::Options& checkpoint) {
   // Debug hold: park the runner (cancellation-responsive) so tests can fill
@@ -830,29 +771,14 @@ Response Server::execute_job(const Request& req, const PreparedJob& prepared,
     }
   }
   jobs_executed_.fetch_add(1, std::memory_order_relaxed);
-  const std::string token = fingerprint_token(prepared.fingerprint);
+  // The worker owns budget polling, throttling and checkpointing; the
+  // supervisor owns crash containment and retry.
   return common::governed(
-      [&]() -> Response {
+      [&] {
         common::FaultInjector::site("svc.job.run");
-        if (supervisor_ != nullptr) {
-          // Isolated path: the worker owns budget polling, throttling and
-          // checkpointing; the supervisor owns crash containment and retry.
-          return supervisor_->execute(req, prepared.fingerprint, budget,
-                                      checkpoint);
-        }
-        Throttle throttle(req.throttle_us);
-        core::ExplorationObserver* observer =
-            req.throttle_us != 0 ? &throttle : nullptr;
-        return response_from_result(prepared.run(budget, checkpoint, observer),
-                                    token);
+        return supervisor_->execute(req, fingerprint, budget, checkpoint);
       },
-      [&](common::StopReason reason) {
-        Response r;
-        r.status = Status::kOk;
-        r.verdict = common::Verdict::kUnknown;
-        r.stop = reason;
-        return r;
-      });
+      stopped_response);
 }
 
 Server::Stats Server::stats() const {
@@ -865,7 +791,6 @@ Server::Stats Server::stats() const {
   s.jobs_executed = jobs_executed_.load(std::memory_order_relaxed);
   s.quarantine_hits = quarantine_hits_.load(std::memory_order_relaxed);
   s.ckpt_gc_removed = ckpt_gc_removed_.load(std::memory_order_relaxed);
-  s.isolated = supervisor_ != nullptr;
   s.tickets_issued = tickets_issued_.load(std::memory_order_relaxed);
   s.journal_replayed = journal_replayed_.load(std::memory_order_relaxed);
   s.journal_dropped = journal_dropped_.load(std::memory_order_relaxed);

@@ -6,10 +6,16 @@
 //
 //   frame → parse/validate → [svc builtins] → registry lookup
 //         → ResultCache probe (hit: answer in O(1), engine never invoked)
+//         → quarantine gate → journal admit record
 //         → JobQueue admission (reject kOverload under pressure)
-//         → runner executes under common::Budget + checkpoint policy
+//         → runner dispatches to a supervised worker process, which runs
+//           the engine under common::Budget + checkpoint policy
 //         → budget trip: snapshot saved, response carries a resume token
-//         → completed results inserted into the cache → framed response
+//         → settle: cache the completed result, drop its claimed chain,
+//           finish the journal ticket → framed response
+//
+// Journal replay (run_recovery) feeds the jobs a killed daemon left
+// pending through the same worker dispatch and the same settle step.
 //
 // Resume tokens: the 16-hex-digit FNV fingerprint of the canonical job
 // key. A budget-tripped job saves its checkpoint chain under
@@ -66,16 +72,18 @@ struct ServerConfig {
   /// Directory for resume-token checkpoints (created if missing); empty
   /// disables checkpointing and resume tokens.
   std::string ckpt_dir;
-  /// Honor the hold_ms / throttle_us debug pacing fields (tests, CI smoke
-  /// and benches only — a production daemon rejects them).
+  /// Honor the five debug request fields: hold_ms / throttle_us pacing and
+  /// the fault / crash_signal / rlimit_mb crash drills (tests, CI smoke and
+  /// benches only — a production daemon rejects them).
   bool enable_debug = false;
-  /// Execute jobs in a prefork pool of sandboxed worker processes (one per
-  /// runner) instead of the daemon's own address space: a crashing engine
-  /// fails one job, never the service. The library defaults to in-process;
-  /// the quantad tool turns isolation on unless QUANTAD_ISOLATE=0.
-  bool isolate = false;
+  /// Compatibility only. Every job runs in a prefork pool of sandboxed
+  /// worker processes (one per runner), so a crashing engine fails one
+  /// job, never the service; start() fails when this is false. The field
+  /// stays because perfbench/src/svc_load.cpp assigns it; delete it with
+  /// the next change to perfbench.
+  bool isolate = true;
   /// Crash re-dispatches per job before its fingerprint is quarantined;
-  /// -1 = QUANTAD_RETRIES default. Only meaningful with isolate.
+  /// -1 = QUANTAD_RETRIES default.
   int retries = -1;
   /// Unclaimed resume-checkpoint chains older than this many seconds are
   /// garbage collected (age = the chain's newest file); 0 = QUANTAD_CKPT_TTL
@@ -126,7 +134,6 @@ class Server {
     std::uint64_t jobs_executed = 0;  ///< engine invocations (cache hits skip)
     std::uint64_t quarantine_hits = 0;  ///< jobs answered from the poison list
     std::uint64_t ckpt_gc_removed = 0;  ///< checkpoint files expired by GC
-    bool isolated = false;            ///< jobs run in worker processes
     bool journaling = false;          ///< job journal currently healthy
     std::uint64_t tickets_issued = 0;   ///< this process (replay seeds counter)
     std::uint64_t tickets_pending = 0;  ///< journaled jobs awaiting completion
@@ -139,7 +146,7 @@ class Server {
     bool recovery_done = false;          ///< replay queue fully drained
     ResultCache::Stats cache;
     JobQueue::Stats queue;
-    Supervisor::Stats supervisor;     ///< zeros when not isolated
+    Supervisor::Stats supervisor;     ///< zeros before start()
   };
   Stats stats() const;
 
@@ -161,9 +168,21 @@ class Server {
   WireMap handle_builtin(const Request& req);
   WireMap handle_ticket_fetch(const Request& req);
   Response run_analysis(const Request& req);
-  Response execute_job(const Request& req, const PreparedJob& prepared,
+  /// Runs one job in the worker pool (after the debug hold, if any).
+  Response execute_job(const Request& req, std::uint64_t fingerprint,
                        const common::Budget& budget,
                        const ckpt::Options& checkpoint);
+  /// Poison-job gate: true (and counted as a quarantine hit) when `req`
+  /// honors the quarantine and its fingerprint is on the poison list.
+  bool held_by_quarantine(const Request& req, std::uint64_t fingerprint);
+  /// The one post-run sequence of live and replayed jobs: a completed
+  /// answer is cached (if the request allows), its claimed checkpoint
+  /// chain removed and, after a quarantine-bypass run, its poison entry
+  /// cleared; then the ticket is finished. A job cancelled by shutdown
+  /// leaves its ticket pending for the next boot and returns false.
+  bool settle(const Request& req, const PreparedJob& prepared,
+              const ckpt::Options& checkpoint, std::uint64_t ticket,
+              const Response& resp);
   /// Amortized TTL sweep (at most once per minute, or per TTL if shorter).
   void maybe_gc_checkpoints();
 

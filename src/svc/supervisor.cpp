@@ -11,6 +11,7 @@
 #include <thread>
 #include <utility>
 
+#include "svc/registry.h"
 #include "svc/wire.h"
 #include "svc/worker.h"
 
@@ -30,14 +31,6 @@ std::string describe_exit(int status) {
     return "exited with status " + std::to_string(WEXITSTATUS(status));
   }
   return "died";
-}
-
-Response cancelled_response() {
-  Response r;
-  r.status = Status::kOk;
-  r.verdict = common::Verdict::kUnknown;
-  r.stop = common::StopReason::kCancelled;
-  return r;
 }
 
 }  // namespace
@@ -177,6 +170,14 @@ Supervisor::DispatchOutcome Supervisor::dispatch(Slot* slot,
     out.detail = std::move(detail);
     return out;
   };
+  // A job cancelled while it waited (in the queue, in a debug hold, for a
+  // free slot) never ships: a quick job would otherwise finish before the
+  // first poll tick below could notice the cancellation.
+  const common::CancelToken* cancel = budget.cancel_token();
+  if (cancel != nullptr && cancel->cancelled()) {
+    out.kind = DispatchOutcome::Kind::kCancelled;
+    return out;
+  }
 
   if (!ensure_worker(slot)) return crashed("could not be spawned");
   if (!write_frame(slot->fd, frame)) {
@@ -235,7 +236,6 @@ Supervisor::DispatchOutcome Supervisor::dispatch(Slot* slot,
       out.kind = DispatchOutcome::Kind::kCancelled;
       return out;
     }
-    const common::CancelToken* cancel = budget.cancel_token();
     if (cancel != nullptr && cancel->cancelled()) {
       kill_and_reap(slot, &detail);
       out.kind = DispatchOutcome::Kind::kCancelled;
@@ -251,31 +251,28 @@ Supervisor::DispatchOutcome Supervisor::dispatch(Slot* slot,
 Response Supervisor::execute(const Request& req, std::uint64_t fingerprint,
                              const common::Budget& budget,
                              const ckpt::Options& checkpoint) {
-  // hold_ms is a parent-side queue-occupancy knob (see Server::execute_job);
-  // it never ships to the worker.
-  Request job = req;
-  job.hold_ms = 0;
+  const Response cancelled = stopped_response(common::StopReason::kCancelled);
   ckpt::Options ck = checkpoint;
   unsigned crashes = 0;
   for (;;) {
     Slot* slot = acquire();
-    if (slot == nullptr) return cancelled_response();
+    if (slot == nullptr) return cancelled;
     const std::string frame =
-        make_job_frame(job, ck.path, ck.resume).to_json();
-    DispatchOutcome out = dispatch(slot, frame, budget, job.deadline_ms);
+        make_job_frame(req, ck.path, ck.resume).to_json();
+    DispatchOutcome out = dispatch(slot, frame, budget, req.deadline_ms);
     release(slot, out.kind == DispatchOutcome::Kind::kReplied);
     switch (out.kind) {
       case DispatchOutcome::Kind::kReplied:
         return out.response;
       case DispatchOutcome::Kind::kCancelled:
-        return cancelled_response();
+        return cancelled;
       case DispatchOutcome::Kind::kCrashed:
         break;
     }
     ++crashes;
     crashes_.fetch_add(1, std::memory_order_relaxed);
     if (cfg_.job_crashed) cfg_.job_crashed(fingerprint, out.detail);
-    if (shutdown_.load(std::memory_order_acquire)) return cancelled_response();
+    if (shutdown_.load(std::memory_order_acquire)) return cancelled;
     if (crashes > cfg_.retries) {
       bool inserted = false;
       {
@@ -285,10 +282,7 @@ Response Supervisor::execute(const Request& req, std::uint64_t fingerprint,
       if (inserted && cfg_.quarantine_changed) {
         cfg_.quarantine_changed(fingerprint, true);
       }
-      Response r;
-      r.status = Status::kOk;
-      r.verdict = common::Verdict::kUnknown;
-      r.stop = common::StopReason::kFault;
+      Response r = stopped_response(common::StopReason::kFault);
       r.error = "worker " + out.detail + "; query quarantined after " +
                 std::to_string(crashes) + " crashes";
       return r;

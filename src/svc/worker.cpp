@@ -93,7 +93,9 @@ class RlimitGuard {
   std::new_handler old_handler_ = nullptr;
 };
 
-/// Worker-side twin of the server's debug throttle (see server.cpp).
+/// Debug pacing (request field throttle_us) for the CI smoke and the
+/// budget-trip tests: stretches a symbolic search so deadlines and SIGKILLs
+/// land mid-run (the service twin of tools/ckpt_smoke's Throttle).
 class Throttle final : public core::ExplorationObserver {
  public:
   explicit Throttle(std::uint64_t us) : us_(us) {}
@@ -128,9 +130,9 @@ WireMap run_one_job(const std::string& payload) {
   const std::string* resume = map->get("ckpt_resume");
   checkpoint.resume = resume != nullptr && *resume == "1";
 
-  // Crash drills, gated by --debug + isolation on the server side. The
-  // signal disposition is reset first so the death is by the real signal
-  // even when a sanitizer installed its own handler.
+  // Crash drills, gated by --debug on the server side. The signal
+  // disposition is reset first so the death is by the real signal even
+  // when a sanitizer installed its own handler.
   if (req->crash_signal != 0) {
     const int sig = static_cast<int>(req->crash_signal);
     std::signal(sig, SIG_DFL);
@@ -144,11 +146,7 @@ WireMap run_one_job(const std::string& payload) {
   const auto prepared = prepare_job(*req, &error);
   if (!prepared) return to_wire(error_response(Status::kBadRequest, error));
 
-  common::Budget budget;
-  if (req->deadline_ms != 0) {
-    budget.with_deadline_after(std::chrono::milliseconds(req->deadline_ms));
-  }
-  if (req->memory_mb != 0) budget.with_memory_limit(req->memory_mb << 20);
+  const common::Budget budget = job_budget(*req, nullptr);
   RlimitGuard rlimit(req->rlimit_mb, req->memory_mb);
 
   Throttle throttle(req->throttle_us);
@@ -161,13 +159,7 @@ WireMap run_one_job(const std::string& payload) {
         return response_from_result(prepared->run(budget, checkpoint, observer),
                                     token);
       },
-      [&](common::StopReason reason) {
-        Response r;
-        r.status = Status::kOk;
-        r.verdict = common::Verdict::kUnknown;
-        r.stop = reason;
-        return r;
-      });
+      stopped_response);
   // A per-job fault spec must not leak its remaining countdown into the
   // next job this worker serves (a crash drill that fired never gets here —
   // the process is already gone).

@@ -1214,11 +1214,10 @@ TEST_F(ServerTest, SvcFaultMatrixEnvSpecDegradesGracefully) {
   }
   if (kEnvFaultSpec.compare(0, 11, "svc.worker.") == 0) {
     // Worker sites only exist inside sandboxed worker processes — and a
-    // crash spec armed in-process would take down the test binary. Ship
-    // the spec to an isolated daemon via the request's fault field and
-    // assert containment instead of a graceful degrade.
+    // crash spec armed in this process would take down the test binary.
+    // Ship the spec to the daemon's workers via the request's fault field
+    // and assert containment instead of a graceful degrade.
     ServerConfig cfg;
-    cfg.isolate = true;
     cfg.enable_debug = true;
     cfg.retries = 1;
     start(cfg);
@@ -1433,24 +1432,8 @@ TEST(ClientRetry, RidesOutADaemonThatStartsLate) {
 }
 
 // ---------------------------------------------------------------------------
-// QUANTAD_ISOLATE / QUANTAD_RETRIES / QUANTAD_CKPT_TTL env knobs
+// QUANTAD_RETRIES / QUANTAD_CKPT_TTL env knobs
 // ---------------------------------------------------------------------------
-
-TEST(QuantadEnv, IsolateDefaultsOnAndOnlyZeroTurnsItOff) {
-  {
-    ScopedEnv e("QUANTAD_ISOLATE", nullptr);
-    EXPECT_TRUE(default_isolate());
-  }
-  {
-    ScopedEnv e("QUANTAD_ISOLATE", "0");
-    EXPECT_FALSE(default_isolate());
-  }
-  {
-    // A garbled value keeps the safe default: isolation on.
-    ScopedEnv e("QUANTAD_ISOLATE", "off");
-    EXPECT_TRUE(default_isolate());
-  }
-}
 
 TEST(QuantadEnv, RetriesDefaultAndOverride) {
   {
@@ -1599,9 +1582,8 @@ std::string canonical_bytes(Response r) {
   return to_wire(r).to_json();
 }
 
-ServerConfig isolated_config(int retries) {
+ServerConfig drill_config(int retries) {
   ServerConfig cfg;
-  cfg.isolate = true;
   cfg.enable_debug = true;  // the crash drills require --debug
   cfg.retries = retries;
   return cfg;
@@ -1610,30 +1592,39 @@ ServerConfig isolated_config(int retries) {
 }  // namespace
 
 TEST_F(ServerTest, IsolatedColdQueryMatchesInProcessRun) {
-  start(isolated_config(2));
-  Client c1 = connect();
+  start();
+  Client c = connect();
   Request r = analysis_request("mc", "train-gate-3", "mutex");
   r.use_cache = false;
-  const Response isolated = query(c1, r);
+  const Response isolated = query(c, r);
   ASSERT_EQ(isolated.status, Status::kOk) << isolated.error;
-  EXPECT_TRUE(server_->stats().isolated);
   EXPECT_GE(server_->stats().supervisor.spawned, 1u);
 
-  // The same daemon, in-process: answers must be byte-identical — worker
-  // dispatch is a transport, not a different analysis.
-  server_.reset();
+  // The same job run directly in this process (after start(): the daemon
+  // forks its workers before any engine runs here). Answers must be
+  // byte-identical — worker dispatch is a transport, not a different
+  // analysis.
+  std::string error;
+  const auto prepared = prepare_job(r, &error);
+  ASSERT_TRUE(prepared) << error;
+  const Response direct = response_from_result(
+      prepared->run(common::Budget(), ckpt::Options(), nullptr),
+      fingerprint_token(prepared->fingerprint));
+  EXPECT_EQ(canonical_bytes(isolated), canonical_bytes(direct));
+}
+
+TEST_F(ServerTest, StartRefusesInProcessExecution) {
   ServerConfig cfg;
-  cfg.enable_debug = true;
-  start(cfg);
-  Client c2 = connect();
-  const Response inproc = query(c2, r);
-  ASSERT_EQ(inproc.status, Status::kOk);
-  EXPECT_FALSE(server_->stats().isolated);
-  EXPECT_EQ(canonical_bytes(isolated), canonical_bytes(inproc));
+  cfg.socket_path = dir_ + "/d.sock";
+  cfg.isolate = false;
+  Server server(cfg);
+  std::string error;
+  EXPECT_FALSE(server.start(&error));
+  EXPECT_NE(error.find("isolate"), std::string::npos) << error;
 }
 
 TEST_F(ServerTest, WorkerPoolReusesProcessesAcrossJobs) {
-  ServerConfig cfg = isolated_config(2);
+  ServerConfig cfg = drill_config(2);
   cfg.jobs = 1;
   start(cfg);
   Client c = connect();
@@ -1648,7 +1639,7 @@ TEST_F(ServerTest, WorkerPoolReusesProcessesAcrossJobs) {
 }
 
 TEST_F(ServerTest, WorkerSegfaultIsContainedAndQuarantined) {
-  ServerConfig cfg = isolated_config(1);
+  ServerConfig cfg = drill_config(1);
   cfg.jobs = 2;
   start(cfg);
   Client c = connect();
@@ -1683,7 +1674,7 @@ TEST_F(ServerTest, WorkerSegfaultIsContainedAndQuarantined) {
 }
 
 TEST_F(ServerTest, CrashSignalMatrixDecodesAbortAndKill) {
-  ServerConfig cfg = isolated_config(0);  // quarantine on the first crash
+  ServerConfig cfg = drill_config(0);  // quarantine on the first crash
   start(cfg);
   Client c = connect();
   const struct {
@@ -1715,7 +1706,7 @@ TEST_F(ServerTest, WorkerOomUnderRlimitIsContained) {
   if (!worker_rlimit_supported()) {
     GTEST_SKIP() << "rlimit drills unavailable under sanitizers";
   }
-  ServerConfig cfg = isolated_config(0);
+  ServerConfig cfg = drill_config(0);
   start(cfg);
   Client c = connect();
   Request r = analysis_request("mc", "train-gate-4", "mutex");
@@ -1733,7 +1724,7 @@ TEST_F(ServerTest, WorkerOomUnderRlimitIsContained) {
 }
 
 TEST_F(ServerTest, ConcurrentJobsUnaffectedByASiblingCrash) {
-  ServerConfig cfg = isolated_config(0);
+  ServerConfig cfg = drill_config(0);
   cfg.jobs = 2;
   start(cfg);
 
@@ -1771,7 +1762,7 @@ TEST_F(ServerTest, ConcurrentJobsUnaffectedByASiblingCrash) {
 }
 
 TEST_F(ServerTest, CrashedJobRetriesResumeAndConvergeBitIdentically) {
-  ServerConfig cfg = isolated_config(12);
+  ServerConfig cfg = drill_config(12);
   cfg.jobs = 1;
   start(cfg);
   Client c = connect();
@@ -1805,7 +1796,7 @@ TEST_F(ServerTest, CrashedJobRetriesResumeAndConvergeBitIdentically) {
 }
 
 TEST_F(ServerTest, QuarantineBypassRunClearsThePoisonEntry) {
-  ServerConfig cfg = isolated_config(0);
+  ServerConfig cfg = drill_config(0);
   start(cfg);
   Client c = connect();
   Request crash = analysis_request("mc", "train-gate-2", "mutex");
@@ -2287,7 +2278,7 @@ TEST_F(ServerTest, CancelledJobReplaysToCompletionAfterRestart) {
 }
 
 TEST_F(ServerTest, QuarantinePersistsAcrossRestartAndSoDoesItsClearance) {
-  ServerConfig cfg = isolated_config(0);
+  ServerConfig cfg = drill_config(0);
   cfg.state_dir = dir_ + "/state";
   start(cfg);
   Request crash = analysis_request("mc", "train-gate-2", "mutex");
@@ -2324,6 +2315,110 @@ TEST_F(ServerTest, QuarantinePersistsAcrossRestartAndSoDoesItsClearance) {
   EXPECT_EQ(query(c, clean).verdict, common::Verdict::kHolds);
 }
 
+TEST_F(ServerTest, ReplayRunsAJournaledDrillCalmOnAProductionDaemon) {
+  // A --debug daemon parks a job carrying a crash drill, then stops with
+  // it in flight; the calm run of the same query is the reference.
+  ServerConfig cfg;
+  cfg.state_dir = dir_ + "/state";
+  cfg.enable_debug = true;
+  cfg.jobs = 1;
+  start(cfg);
+  Request r = analysis_request("mc", "train-gate-3", "mutex");
+  r.use_cache = false;
+  Request held = r;
+  held.hold_ms = 60000;
+  held.crash_signal = 11;
+  held.want_ticket = true;
+  Response reference, parked;
+  std::string error;
+  bool transported = false;
+  {
+    Client c = connect();
+    reference = query(c, r);
+    ASSERT_EQ(reference.stop, common::StopReason::kCompleted);
+    // The runner counts a job as running until just after its answer is
+    // sent; wait for it to go idle so `running == 1` below means `held`.
+    wait_until([&] { return server_->stats().queue.running == 0; });
+    std::thread t([&] { transported = c.analyze(held, &parked, &error); });
+    wait_until([&] { return server_->stats().queue.running == 1; });
+    server_->stop();
+    t.join();
+  }
+  ASSERT_TRUE(transported) << error;
+  ASSERT_EQ(parked.stop, common::StopReason::kCancelled);
+  ASSERT_NE(parked.ticket, 0u);
+
+  // Restart as a production daemon. The journal never recorded the drill,
+  // so the replay runs calm: no worker dies, the answer is the reference.
+  cfg.enable_debug = false;
+  start(cfg);
+  wait_until([&] { return server_->stats().recovery_done; });
+  EXPECT_EQ(server_->stats().jobs_recovered, 1u);
+  EXPECT_EQ(server_->stats().supervisor.crashes, 0u);
+  Client c = connect();
+  Request fetch;
+  fetch.engine = "svc";
+  fetch.query = "result";
+  fetch.ticket = parked.ticket;
+  const Response recovered = query(c, fetch);
+  ASSERT_EQ(recovered.status, Status::kOk) << recovered.error;
+  EXPECT_EQ(durable_bytes(recovered), durable_bytes(reference));
+}
+
+TEST_F(ServerTest, ReplayedBypassRunClearsThePoisonEntryDurably) {
+  ServerConfig cfg = drill_config(0);
+  cfg.state_dir = dir_ + "/state";
+  cfg.jobs = 1;
+  start(cfg);
+  Request crash = analysis_request("mc", "train-gate-2", "mutex");
+  crash.use_cache = false;
+  crash.fault = "svc.worker.job=crash";
+  Request bypass = analysis_request("mc", "train-gate-2", "mutex");
+  bypass.use_cache = false;
+  bypass.use_quarantine = false;
+  bypass.hold_ms = 60000;
+  bypass.want_ticket = true;
+  Response parked;
+  std::string error;
+  bool transported = false;
+  {
+    Client c = connect();
+    ASSERT_EQ(query(c, crash).stop, common::StopReason::kFault);
+    ASSERT_EQ(server_->stats().supervisor.quarantined, 1u);
+    // Park a bypass run of the poisoned query, then stop with it in flight
+    // (once the crashed job's runner is idle, `running == 1` is the bypass).
+    wait_until([&] { return server_->stats().queue.running == 0; });
+    std::thread t([&] { transported = c.analyze(bypass, &parked, &error); });
+    wait_until([&] { return server_->stats().queue.running == 1; });
+    server_->stop();
+    t.join();
+  }
+  ASSERT_TRUE(transported) << error;
+  ASSERT_EQ(parked.stop, common::StopReason::kCancelled);
+
+  // Restart: recovery completes the bypass run cleanly, which clears the
+  // entry exactly as the live run would have.
+  start(cfg);
+  wait_until([&] { return server_->stats().recovery_done; });
+  EXPECT_EQ(server_->stats().jobs_recovered, 1u);
+  EXPECT_EQ(server_->stats().supervisor.quarantined, 0u);
+  {
+    Client c = connect();
+    Request fetch;
+    fetch.engine = "svc";
+    fetch.query = "result";
+    fetch.ticket = parked.ticket;
+    const Response recovered = query(c, fetch);
+    ASSERT_EQ(recovered.status, Status::kOk) << recovered.error;
+    EXPECT_EQ(recovered.verdict, common::Verdict::kHolds);
+  }
+
+  // The clearance was journaled: it survives one more restart.
+  server_.reset();
+  start(cfg);
+  EXPECT_EQ(server_->stats().supervisor.quarantined, 0u);
+}
+
 TEST_F(ServerTest, JournalAppendFaultDegradesToInMemoryOperation) {
   DisarmGuard guard;
   ServerConfig cfg;
@@ -2352,29 +2447,16 @@ TEST_F(ServerTest, JournalAppendFaultDegradesToInMemoryOperation) {
 }
 
 TEST_F(ServerTest, CrashDrillsRequireDebugAndIsolation) {
-  {
-    // Isolated but not --debug: the drill fields are rejected.
-    ServerConfig cfg;
-    cfg.isolate = true;
-    start(cfg);
-    Client c = connect();
+  start();  // no --debug: every drill field is rejected
+  Client c = connect();
+  for (int knob = 0; knob < 3; ++knob) {
     Request r = analysis_request("mc", "train-gate-2", "mutex");
-    r.crash_signal = 9;
-    EXPECT_EQ(query(c, r).status, Status::kBadRequest);
-    server_.reset();
+    if (knob == 0) r.crash_signal = 9;
+    if (knob == 1) r.fault = "svc.worker.job=crash";
+    if (knob == 2) r.rlimit_mb = 1;
+    EXPECT_EQ(query(c, r).status, Status::kBadRequest) << "knob " << knob;
   }
-  {
-    // --debug but in-process: nowhere safe to crash.
-    ServerConfig cfg;
-    cfg.enable_debug = true;
-    start(cfg);
-    Client c = connect();
-    Request r = analysis_request("mc", "train-gate-2", "mutex");
-    r.fault = "svc.worker.job=crash";
-    const Response resp = query(c, r);
-    EXPECT_EQ(resp.status, Status::kBadRequest);
-    EXPECT_NE(resp.error.find("isolated"), std::string::npos) << resp.error;
-  }
+  EXPECT_EQ(server_->stats().supervisor.crashes, 0u);
 }
 
 }  // namespace

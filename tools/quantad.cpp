@@ -6,18 +6,17 @@
 //
 //   quantad --socket /tmp/quantad.sock [--tcp-port N] [--ckpt-dir DIR]
 //           [--jobs N] [--queue-depth N] [--cache-mem BYTES]
-//           [--inflight-mem BYTES] [--isolate | --no-isolate]
-//           [--retries N] [--ckpt-ttl SECONDS] [--state-dir DIR]
-//           [--no-journal] [--no-cache-persist] [--debug]
+//           [--inflight-mem BYTES] [--retries N] [--ckpt-ttl SECONDS]
+//           [--state-dir DIR] [--no-journal] [--no-cache-persist] [--debug]
 //
 // Sizing defaults come from QUANTAD_JOBS / QUANTAD_QUEUE_DEPTH /
 // QUANTAD_CACHE_MEM (strict whole-positive-decimal parsing; anything
 // else falls back to the built-in defaults — see src/svc/config.h).
-// Jobs run in sandboxed worker processes unless --no-isolate (or
-// QUANTAD_ISOLATE=0): a crashing engine fails one job, never the daemon;
-// crashed jobs are retried --retries times (QUANTAD_RETRIES) resuming
-// from their last checkpoint, then quarantined. Unclaimed resume
-// checkpoints expire after --ckpt-ttl seconds (QUANTAD_CKPT_TTL).
+// Jobs run in sandboxed worker processes: a crashing engine fails one
+// job, never the daemon; crashed jobs are retried --retries times
+// (QUANTAD_RETRIES) resuming from their last checkpoint, then
+// quarantined. Unclaimed resume checkpoints expire after --ckpt-ttl
+// seconds (QUANTAD_CKPT_TTL).
 // --state-dir DIR (QUANTAD_STATE_DIR) makes the daemon durable: a
 // write-ahead job journal and an on-disk cache segment live there, so a
 // restart reloads the result cache, restores the quarantine set and
@@ -50,9 +49,8 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s --socket PATH [--tcp-port N] [--ckpt-dir DIR] [--jobs N]\n"
       "          [--queue-depth N] [--cache-mem BYTES] [--inflight-mem BYTES]\n"
-      "          [--isolate | --no-isolate] [--retries N] [--ckpt-ttl SECS]\n"
-      "          [--state-dir DIR] [--no-journal] [--no-cache-persist]\n"
-      "          [--debug]\n",
+      "          [--retries N] [--ckpt-ttl SECS] [--state-dir DIR]\n"
+      "          [--no-journal] [--no-cache-persist] [--debug]\n",
       argv0);
   return 1;
 }
@@ -72,7 +70,6 @@ bool parse_u64(const char* s, std::uint64_t* out) {
 
 int main(int argc, char** argv) {
   quanta::svc::ServerConfig cfg;
-  cfg.isolate = quanta::svc::default_isolate();
   cfg.state_dir = quanta::svc::default_state_dir();
   cfg.journal = quanta::svc::default_journal();
   cfg.cache_persist = quanta::svc::default_cache_persist();
@@ -110,10 +107,6 @@ int main(int argc, char** argv) {
       const char* s = next();
       if (s == nullptr || !parse_u64(s, &v) || v == 0) return usage(argv[0]);
       cfg.inflight_bytes = v;
-    } else if (arg == "--isolate") {
-      cfg.isolate = true;
-    } else if (arg == "--no-isolate") {
-      cfg.isolate = false;
     } else if (arg == "--retries") {
       const char* s = next();
       if (s == nullptr || !parse_u64(s, &v) ||
@@ -154,13 +147,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "quantad: %s\n", error.c_str());
     return 1;
   }
-  std::printf("quantad: listening%s%s%s (%s%s)\n",
+  std::printf("quantad: listening%s%s%s (isolated workers%s)\n",
               cfg.socket_path.empty() ? "" : (" on " + cfg.socket_path).c_str(),
               server.tcp_port() >= 0 ? " tcp 127.0.0.1:" : "",
               server.tcp_port() >= 0
                   ? std::to_string(server.tcp_port()).c_str()
                   : "",
-              cfg.isolate ? "isolated workers" : "in-process jobs",
               cfg.state_dir.empty() ? "" : ", durable state");
   std::fflush(stdout);
 
