@@ -1,5 +1,11 @@
 #include "ckpt/checkpoint.h"
 
+#include <dirent.h>
+#include <signal.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
@@ -17,18 +23,33 @@ namespace internal {
 
 namespace {
 
-/// RAII FILE* that also unlinks the path unless release()d — the temp file
-/// never survives a failed save.
+/// RAII FILE* on a temp file beside `target`, unlinked unless release()d —
+/// the temp file never survives a failed save. Its name
+/// <target>.tmp.<pid>.<n> is unique to this writer (n counts this process's
+/// temp files) and created exclusively, so no other writer or remover ever
+/// opens it; an existing name (a temp of a killed process whose pid was
+/// reused) is skipped.
 class TempFile {
  public:
-  TempFile(std::string path) : path_(std::move(path)) {
-    f_ = std::fopen(path_.c_str(), "wb");
+  explicit TempFile(const std::string& target) {
+    static std::atomic<std::uint64_t> next{0};
+    const std::string prefix =
+        target + ".tmp." + std::to_string(::getpid()) + ".";
+    do {
+      path_ = prefix + std::to_string(next.fetch_add(1));
+      f_ = std::fopen(path_.c_str(), "wbx");
+    } while (f_ == nullptr && errno == EEXIST);
+    if (f_ == nullptr) path_.clear();  // nothing of ours to remove
   }
   ~TempFile() {
     if (f_ != nullptr) std::fclose(f_);
     if (!released_ && !path_.empty()) std::remove(path_.c_str());
   }
+  TempFile(const TempFile&) = delete;
+  TempFile& operator=(const TempFile&) = delete;
+
   std::FILE* get() { return f_; }
+  const std::string& path() const { return path_; }
   /// Closes (flushing) and keeps the file; returns false if the flush fails.
   bool close_keep() {
     if (f_ == nullptr) return false;
@@ -44,26 +65,42 @@ class TempFile {
   bool released_ = false;
 };
 
+/// Writes bytes [from, to) of the concatenated parts.
+bool write_range(std::FILE* f,
+                 std::span<const std::span<const std::uint8_t>> parts,
+                 std::size_t from, std::size_t to) {
+  std::size_t offset = 0;
+  for (const std::span<const std::uint8_t> part : parts) {
+    const std::size_t lo = std::max(from, offset);
+    const std::size_t hi = std::min(to, offset + part.size());
+    if (lo < hi && std::fwrite(part.data() + (lo - offset), 1, hi - lo, f) !=
+                       hi - lo) {
+      return false;
+    }
+    offset += part.size();
+  }
+  return true;
+}
+
 }  // namespace
 
 bool write_file_atomic(const std::string& path,
-                       const std::vector<std::uint8_t>& buf,
+                       std::span<const std::span<const std::uint8_t>> parts,
                        const char* fault_site) {
-  const std::string tmp = path + ".tmp";
+  std::string tmp;
   try {
-    TempFile file(tmp);
+    TempFile file(path);
     if (file.get() == nullptr) return false;
+    tmp = file.path();
     // Two half-writes around the fault-injection site model a crash
     // mid-write: the torn prefix only ever lands in the temp file, which is
     // removed (or, after SIGKILL, ignored — it is never renamed into place).
-    const std::size_t half = buf.size() / 2;
-    if (std::fwrite(buf.data(), 1, half, file.get()) != half) return false;
+    std::size_t total = 0;
+    for (const std::span<const std::uint8_t> part : parts) total += part.size();
+    const std::size_t half = total / 2;
+    if (!write_range(file.get(), parts, 0, half)) return false;
     common::FaultInjector::site(fault_site);
-    const std::size_t rest = buf.size() - half;
-    if (rest > 0 &&
-        std::fwrite(buf.data() + half, 1, rest, file.get()) != rest) {
-      return false;
-    }
+    if (!write_range(file.get(), parts, half, total)) return false;
     if (!file.close_keep()) return false;
   } catch (...) {
     // Injected fault (or allocation failure) mid-write: TempFile already
@@ -75,6 +112,72 @@ bool write_file_atomic(const std::string& path,
     return false;
   }
   return true;
+}
+
+bool write_sections_atomic(const std::string& path,
+                           const std::vector<std::uint8_t>& header,
+                           const std::vector<Section>& sections,
+                           const char* fault_site) {
+  constexpr std::size_t kFrameSize = 4 + 8 + 4;
+  std::vector<std::uint8_t> frames(sections.size() * kFrameSize);
+  std::vector<std::span<const std::uint8_t>> parts;
+  parts.reserve(1 + 2 * sections.size());
+  parts.emplace_back(header);
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    const Section& s = sections[i];
+    std::uint8_t* frame = frames.data() + i * kFrameSize;
+    io::store_le<std::uint32_t>(frame, s.id);
+    io::store_le<std::uint64_t>(frame + 4, s.payload.size());
+    io::store_le<std::uint32_t>(frame + 12,
+                                crc32(s.payload.data(), s.payload.size()));
+    parts.emplace_back(frame, kFrameSize);
+    parts.emplace_back(s.payload);
+  }
+  return write_file_atomic(path, parts, fault_site);
+}
+
+void remove_orphan_temps(const std::string& path) {
+  const std::size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0              ? "/"
+                                                    : path.substr(0, slash);
+  const std::string name =
+      slash == std::string::npos ? path : path.substr(slash + 1);
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return;
+  while (const dirent* entry = ::readdir(d)) {
+    const std::string file = entry->d_name;
+    if (file.compare(0, name.size(), name) != 0) continue;
+    const std::size_t at = file.find(".tmp.", name.size());
+    if (at == std::string::npos) continue;
+    // Only the writer ever renames its temp, so once that process is gone
+    // the file is garbage; a live writer's temp is never touched.
+    const long pid = std::strtol(file.c_str() + at + 5, nullptr, 10);
+    if (pid > 0 && ::kill(static_cast<pid_t>(pid), 0) != 0 &&
+        errno == ESRCH) {
+      std::remove((dir + "/" + file).c_str());
+    }
+  }
+  ::closedir(d);
+}
+
+bool read_sections(io::Reader& r, std::uint32_t count,
+                   std::vector<Section>* out) {
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::uint32_t id = r.u32();
+    const std::uint64_t size = r.u64();
+    const std::uint32_t payload_crc = r.u32();
+    if (!r.ok() || !r.fits(size, 1)) return false;
+    Section sec;
+    sec.id = id;
+    sec.payload.resize(static_cast<std::size_t>(size));
+    if (!r.bytes(sec.payload.data(), sec.payload.size()) ||
+        crc32(sec.payload.data(), sec.payload.size()) != payload_crc) {
+      return false;
+    }
+    out->push_back(std::move(sec));
+  }
+  return r.ok();
 }
 
 ReadFile read_file(const std::string& path, std::vector<std::uint8_t>* out) {
@@ -151,33 +254,17 @@ Fingerprint& Fingerprint::mix_str(const std::string& s) {
   return *this;
 }
 
-Fingerprint& Fingerprint::mix_bytes(const void* data, std::size_t size) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h_ ^= p[i];
-    h_ *= 0x100000001B3ull;
-  }
-  return *this;
-}
-
 bool save(const std::string& path, const Snapshot& snap) {
   if (path.empty()) return false;
-  // Serialize the whole file into memory first: the on-disk write is then
-  // two plain fwrite calls with nothing data-dependent between them.
-  io::Writer w;
-  w.bytes(kMagic, sizeof(kMagic));
-  w.u32(kFormatVersion);
-  w.u32(static_cast<std::uint32_t>(snap.provider));
-  w.u64(snap.fingerprint);
-  w.u32(static_cast<std::uint32_t>(snap.sections.size()));
-  w.u32(crc32(w.buffer().data(), w.size()));
-  for (const Section& s : snap.sections) {
-    w.u32(s.id);
-    w.u64(s.payload.size());
-    w.u32(crc32(s.payload.data(), s.payload.size()));
-    w.bytes(s.payload.data(), s.payload.size());
-  }
-  return internal::write_file_atomic(path, w.buffer(), "ckpt.file.write");
+  io::Writer header;
+  header.bytes(kMagic, sizeof(kMagic));
+  header.u32(kFormatVersion);
+  header.u32(static_cast<std::uint32_t>(snap.provider));
+  header.u64(snap.fingerprint);
+  header.u32(static_cast<std::uint32_t>(snap.sections.size()));
+  header.u32(crc32(header.buffer().data(), header.size()));
+  return internal::write_sections_atomic(path, header.buffer(), snap.sections,
+                                         "ckpt.file.write");
 }
 
 LoadStatus load(const std::string& path, std::uint64_t expected_fingerprint,
@@ -216,23 +303,9 @@ LoadStatus load(const std::string& path, std::uint64_t expected_fingerprint,
   Snapshot snap;
   snap.provider = expected_provider;
   snap.fingerprint = fingerprint;
-  for (std::uint32_t i = 0; i < section_count; ++i) {
-    const std::uint32_t id = r.u32();
-    const std::uint64_t size = r.u64();
-    const std::uint32_t payload_crc = r.u32();
-    if (!r.ok() || !r.fits(size, 1)) return LoadStatus::kCorrupt;
-    Section sec;
-    sec.id = id;
-    sec.payload.resize(static_cast<std::size_t>(size));
-    if (!r.bytes(sec.payload.data(), sec.payload.size())) {
-      return LoadStatus::kCorrupt;
-    }
-    if (crc32(sec.payload.data(), sec.payload.size()) != payload_crc) {
-      return LoadStatus::kCorrupt;
-    }
-    snap.sections.push_back(std::move(sec));
+  if (!internal::read_sections(r, section_count, &snap.sections)) {
+    return LoadStatus::kCorrupt;
   }
-  if (!r.ok()) return LoadStatus::kCorrupt;
   *out = std::move(snap);
   return LoadStatus::kOk;
 }

@@ -14,9 +14,10 @@
 //   [section id u32] [payload size u64] [payload crc32 u32] [payload bytes]
 //
 // Safety properties:
-//   * atomic visibility — save() writes <path>.tmp and rename()s it over
-//     <path>, so a crash mid-write leaves either the previous checkpoint or
-//     a stray temp file, never a torn file at <path> that parses;
+//   * atomic visibility — save() writes a temp file private to the writer
+//     (<path>.tmp.<pid>.<n>) and rename()s it over <path>, so a crash
+//     mid-write leaves either the previous checkpoint or a stray temp file,
+//     never a torn file at <path> that parses;
 //   * validated resume — load() checks magic, format version, model
 //     fingerprint, provider and every section CRC; any mismatch degrades to
 //     a fresh start (LoadStatus says why), never a crash and never an
@@ -81,7 +82,8 @@ struct Snapshot {
   const Section* find(std::uint32_t id) const;
 };
 
-/// Serializes and atomically replaces `path` (write <path>.tmp, rename).
+/// Serializes and atomically replaces `path` (write a private temp file,
+/// rename); the header and section frames stream straight from `snap`.
 /// Returns false on any I/O failure — the previous checkpoint, if any, is
 /// left untouched. Visits FaultInjector site "ckpt.file.write".
 bool save(const std::string& path, const Snapshot& snap);
@@ -110,7 +112,6 @@ class Fingerprint {
   Fingerprint& mix_i64(std::int64_t v) { return mix(static_cast<std::uint64_t>(v)); }
   Fingerprint& mix_f64(double v);
   Fingerprint& mix_str(const std::string& s);
-  Fingerprint& mix_bytes(const void* data, std::size_t size);
 
   std::uint64_t digest() const { return h_; }
 

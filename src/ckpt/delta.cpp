@@ -1,6 +1,6 @@
 #include "ckpt/delta.h"
 
-#include <cerrno>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -16,7 +16,7 @@ constexpr char kDeltaMagic[8] = {'Q', 'C', 'K', 'P', 'D', '1', '\r', '\n'};
 constexpr std::size_t kDeltaHeaderSize = 8 + 4 + 4 + 8 + 8 + 4 + 4 + 4;
 
 /// Content hash shared by both chain_id overloads: provider, fingerprint
-/// and every section (id, size, payload) in order.
+/// and every section (id, size, content_hash64 of the payload) in order.
 void mix_sections(Fingerprint& fp, Provider provider, std::uint64_t fingerprint,
                   const std::vector<Section>& sections) {
   fp.mix(static_cast<std::uint64_t>(provider));
@@ -25,11 +25,39 @@ void mix_sections(Fingerprint& fp, Provider provider, std::uint64_t fingerprint,
   for (const Section& s : sections) {
     fp.mix(s.id);
     fp.mix(s.payload.size());
-    fp.mix_bytes(s.payload.data(), s.payload.size());
+    fp.mix(content_hash64(s.payload.data(), s.payload.size()));
   }
 }
 
+constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kP3 = 0x165667B19E3779F9ull;
+
+/// Folds one 8-byte word into h; a bijection of the word for a fixed h.
+std::uint64_t hash_word(std::uint64_t h, std::uint64_t word) {
+  return std::rotl(h ^ (word * kP2), 31) * kP1;
+}
+
 }  // namespace
+
+std::uint64_t content_hash64(const void* data, std::size_t size) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  std::uint64_t h = kP3 + size;  // the size keeps zero padding unambiguous
+  for (; size >= 8; p += 8, size -= 8) {
+    h = hash_word(h, io::load_le<std::uint64_t>(p));
+  }
+  if (size > 0) {
+    std::uint64_t tail = 0;  // the last 1-7 bytes, zero-padded
+    std::memcpy(&tail, p, size);
+    h = hash_word(h, tail);
+  }
+  // Final avalanche: every input bit reaches every output bit.
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  return h ^ (h >> 32);
+}
 
 const Section* Delta::find(std::uint32_t id) const {
   for (const Section& s : sections) {
@@ -58,23 +86,18 @@ std::uint64_t chain_id(std::uint64_t parent_id, const Delta& d) {
 
 bool save_delta(const std::string& base_path, const Delta& d) {
   if (base_path.empty() || d.seq == 0) return false;
-  io::Writer w;
-  w.bytes(kDeltaMagic, sizeof(kDeltaMagic));
-  w.u32(kDeltaFormatVersion);
-  w.u32(static_cast<std::uint32_t>(d.provider));
-  w.u64(d.fingerprint);
-  w.u64(d.parent_id);
-  w.u32(d.seq);
-  w.u32(static_cast<std::uint32_t>(d.sections.size()));
-  w.u32(crc32(w.buffer().data(), w.size()));
-  for (const Section& s : d.sections) {
-    w.u32(s.id);
-    w.u64(s.payload.size());
-    w.u32(crc32(s.payload.data(), s.payload.size()));
-    w.bytes(s.payload.data(), s.payload.size());
-  }
-  return internal::write_file_atomic(delta_path(base_path, d.seq), w.buffer(),
-                                     "ckpt.delta.write");
+  io::Writer header;
+  header.bytes(kDeltaMagic, sizeof(kDeltaMagic));
+  header.u32(kDeltaFormatVersion);
+  header.u32(static_cast<std::uint32_t>(d.provider));
+  header.u64(d.fingerprint);
+  header.u64(d.parent_id);
+  header.u32(d.seq);
+  header.u32(static_cast<std::uint32_t>(d.sections.size()));
+  header.u32(crc32(header.buffer().data(), header.size()));
+  return internal::write_sections_atomic(delta_path(base_path, d.seq),
+                                         header.buffer(), d.sections,
+                                         "ckpt.delta.write");
 }
 
 namespace {
@@ -126,23 +149,9 @@ LoadStatus load_one_delta(const std::string& path, std::uint64_t fingerprint,
   d.fingerprint = fingerprint;
   d.parent_id = file_parent;
   d.seq = file_seq;
-  for (std::uint32_t i = 0; i < section_count; ++i) {
-    const std::uint32_t id = r.u32();
-    const std::uint64_t size = r.u64();
-    const std::uint32_t payload_crc = r.u32();
-    if (!r.ok() || !r.fits(size, 1)) return LoadStatus::kCorrupt;
-    Section sec;
-    sec.id = id;
-    sec.payload.resize(static_cast<std::size_t>(size));
-    if (!r.bytes(sec.payload.data(), sec.payload.size())) {
-      return LoadStatus::kCorrupt;
-    }
-    if (crc32(sec.payload.data(), sec.payload.size()) != payload_crc) {
-      return LoadStatus::kCorrupt;
-    }
-    d.sections.push_back(std::move(sec));
+  if (!internal::read_sections(r, section_count, &d.sections)) {
+    return LoadStatus::kCorrupt;
   }
-  if (!r.ok()) return LoadStatus::kCorrupt;
   *out = std::move(d);
   return LoadStatus::kOk;
 }
@@ -185,7 +194,6 @@ void remove_deltas(const std::string& base_path, std::uint32_t from_seq) {
   }
   for (std::uint32_t seq = top; seq >= from_seq; --seq) {
     std::remove(delta_path(base_path, seq).c_str());
-    std::remove((delta_path(base_path, seq) + ".tmp").c_str());
     if (seq == from_seq) break;  // the loop guard alone would wrap at 0
   }
 }
@@ -196,7 +204,7 @@ void remove_chain(const std::string& base_path) {
   // never a headless tail.
   remove_deltas(base_path);
   std::remove(base_path.c_str());
-  std::remove((base_path + ".tmp").c_str());
+  internal::remove_orphan_temps(base_path);
 }
 
 bool ChainWriter::save_base(Snapshot&& snap) {

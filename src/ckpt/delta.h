@@ -1,15 +1,16 @@
 // Incremental delta snapshots: the QCKPD1 record and the checkpoint chain.
 //
 // A full (base) snapshot of a store-based engine rewrites every interned
-// state at every periodic save — 6.45x wall-clock at tight intervals
-// (EXPERIMENTS.md). Exploration state is almost append-only, so a periodic
-// checkpoint only needs what changed since the last save: the appended
-// store entries, the covered/tombstone bits that flipped, the worklist
-// delta and the engine payload suffix. Those ride in a QCKPD1 delta record;
-// the checkpoint then consists of the base snapshot at <path> plus delta
-// files <path>.d1, <path>.d2, ... forming a chain.
+// state at every periodic save, so its cost grows with store size times
+// save count (EXPERIMENTS.md "Checkpointing overhead"). Exploration state is
+// almost append-only, so a periodic checkpoint only needs what changed since
+// the last save: the appended store entries, the covered/tombstone bits that
+// flipped, the worklist delta and the engine payload suffix. Those ride in a
+// QCKPD1 delta record; the checkpoint then consists of the base snapshot at
+// <path> plus delta files <path>.d1, <path>.d2, ... forming a chain.
 //
-// Delta file layout (little-endian, DESIGN.md "Delta records"):
+// Delta file layout (little-endian, DESIGN.md "Delta records"; format
+// version 2):
 //
 //   [magic "QCKPD1\r\n" 8B] [format u32] [provider u32] [fingerprint u64]
 //   [parent id u64] [seq u32] [section count u32] [header crc32 u32]
@@ -17,19 +18,26 @@
 //   [section id u32] [payload size u64] [payload crc32 u32] [payload bytes]
 //
 // Chain integrity — the "base-snapshot id" that links records:
-//   * the base snapshot's chain id is an FNV-1a hash of its full content;
+//   * the base snapshot's chain id is an FNV-1a hash (Fingerprint) of its
+//     provider, fingerprint and section list, where each section enters as
+//     (id, size, content_hash64(payload)) — a 64-bit hash of every payload
+//     byte, folded in one 8-byte word at a time;
 //   * delta k stores the chain id of its predecessor (the base for k = 1)
-//     in `parent id`, and its own chain id is FNV(parent id, content);
+//     in `parent id`, and its own chain id is the same hash seeded with
+//     (parent id, seq);
 //   * the loader replays base + d1 + d2 + ... validating every link; a
 //     *missing* delta file is the clean end of the chain, but any delta
-//     that exists and fails validation (CRC, magic, fingerprint, parent id,
-//     sequence number) is a broken link and the whole chain is refused —
-//     the engine degrades to a fresh start, never resumes mixed state.
+//     that exists and fails validation (CRC, magic, format version,
+//     fingerprint, parent id, sequence number) is a broken link and the
+//     whole chain is refused — the engine degrades to a fresh start, never
+//     resumes mixed state. Version 1 records (chain ids over an FNV-1a
+//     byte pass) are refused as kBadVersion.
 //
 // Crash safety of the writer (ChainWriter):
-//   * every file — base and delta alike — is written temp-then-rename, so a
-//     SIGKILL mid-write leaves at most a stray temp and the chain ends at
-//     the previous, fully validated link;
+//   * every file — base and delta alike — is written to a temp file private
+//     to its writer and renamed into place, so a SIGKILL mid-write leaves at
+//     most a stray temp and the chain ends at the previous, fully validated
+//     link;
 //   * compaction (a new base after Options::max_deltas deltas) removes the
 //     old delta files in DESCENDING order before renaming the new base into
 //     place, so every intermediate crash state is either the old chain, a
@@ -46,8 +54,9 @@
 namespace quanta::ckpt {
 
 /// Format version of the QCKPD1 delta record, bumped independently of the
-/// base snapshot format.
-inline constexpr std::uint32_t kDeltaFormatVersion = 1;
+/// base snapshot format. Version 2: chain ids hash payloads with
+/// content_hash64 instead of a byte-wise FNV-1a pass.
+inline constexpr std::uint32_t kDeltaFormatVersion = 2;
 
 /// One incremental delta record: the changes since the predecessor link.
 struct Delta {
@@ -65,6 +74,12 @@ struct Delta {
 
 /// Path of the seq-th delta file of the chain rooted at `base_path`.
 std::string delta_path(const std::string& base_path, std::uint32_t seq);
+
+/// 64-bit hash of every byte of a range, folded in one little-endian 8-byte
+/// word at a time (a multiply-rotate round per word, a final avalanche):
+/// the payload hash that chain ids are built from. Its values are part of
+/// delta format version 2.
+std::uint64_t content_hash64(const void* data, std::size_t size);
 
 /// Content hash of a base snapshot — the chain id deltas link against.
 std::uint64_t chain_id(const Snapshot& base);
@@ -101,8 +116,10 @@ LoadStatus load_chain(const std::string& path, std::uint64_t fingerprint,
 void remove_deltas(const std::string& base_path, std::uint32_t from_seq = 1);
 
 /// Removes the entire checkpoint chain at `base_path`: every delta
-/// (descending), the base snapshot, and any stray temp files. Used when a
-/// resume token is claimed to completion or the chain's TTL expires.
+/// (descending), the base snapshot, and the temp files of writers that were
+/// killed mid-write. A live writer's temp (a concurrent job on the same
+/// chain) is never touched. Used when a resume token is claimed to
+/// completion.
 void remove_chain(const std::string& base_path);
 
 /// Append/compact policy shared by the delta-snapshotting providers. One

@@ -1,8 +1,9 @@
 // Byte-level serialization primitives of the checkpoint format: a growing
-// little-endian Writer and a bounds-checked Reader. Integers are written
-// byte-by-byte (fixed little-endian layout, no struct dumps), so checkpoint
-// files are portable across compilers and architectures; doubles travel as
-// their IEEE-754 bit pattern.
+// little-endian Writer and a bounds-checked Reader. Every integer has a
+// fixed little-endian width (no struct dumps), so checkpoint files are
+// portable across compilers; doubles travel as their IEEE-754 bit pattern.
+// Each field is one memcpy, and an int32 span (a zone row, a location
+// vector) is one bulk append.
 //
 // The Reader never throws and never reads out of bounds: any short read
 // flips a sticky `ok()` flag and yields zeros from then on. Callers parse
@@ -14,33 +15,61 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace quanta::ckpt::io {
 
+// The file byte order is the host byte order: each fixed-width field is one
+// memcpy, and an int32 span is one bulk copy.
+static_assert(std::endian::native == std::endian::little,
+              "checkpoint files are little-endian; add a byte-swapping "
+              "codec before building on a big-endian host");
+
+/// Stores `v` as sizeof(T) little-endian bytes at `out`.
+template <typename T>
+inline void store_le(std::uint8_t* out, T v) {
+  std::memcpy(out, &v, sizeof(T));
+}
+
+/// Loads sizeof(T) little-endian bytes from `in`.
+template <typename T>
+inline T load_le(const std::uint8_t* in) {
+  T v;
+  std::memcpy(&v, in, sizeof(T));
+  return v;
+}
+
 class Writer {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u32(std::uint32_t v) { store_le(grow(4), v); }
+  void u64(std::uint64_t v) { store_le(grow(8), v); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void bytes(const void* data, std::size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    buf_.insert(buf_.end(), p, p + size);
+  /// A run of int32 words, each exactly as i32() would write it.
+  void i32s(std::span<const std::int32_t> words) {
+    bytes(words.data(), words.size_bytes());
   }
+  void bytes(const void* data, std::size_t size) {
+    if (size != 0) std::memcpy(grow(size), data, size);  // data may be null
+  }
+
+  /// Capacity hint for a caller that knows how much it is about to write.
+  void reserve(std::size_t total) { buf_.reserve(total); }
 
   std::size_t size() const { return buf_.size(); }
   const std::vector<std::uint8_t>& buffer() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
+  std::uint8_t* grow(std::size_t n) {
+    buf_.resize(buf_.size() + n);
+    return buf_.data() + buf_.size() - n;
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 
@@ -56,17 +85,8 @@ class Reader {
     take(&v, 1);
     return v;
   }
-  std::uint32_t u32() {
-    std::uint8_t b[4] = {};
-    take(b, 4);
-    return static_cast<std::uint32_t>(b[0]) | (static_cast<std::uint32_t>(b[1]) << 8) |
-           (static_cast<std::uint32_t>(b[2]) << 16) | (static_cast<std::uint32_t>(b[3]) << 24);
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
-    return v;
-  }
+  std::uint32_t u32() { return fixed<std::uint32_t>(); }
+  std::uint64_t u64() { return fixed<std::uint64_t>(); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() { return std::bit_cast<double>(u64()); }
@@ -87,6 +107,18 @@ class Reader {
   bool ok() const { return ok_; }
 
  private:
+  template <typename T>
+  T fixed() {
+    if (remaining() < sizeof(T)) {
+      ok_ = false;
+      p_ = end_;
+      return 0;
+    }
+    const T v = load_le<T>(p_);
+    p_ += sizeof(T);
+    return v;
+  }
+
   bool take(void* out, std::size_t size) {
     if (remaining() < size) {
       ok_ = false;
@@ -94,7 +126,7 @@ class Reader {
       p_ = end_;
       return false;
     }
-    std::memcpy(out, p_, size);
+    if (size != 0) std::memcpy(out, p_, size);  // an empty payload may be null
     p_ += size;
     return true;
   }

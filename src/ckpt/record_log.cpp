@@ -100,7 +100,8 @@ bool rewrite_log(const std::string& path, const LogFormat& fmt,
   io::Writer w;
   write_header(&w, fmt);
   for (const auto& payload : records) frame_record(&w, payload);
-  return internal::write_file_atomic(path, w.buffer(), fault_site);
+  const std::span<const std::uint8_t> whole(w.buffer());
+  return internal::write_file_atomic(path, {&whole, 1}, fault_site);
 }
 
 bool RecordLog::open(const std::string& path, const LogFormat& fmt,

@@ -5,11 +5,14 @@
 // StateStore::restore re-derives the hash table deterministically, so the
 // resumed search is bit-identical to the uninterrupted one.
 //
-// Engines plug in a state codec (write_state / read_state callables) for
-// their state type; ckpt/snapshot_ta.h provides the zone-state codec.
+// Engines plug in a state codec for their state type: a write_state
+// callable that encodes one pooled store record from the store's ZonePool,
+// and a read_state callable that decodes a plain state. ckpt/snapshot_ta.h
+// provides the zone-state and digital-state codecs.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -34,6 +37,27 @@ inline constexpr std::uint32_t kSecEnginePayload = 4;
 inline constexpr std::uint32_t kSecStoreDelta = 11;
 inline constexpr std::uint32_t kSecWorklistDelta = 12;
 
+/// Appends states [first, last) of a pooled store, each encoded straight
+/// from its pooled record: no state is materialized to be saved. The buffer
+/// is sized once, from the first state (the states of one store share their
+/// vector lengths in practice), with a byte per state and some slack for
+/// what the caller writes next, so it never regrows mid-store.
+template <typename S, typename Traits, typename WriteState>
+void write_store_states(io::Writer& w, const core::StateStore<S, Traits>& store,
+                        std::size_t first, std::size_t last,
+                        WriteState&& write_state) {
+  static_assert(core::StateStore<S, Traits>::kPooled,
+                "the state codec encodes pooled store records");
+  const std::size_t start = w.size();
+  for (std::size_t id = first; id < last; ++id) {
+    write_state(w, store.zone_pool(),
+                store.stored(static_cast<std::int32_t>(id)));
+    if (id == first) {
+      w.reserve(start + (w.size() - start + 1) * (last - first) + 64);
+    }
+  }
+}
+
 template <typename S, typename Traits, typename WriteState>
 void write_store(io::Writer& w, const core::StateStore<S, Traits>& store,
                  WriteState&& write_state) {
@@ -41,9 +65,7 @@ void write_store(io::Writer& w, const core::StateStore<S, Traits>& store,
   w.u8(store.options().tombstone_covered ? 1 : 0);
   const std::size_t n = store.size();
   w.u64(n);
-  for (std::size_t id = 0; id < n; ++id) {
-    write_state(w, store.state(static_cast<std::int32_t>(id)));
-  }
+  write_store_states(w, store, 0, n, write_state);
   for (std::size_t id = 0; id < n; ++id) {
     w.u8(store.covered(static_cast<std::int32_t>(id)) ? 1 : 0);
   }
@@ -101,17 +123,13 @@ void write_store_delta(io::Writer& w, const core::StateStore<S, Traits>& store,
                        std::size_t base_states, std::size_t base_journal,
                        WriteState&& write_state) {
   const std::size_t n = store.size();
+  const std::vector<std::int32_t>& journal = store.covered_journal();
   w.u64(base_states);
   w.u64(n - base_states);
-  for (std::size_t id = base_states; id < n; ++id) {
-    write_state(w, store.state(static_cast<std::int32_t>(id)));
-  }
-  const std::vector<std::int32_t>& journal = store.covered_journal();
+  write_store_states(w, store, base_states, n, write_state);
   w.u64(base_journal);
   w.u64(journal.size() - base_journal);
-  for (std::size_t i = base_journal; i < journal.size(); ++i) {
-    w.i32(journal[i]);
-  }
+  w.i32s(std::span<const std::int32_t>(journal).subspan(base_journal));
 }
 
 /// Applies one write_store_delta record to the (states, covered) accumulator.

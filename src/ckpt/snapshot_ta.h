@@ -1,7 +1,14 @@
-// Zone-state codec and timed-automata model fingerprint for the checkpoint
-// subsystem. Header-only: included by the engines that link both quanta_ta
-// and quanta_ckpt (mc reachability today; any zone-based engine can reuse
-// it), keeping the ckpt library itself free of model dependencies.
+// Zone-state and digital-state codecs and the timed-automata model
+// fingerprint for the checkpoint subsystem. Header-only: included by the
+// engines that link both quanta_ta and quanta_ckpt (mc reachability and
+// liveness, game, cora), keeping the ckpt library itself free of model
+// dependencies.
+//
+// The writers encode a state straight from its pooled store record
+// (core::StateTraits<S>::Pooled) and the ZonePool spans behind it: every
+// component is already a contiguous run of int32 words, so it goes out as
+// one bulk append, and no state is materialized to be saved. The readers
+// rebuild plain states for StateStore::restore.
 #pragma once
 
 #include <cstdint>
@@ -9,21 +16,33 @@
 #include "ckpt/checkpoint.h"
 #include "ckpt/io.h"
 #include "dbm/dbm.h"
+#include "store/pool.h"
 #include "ta/digital.h"
 #include "ta/model.h"
 #include "ta/symbolic.h"
+#include "ta/traits.h"
 
 namespace quanta::ckpt {
 
-inline void write_sym_state(io::Writer& w, const ta::SymState& s) {
-  w.u32(static_cast<std::uint32_t>(s.locs.size()));
-  for (int l : s.locs) w.i32(l);
-  w.u32(static_cast<std::uint32_t>(s.vars.size()));
-  for (auto v : s.vars) w.i32(v);
-  const int dim = s.zone.dim();
-  w.u32(static_cast<std::uint32_t>(dim));
-  for (int i = 0; i < dim; ++i) {
-    for (int j = 0; j < dim; ++j) w.i32(s.zone.at(i, j));
+/// One interned int32 vector: its word count, then the words.
+inline void write_pooled_vec(io::Writer& w, const store::ZonePool& p,
+                             store::Ref ref) {
+  const std::span<const std::int32_t> words = p.data(ref);
+  w.u32(static_cast<std::uint32_t>(words.size()));
+  w.i32s(words);
+}
+
+/// [locs] [vars] [dim u32] [dim x dim zone words, row-major].
+inline void write_sym_state(
+    io::Writer& w, const store::ZonePool& p,
+    const core::StateTraits<ta::SymState>::Pooled& st) {
+  using Traits = core::StateTraits<ta::SymState>;
+  write_pooled_vec(w, p, st.locs);
+  write_pooled_vec(w, p, st.vars);
+  w.u32(static_cast<std::uint32_t>(st.dim));
+  const auto dim = static_cast<std::size_t>(st.dim);
+  for (std::size_t r = 0; r < dim; ++r) {
+    w.i32s(p.data(Traits::row_ref(p, st, r)));
   }
 }
 
@@ -49,13 +68,13 @@ inline bool read_sym_state(io::Reader& r, ta::SymState* out) {
   return r.ok();
 }
 
-inline void write_digital_state(io::Writer& w, const ta::DigitalState& s) {
-  w.u32(static_cast<std::uint32_t>(s.locs.size()));
-  for (int l : s.locs) w.i32(l);
-  w.u32(static_cast<std::uint32_t>(s.vars.size()));
-  for (auto v : s.vars) w.i32(v);
-  w.u32(static_cast<std::uint32_t>(s.clocks.size()));
-  for (std::int32_t c : s.clocks) w.i32(c);
+/// [locs] [vars] [clocks].
+inline void write_digital_state(
+    io::Writer& w, const store::ZonePool& p,
+    const core::StateTraits<ta::DigitalState>::Pooled& st) {
+  write_pooled_vec(w, p, st.locs);
+  write_pooled_vec(w, p, st.vars);
+  write_pooled_vec(w, p, st.clocks);
 }
 
 inline bool read_digital_state(io::Reader& r, ta::DigitalState* out) {

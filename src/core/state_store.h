@@ -163,6 +163,12 @@ class StateStore {
     }
   }
 
+  /// The record the store keeps for an id: the Traits::Pooled handles of a
+  /// pooled store (resolved through zone_pool()), the state itself
+  /// otherwise. Lets the checkpoint codec encode a state without
+  /// materializing it.
+  const Stored& stored(std::int32_t id) const { return states_[toIdx(id)]; }
+
   bool covered(std::int32_t id) const { return covered_[toIdx(id)] != 0; }
 
   /// Ids tombstoned so far, in the order their covered bit flipped. States

@@ -30,8 +30,10 @@ class Watchdog {
  public:
   /// Starts watching `budget` (deadline + external cancel + forced-deadline
   /// fault injection). When the budget trips, fires `target` and records the
-  /// reason. An inactive budget starts no thread at all, so the wrapper
-  /// costs nothing on the ungoverned path.
+  /// reason. The first poll runs synchronously here, so a budget that is
+  /// tripped on entry has fired `target` before the constructor returns. An
+  /// inactive budget starts no thread at all, so the wrapper costs nothing
+  /// on the ungoverned path.
   Watchdog(const common::Budget& budget, common::CancelToken& target);
 
   /// Stops the polling thread and joins it. Does NOT reset `target`.
@@ -46,6 +48,8 @@ class Watchdog {
   }
 
  private:
+  /// One budget poll; on a trip, records the reason and fires `target`.
+  bool fire_if_tripped();
   void run();
 
   const common::Budget& budget_;

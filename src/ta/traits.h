@@ -142,7 +142,6 @@ struct StateTraits<ta::SymState> {
     return relation_to_subsumes(rows_relation(p, st, incoming.zone));
   }
 
- private:
   /// The ref of zone row r, wherever it lives (inline or the rows[0] blob).
   static store::Ref row_ref(const store::ZonePool& p, const Pooled& st,
                             std::size_t r) {
@@ -150,6 +149,8 @@ struct StateTraits<ta::SymState> {
     return static_cast<store::Ref>(
         static_cast<std::uint32_t>(p.data(st.rows[0])[r]));
   }
+
+ private:
   /// incoming.relation(stored zone), computed against the interned rows
   /// without materializing the matrix. Same empty-zone checks, le/ge
   /// accumulation and early exit as dbm relation — decisions are

@@ -8,19 +8,29 @@
 #include "ckpt/checkpoint.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ckpt/crc32.h"
 #include "ckpt/delta.h"
 #include "ckpt/record_log.h"
+#include "ckpt/snapshot_core.h"
+#include "ckpt/snapshot_ta.h"
 #include "common/budget.h"
 #include "common/fault.h"
 #include "cora/priced.h"
@@ -51,16 +61,33 @@ namespace fs = std::filesystem;
   return true;
 }();
 
+/// The temp files writers left beside `path` (<path>.tmp.<k>). A save,
+/// failed or not, must leave none behind.
+std::vector<std::string> temp_files(const std::string& path) {
+  const fs::path p(path);
+  const std::string prefix = p.filename().string() + ".tmp";
+  std::vector<std::string> out;
+  for (const auto& entry : fs::directory_iterator(p.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.compare(0, prefix.size(), prefix) == 0) {
+      out.push_back(entry.path().string());
+    }
+  }
+  return out;
+}
+
+void remove_with_temps(const std::string& path) {
+  fs::remove(path);
+  for (const std::string& t : temp_files(path)) fs::remove(t);
+}
+
 /// Fresh checkpoint path per test; removes leftovers from earlier runs,
 /// including any QCKPD1 delta files of a previous chain.
 std::string ckpt_path(const std::string& name) {
   std::string p = ::testing::TempDir() + "quanta_ckpt_" + name + ".qckpt";
-  fs::remove(p);
-  fs::remove(p + ".tmp");
+  remove_with_temps(p);
   for (std::uint32_t seq = 1; seq <= 256; ++seq) {
-    const std::string d = ckpt::delta_path(p, seq);
-    fs::remove(d);
-    fs::remove(d + ".tmp");
+    remove_with_temps(ckpt::delta_path(p, seq));
   }
   return p;
 }
@@ -156,6 +183,100 @@ TEST(CkptCrc32, MatchesTheBytewiseReferenceAtEveryOffsetAndLength) {
   }
 }
 
+// ---- byte codec and content hash ------------------------------------------
+
+/// A byte-at-a-time little-endian writer: the layout every checkpoint,
+/// journal and cache-segment file has always had, spelled out without the
+/// codec under test.
+struct RefBytes {
+  std::vector<std::uint8_t> bytes;
+  void u8(std::uint8_t v) { bytes.push_back(v); }
+  void u32(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
+};
+
+std::uint64_t le_u64_at(const std::vector<std::uint8_t>& b, std::size_t at) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(b[at + static_cast<std::size_t>(i)]) << (8 * i);
+  }
+  return v;
+}
+
+TEST(CkptCodec, FixedWidthFieldsAreLittleEndianByteForByte) {
+  const std::int32_t words[] = {0, -1, INT32_MIN, INT32_MAX, 0x12345678};
+  ckpt::io::Writer w;
+  RefBytes ref;
+  w.u8(0xAB);
+  ref.u8(0xAB);
+  w.u32(0x01020304u);
+  ref.u32(0x01020304u);
+  w.u64(0x0102030405060708ull);
+  ref.u64(0x0102030405060708ull);
+  w.i32(-2);
+  ref.i32(-2);
+  w.i64(-3);
+  ref.u64(static_cast<std::uint64_t>(std::int64_t{-3}));
+  w.f64(0.1);
+  ref.u64(std::bit_cast<std::uint64_t>(0.1));
+  w.i32s(words);
+  for (std::int32_t v : words) ref.i32(v);
+  EXPECT_EQ(w.buffer(), ref.bytes);
+
+  ckpt::io::Reader r(w.buffer());
+  EXPECT_EQ(r.u8(), 0xABu);
+  EXPECT_EQ(r.u32(), 0x01020304u);
+  EXPECT_EQ(r.u64(), 0x0102030405060708ull);
+  EXPECT_EQ(r.i32(), -2);
+  EXPECT_EQ(r.i64(), -3);
+  EXPECT_EQ(r.f64(), 0.1);
+  for (std::int32_t v : words) EXPECT_EQ(r.i32(), v);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.remaining(), 0u);
+
+  // A short read yields zero, flips the sticky flag and drains the input.
+  ckpt::io::Reader shorty(w.buffer().data(), 3);
+  EXPECT_EQ(shorty.u32(), 0u);
+  EXPECT_FALSE(shorty.ok());
+  EXPECT_EQ(shorty.remaining(), 0u);
+  EXPECT_EQ(shorty.u64(), 0u);
+  EXPECT_FALSE(shorty.ok());
+}
+
+TEST(CkptContentHash, PinnedValuesOfDeltaFormatVersionTwo) {
+  // Chain ids of version 2 delta records are built from these values; a
+  // change here must bump kDeltaFormatVersion.
+  EXPECT_EQ(ckpt::content_hash64("", 0), 0xD8A310150DF90781ull);
+  EXPECT_EQ(ckpt::content_hash64("abc", 3), 0x230E9C1ADACC6828ull);
+  const std::string text = "Nobody inspects the spammish repetition";
+  EXPECT_EQ(ckpt::content_hash64(text.data(), text.size()),
+            0x0A6B60BFB15DE64Full);
+}
+
+TEST(CkptContentHash, EveryBitOfEveryLengthCounts) {
+  // Lengths 0..99 cross every path: empty, whole words, each 1-7 byte tail.
+  std::vector<std::uint8_t> buf(100);
+  std::uint32_t x = 12345;
+  for (auto& b : buf) b = static_cast<std::uint8_t>((x = x * 1664525u + 1013904223u) >> 24);
+  for (std::size_t len = 0; len < buf.size(); ++len) {
+    const std::uint64_t h = ckpt::content_hash64(buf.data(), len);
+    EXPECT_NE(h, ckpt::content_hash64(buf.data(), len + 1)) << "len " << len;
+    for (std::size_t i = 0; i < len; ++i) {
+      for (int bit = 0; bit < 8; bit += 3) {
+        buf[i] ^= static_cast<std::uint8_t>(1u << bit);
+        EXPECT_NE(ckpt::content_hash64(buf.data(), len), h)
+            << "len " << len << " byte " << i << " bit " << bit;
+        buf[i] ^= static_cast<std::uint8_t>(1u << bit);
+      }
+    }
+  }
+}
+
 // ---- format layer ---------------------------------------------------------
 
 TEST(CkptFormat, SaveLoadRoundTrip) {
@@ -174,7 +295,21 @@ TEST(CkptFormat, SaveLoadRoundTrip) {
   EXPECT_EQ(back.find(2)->payload, snap.sections[1].payload);
   EXPECT_EQ(back.find(3), nullptr);
   // The temp file never survives a successful save.
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  EXPECT_TRUE(temp_files(path).empty());
+}
+
+TEST(CkptFormat, EmptySectionRoundTrips) {
+  // An empty payload has no buffer behind it; the codec must not hand that
+  // null pointer to memcpy (UBSan flags it even for zero bytes).
+  const std::string path = ckpt_path("empty_section");
+  ckpt::Snapshot snap = make_snapshot(5);
+  snap.sections.push_back(ckpt::Section{9, {}});
+  ASSERT_TRUE(ckpt::save(path, snap));
+  ckpt::Snapshot back;
+  ASSERT_EQ(ckpt::load(path, 5, ckpt::Provider::kExplore, &back),
+            ckpt::LoadStatus::kOk);
+  ASSERT_NE(back.find(9), nullptr);
+  EXPECT_TRUE(back.find(9)->payload.empty());
 }
 
 TEST(CkptFormat, MissingFileIsNoFile) {
@@ -263,7 +398,7 @@ TEST(CkptFormat, KilledWriteLeavesPreviousCheckpointIntact) {
     replacement.sections[0].payload.assign(64, 0xAB);
     EXPECT_FALSE(ckpt::save(path, replacement));
   }
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  EXPECT_TRUE(temp_files(path).empty());
 
   // The previous checkpoint still validates and still has the old payload.
   ckpt::Snapshot back;
@@ -277,7 +412,125 @@ TEST(CkptFormat, FirstSaveKilledLeavesNoFile) {
   ScopedFault fault("ckpt.file.write", common::FaultKind::kException, 1);
   EXPECT_FALSE(ckpt::save(path, make_snapshot(1)));
   EXPECT_FALSE(fs::exists(path));
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  EXPECT_TRUE(temp_files(path).empty());
+}
+
+TEST(CkptFormat, ConcurrentSavesOfOnePathNeverShareATempFile) {
+  // Two daemon workers running the same query checkpoint to the same chain
+  // path. Each writer must own its temp file: a shared one would be
+  // truncated under a concurrent writer and fail its rename or land torn.
+  const std::string path = ckpt_path("concurrent");
+  constexpr int kThreads = 6;
+  constexpr int kSaves = 40;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kSaves; ++i) {
+        ckpt::Snapshot snap = make_snapshot(static_cast<std::uint64_t>(t));
+        snap.sections[1].payload.assign(std::size_t{1} << 16,
+                                        static_cast<std::uint8_t>(t));
+        if (!ckpt::save(path, snap)) ++failures;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_TRUE(temp_files(path).empty());
+
+  // The survivor is one writer's file, whole.
+  const std::uint64_t winner = le_u64_at(read_file(path), 16);
+  ASSERT_LT(winner, static_cast<std::uint64_t>(kThreads));
+  ckpt::Snapshot back;
+  ASSERT_EQ(ckpt::load(path, winner, ckpt::Provider::kExplore, &back),
+            ckpt::LoadStatus::kOk);
+  EXPECT_EQ(back.find(2)->payload,
+            std::vector<std::uint8_t>(std::size_t{1} << 16,
+                                      static_cast<std::uint8_t>(winner)));
+}
+
+TEST(CkptFormat, ConcurrentChainsAndRemovalNeverTouchEachOthersFiles) {
+  // Identical daemon jobs write one chain path at once (base, then deltas),
+  // and each removes the chain when it completes. No save may fail because
+  // of another writer or a removal, and a file at a chain name is always
+  // some writer's whole file, never a torn or foreign temp renamed there.
+  const std::string path = ckpt_path("chain_race");
+  constexpr int kWriters = 4;
+  constexpr int kRounds = 25;
+  constexpr std::size_t kPayload = std::size_t{1} << 15;
+  const auto payload = [](int t) {
+    return std::vector<std::uint8_t>(kPayload, static_cast<std::uint8_t>(t));
+  };
+  std::atomic<int> failures{0};
+  std::atomic<int> done{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        ckpt::ChainWriter chain(path, ckpt::Provider::kExplore, 42, 2);
+        ckpt::Snapshot base = make_snapshot(42);
+        base.sections[1].payload = payload(t);
+        if (!chain.save_base(std::move(base))) ++failures;
+        for (int k = 0; k < 2; ++k) {
+          std::vector<ckpt::Section> link;
+          link.push_back(ckpt::Section{2, payload(t)});
+          if (!chain.save_delta_link(std::move(link))) ++failures;
+        }
+        if (round % 3 == 2) ckpt::remove_chain(path);  // the job completed
+      }
+      ++done;
+    });
+  }
+  constexpr std::uintmax_t kDeltaSize = 44 + 16 + kPayload;
+  int torn = 0;
+  int seen = 0;
+  while (done.load() < kWriters) {
+    ckpt::Snapshot back;
+    const ckpt::LoadStatus st =
+        ckpt::load(path, 42, ckpt::Provider::kExplore, &back);
+    if (st == ckpt::LoadStatus::kOk) ++seen;
+    if (st != ckpt::LoadStatus::kOk && st != ckpt::LoadStatus::kNoFile) ++torn;
+    for (std::uint32_t seq = 1; seq <= 2; ++seq) {
+      std::error_code ec;
+      const std::uintmax_t size =
+          fs::file_size(ckpt::delta_path(path, seq), ec);
+      if (!ec && size != kDeltaSize) ++torn;
+    }
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(torn, 0);
+  EXPECT_GT(seen, 0);
+  for (const std::string& p :
+       {path, ckpt::delta_path(path, 1), ckpt::delta_path(path, 2)}) {
+    EXPECT_TRUE(temp_files(p).empty()) << p;
+  }
+}
+
+TEST(CkptFormat, RemoveChainClearsOnlyTempsOfExitedWriters) {
+  // A worker killed mid-write leaves its temp file; the completed job's
+  // remove_chain clears it. A temp whose writer still runs (a concurrent
+  // job on the same chain) must survive.
+  const std::string path = ckpt_path("orphan_temps");
+  ASSERT_TRUE(ckpt::save(path, make_snapshot(1)));
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) ::_exit(0);
+  ASSERT_EQ(::waitpid(child, nullptr, 0), child);
+  const std::string dead = std::to_string(child);
+  const std::string live = std::to_string(::getpid());
+  const std::vector<std::string> orphans = {
+      path + ".tmp." + dead + ".0",
+      ckpt::delta_path(path, 1) + ".tmp." + dead + ".1"};
+  const std::string live_temp = path + ".tmp." + live + ".9";
+  for (const std::string& f : orphans) write_file(f, {1, 2, 3});
+  write_file(live_temp, {4, 5, 6});
+
+  ckpt::remove_chain(path);
+  EXPECT_FALSE(fs::exists(path));
+  for (const std::string& f : orphans) EXPECT_FALSE(fs::exists(f)) << f;
+  EXPECT_TRUE(fs::exists(live_temp));
+  fs::remove(live_temp);
 }
 
 // ---- provider 1: symbolic reachability (core::explore snapshot) -----------
@@ -555,7 +808,7 @@ TEST(CkptReachability, FailedSnapshotWriteNeverAffectsTheVerdict) {
   EXPECT_EQ(truncated.stop(), common::StopReason::kStateLimit);
   EXPECT_FALSE(truncated.resume.saved);
   EXPECT_FALSE(fs::exists(path));
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  EXPECT_TRUE(temp_files(path).empty());
 
   // Next invocation finds nothing and simply starts fresh.
   mc::ReachOptions full;
@@ -830,6 +1083,7 @@ TEST(CkptStatistical, MidBatchCancellationDiscardsThePartialBatch) {
 // QCKPD1 header layout (ckpt/delta.h): magic 8B, version u32 @8, provider
 // u32 @12, fingerprint u64 @16, parent chain id u64 @24, seq u32 @32,
 // section count u32 @36, header crc32 u32 @40 (over the first 40 bytes).
+constexpr std::size_t kDeltaVersionOffset = 8;
 constexpr std::size_t kDeltaParentOffset = 24;
 constexpr std::size_t kDeltaCrcOffset = 40;
 
@@ -982,8 +1236,8 @@ TEST(CkptDeltaChain, BitFlipInsideADeltaStartsFresh) {
 }
 
 TEST(CkptDeltaChain, KilledDeltaWriteEndsTheChainAtThePreviousLink) {
-  // save_delta writes <path>.dN.tmp and renames: a kill mid-write leaves at
-  // most a stray temp, never a torn delta, so the chain simply ends at the
+  // save_delta writes a private temp file and renames: a kill mid-write
+  // leaves at most a stray temp, never a torn delta, so the chain simply ends at the
   // previous validated link and the resume replays that prefix.
   auto tg = models::make_train_gate(3);
   const auto safe = mutual_exclusion(tg);
@@ -998,8 +1252,8 @@ TEST(CkptDeltaChain, KilledDeltaWriteEndsTheChainAtThePreviousLink) {
     ScopedFault fault("ckpt.delta.write", common::FaultKind::kException, 2);
     ASSERT_TRUE(mc::check_invariant(tg.system, safe, opts).resume.saved);
   }
-  EXPECT_FALSE(fs::exists(ckpt::delta_path(path, 1) + ".tmp"));
-  EXPECT_FALSE(fs::exists(ckpt::delta_path(path, 2) + ".tmp"));
+  EXPECT_TRUE(temp_files(ckpt::delta_path(path, 1)).empty());
+  EXPECT_TRUE(temp_files(ckpt::delta_path(path, 2)).empty());
 
   mc::ReachOptions full;
   full.checkpoint.path = path;
@@ -1007,6 +1261,36 @@ TEST(CkptDeltaChain, KilledDeltaWriteEndsTheChainAtThePreviousLink) {
   EXPECT_TRUE(resumed.resume.resumed);
   EXPECT_TRUE(resumed.holds());
   expect_same_stats(resumed.stats, reference.stats, "resume past torn write");
+}
+
+TEST(CkptDeltaChain, VersionOneDeltaIsRefusedAndTheRunStartsFresh) {
+  // Version 1 chain ids were a byte-wise FNV-1a pass over the payloads; a v1
+  // link would never match a v2 parent id, so the loader refuses the old
+  // version outright instead of reporting it as corruption.
+  auto tg = models::make_train_gate(3);
+  const auto safe = mutual_exclusion(tg);
+  const std::string path = ckpt_path("chain_v1");
+  const auto reference = build_delta_chain(tg, safe, path);
+
+  const std::string d1 = ckpt::delta_path(path, 1);
+  auto bytes = read_file(d1);
+  ASSERT_EQ(bytes[kDeltaVersionOffset], ckpt::kDeltaFormatVersion);
+  bytes[kDeltaVersionOffset] = 1;
+  reseal_delta_header(&bytes);
+  write_file(d1, bytes);
+
+  ckpt::Chain chain;
+  EXPECT_EQ(ckpt::load_chain(path, le_u64_at(read_file(path), 16),
+                             ckpt::Provider::kExplore, &chain),
+            ckpt::LoadStatus::kBadVersion);
+
+  mc::ReachOptions full;
+  full.checkpoint.path = path;
+  const auto r = mc::check_invariant(tg.system, safe, full);
+  EXPECT_EQ(r.resume.load, ckpt::LoadStatus::kBadVersion);
+  EXPECT_FALSE(r.resume.resumed);
+  EXPECT_TRUE(r.holds());
+  expect_same_stats(r.stats, reference.stats, "fresh after a v1 delta");
 }
 
 TEST(CkptDeltaChain, FaultDuringDeltaApplyStartsFresh) {
@@ -1765,6 +2049,562 @@ TEST(CkptPooledStore, UnopenableSpillPathDegradesToResidentStorage) {
   EXPECT_EQ(obs.store_metrics().pool.spilled_records, 0u);
 }
 
+// ---- store encoding: pooled records vs the materializing reference --------
+
+/// The encoders the pooled codec replaced: each state is rebuilt as a whole
+/// object (StateStore::state) and written field by field. Kept here only,
+/// as the reference the production encoders must match byte for byte.
+void reference_sym_state(RefBytes& b, const ta::SymState& s) {
+  b.u32(static_cast<std::uint32_t>(s.locs.size()));
+  for (int l : s.locs) b.i32(l);
+  b.u32(static_cast<std::uint32_t>(s.vars.size()));
+  for (auto v : s.vars) b.i32(v);
+  const int dim = s.zone.dim();
+  b.u32(static_cast<std::uint32_t>(dim));
+  for (int i = 0; i < dim; ++i) {
+    for (int j = 0; j < dim; ++j) b.i32(s.zone.at(i, j));
+  }
+}
+
+void reference_digital_state(RefBytes& b, const ta::DigitalState& s) {
+  b.u32(static_cast<std::uint32_t>(s.locs.size()));
+  for (int l : s.locs) b.i32(l);
+  b.u32(static_cast<std::uint32_t>(s.vars.size()));
+  for (auto v : s.vars) b.i32(v);
+  b.u32(static_cast<std::uint32_t>(s.clocks.size()));
+  for (std::int32_t c : s.clocks) b.i32(c);
+}
+
+template <typename Store, typename Ref>
+std::vector<std::uint8_t> reference_store(const Store& store, Ref ref) {
+  RefBytes b;
+  b.u8(store.options().inclusion ? 1 : 0);
+  b.u8(store.options().tombstone_covered ? 1 : 0);
+  b.u64(store.size());
+  for (std::size_t id = 0; id < store.size(); ++id) {
+    ref(b, store.state(static_cast<std::int32_t>(id)));
+  }
+  for (std::size_t id = 0; id < store.size(); ++id) {
+    b.u8(store.covered(static_cast<std::int32_t>(id)) ? 1 : 0);
+  }
+  return b.bytes;
+}
+
+template <typename Store, typename Ref>
+std::vector<std::uint8_t> reference_store_delta(const Store& store,
+                                                std::size_t base_states,
+                                                std::size_t base_journal,
+                                                Ref ref) {
+  RefBytes b;
+  b.u64(base_states);
+  b.u64(store.size() - base_states);
+  for (std::size_t id = base_states; id < store.size(); ++id) {
+    ref(b, store.state(static_cast<std::int32_t>(id)));
+  }
+  const auto& journal = store.covered_journal();
+  b.u64(base_journal);
+  b.u64(journal.size() - base_journal);
+  for (std::size_t i = base_journal; i < journal.size(); ++i) b.i32(journal[i]);
+  return b.bytes;
+}
+
+/// Pins write_store and write_store_delta (at several cut points) against
+/// the reference on one store.
+template <typename Store, typename Write, typename Ref>
+void expect_store_bytes_match(const Store& store, Write write, Ref ref,
+                              const std::string& what) {
+  ckpt::io::Writer w;
+  ckpt::write_store(w, store, write);
+  EXPECT_EQ(w.buffer(), reference_store(store, ref)) << what;
+  const std::size_t n = store.size();
+  const std::size_t flips = store.covered_journal().size();
+  for (std::size_t base : {std::size_t{0}, n / 3, n - 1, n}) {
+    for (std::size_t cut : {std::size_t{0}, flips / 2, flips}) {
+      ckpt::io::Writer d;
+      ckpt::write_store_delta(d, store, base, cut, write);
+      EXPECT_EQ(d.buffer(), reference_store_delta(store, base, cut, ref))
+          << what << " delta base " << base << " journal " << cut;
+    }
+  }
+}
+
+ta::SymState random_sym_state(std::mt19937& rng, int clocks) {
+  ta::SymState s;
+  s.locs = {static_cast<int>(rng() % 5), static_cast<int>(rng() % 3)};
+  s.vars = {static_cast<std::int32_t>(rng() % 3) - 1};
+  s.zone = dbm::Dbm::universal(clocks + 1);
+  for (int c = 1; c <= clocks; ++c) {
+    if (rng() % 3 != 0) {
+      EXPECT_TRUE(s.zone.constrain_le(c, 0, static_cast<int>(rng() % 9) + 1));
+    }
+  }
+  return s;
+}
+
+TEST(CkptStoreEncoding, PooledSymStoreMatchesTheMaterializingReference) {
+  // Two clocks keep zone rows inline in the pooled record; nine go through
+  // the pooled row-ref vector. A 4 KiB resident ceiling spills most of the
+  // nine-clock rows, so the encoder also reads through the spill mapping.
+  const std::string spill = ::testing::TempDir() + "quanta_ckpt_enc.qspl";
+  for (const auto& [clocks, spilling] :
+       {std::pair{2, false}, std::pair{9, false}, std::pair{9, true}}) {
+    core::StateStore<ta::SymState>::Options opts{.inclusion = true};
+    if (spilling) {
+      store::PoolConfig cfg;
+      cfg.spill_path = spill;
+      cfg.resident_limit = 1u << 12;
+      opts.pool = cfg;
+    }
+    core::StateStore<ta::SymState> st(opts);
+    std::mt19937 rng(static_cast<std::uint32_t>(clocks));
+    for (int i = 0; i < 600; ++i) st.intern(random_sym_state(rng, clocks));
+    const std::string what = "clocks " + std::to_string(clocks) +
+                             (spilling ? " spilling" : " resident");
+    ASSERT_GT(st.size(), 50u) << what;
+    ASSERT_FALSE(st.covered_journal().empty()) << what;
+    if (spilling) {
+      EXPECT_GT(st.zone_pool().metrics().spilled_records, 0u) << what;
+    }
+    expect_store_bytes_match(st, ckpt::write_sym_state, reference_sym_state,
+                             what);
+  }
+  std::remove(spill.c_str());
+}
+
+TEST(CkptStoreEncoding, PooledDigitalStoreMatchesTheMaterializingReference) {
+  core::StateStore<ta::DigitalState> st;
+  std::mt19937 rng(7);
+  for (int i = 0; i < 800; ++i) {
+    ta::DigitalState s;
+    s.locs = {static_cast<int>(rng() % 4), static_cast<int>(rng() % 4)};
+    s.vars = {static_cast<std::int32_t>(rng() % 2)};
+    s.clocks = {0, static_cast<std::int32_t>(rng() % 6),
+                static_cast<std::int32_t>(rng() % 6)};
+    st.intern(s);
+  }
+  ASSERT_GT(st.size(), 100u);
+  ASSERT_LT(st.size(), 800u);  // duplicates were interned, not re-added
+  expect_store_bytes_match(st, ckpt::write_digital_state,
+                           reference_digital_state, "digital");
+}
+
+/// Decodes every store section of the chain at `path` and re-encodes the
+/// decoded states with the reference: the engine's bytes must match.
+template <typename S, typename Read, typename Ref>
+void expect_chain_store_bytes_match(const std::string& path,
+                                    ckpt::Provider provider, Read read_state,
+                                    Ref ref, const char* what) {
+  ckpt::Chain chain;
+  ASSERT_EQ(ckpt::load_chain(path, le_u64_at(read_file(path), 16), provider,
+                             &chain),
+            ckpt::LoadStatus::kOk)
+      << what;
+  ASSERT_FALSE(chain.deltas.empty()) << what << ": no delta was written";
+  auto reencode_states = [&](ckpt::io::Reader& r, RefBytes& b,
+                             std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      S s;
+      ASSERT_TRUE(read_state(r, &s)) << what << " state " << i;
+      ref(b, s);
+    }
+  };
+  {
+    const ckpt::Section* sec = chain.base.find(ckpt::kSecStore);
+    ASSERT_NE(sec, nullptr) << what;
+    ckpt::io::Reader r(sec->payload);
+    RefBytes b;
+    b.u8(r.u8());
+    b.u8(r.u8());
+    const std::uint64_t n = r.u64();
+    b.u64(n);
+    reencode_states(r, b, n);
+    for (std::uint64_t i = 0; i < n; ++i) b.u8(r.u8());
+    EXPECT_TRUE(r.ok() && r.remaining() == 0) << what;
+    EXPECT_EQ(b.bytes, sec->payload) << what << " base store section";
+  }
+  for (const ckpt::Delta& d : chain.deltas) {
+    const ckpt::Section* sec = d.find(ckpt::kSecStoreDelta);
+    ASSERT_NE(sec, nullptr) << what;
+    ckpt::io::Reader r(sec->payload);
+    RefBytes b;
+    b.u64(r.u64());
+    const std::uint64_t appended = r.u64();
+    b.u64(appended);
+    reencode_states(r, b, appended);
+    b.u64(r.u64());
+    const std::uint64_t flips = r.u64();
+    b.u64(flips);
+    for (std::uint64_t i = 0; i < flips; ++i) b.i32(r.i32());
+    EXPECT_TRUE(r.ok() && r.remaining() == 0) << what;
+    EXPECT_EQ(b.bytes, sec->payload) << what << " delta " << d.seq;
+  }
+}
+
+TEST(CkptStoreEncoding, EngineChainsMatchTheMaterializingReference) {
+  // mc reachability: inclusion store with tombstones.
+  {
+    auto tg = models::make_train_gate(3);
+    const std::string path = ckpt_path("enc_reach");
+    build_delta_chain(tg, mutual_exclusion(tg), path);
+    expect_chain_store_bytes_match<ta::SymState>(
+        path, ckpt::Provider::kExplore, ckpt::read_sym_state,
+        reference_sym_state, "reachability");
+  }
+  // mc liveness: exact zone-graph store.
+  {
+    auto tg = models::make_train_gate(3);
+    const auto phi = mc::loc_pred(tg.system, "Train(0)", "Appr");
+    const auto psi = mc::loc_pred(tg.system, "Train(0)", "Cross");
+    const std::string path = ckpt_path("enc_live");
+    mc::ReachOptions opts;
+    opts.checkpoint.path = path;
+    opts.checkpoint.interval = 30;
+    opts.limits.budget = common::Budget::deadline_after(std::chrono::hours(1));
+    ScopedFault fault("core.state_store.intern", common::FaultKind::kDeadline,
+                      200);
+    ASSERT_TRUE(mc::check_leads_to(tg.system, phi, psi, opts).resume.saved);
+    expect_chain_store_bytes_match<ta::SymState>(
+        path, ckpt::Provider::kLiveness, ckpt::read_sym_state,
+        reference_sym_state, "liveness");
+  }
+  // game TIGA: digital-state store.
+  {
+    auto tg = models::make_train_game(
+        {.num_trains = 2, .first_train_approaching = true});
+    const std::string path = ckpt_path("enc_game");
+    core::SearchLimits limits;
+    limits.budget = common::Budget::deadline_after(std::chrono::hours(1));
+    ckpt::Options ck;
+    ck.path = path;
+    ck.interval = 25;
+    ScopedFault fault("core.state_store.intern", common::FaultKind::kDeadline,
+                      200);
+    ASSERT_TRUE(game::TimedGame(tg.system, limits, ck)
+                    .solve_reachability(train0_crosses(tg))
+                    .resume.saved);
+    expect_chain_store_bytes_match<ta::DigitalState>(
+        path, ckpt::Provider::kGame, ckpt::read_digital_state,
+        reference_digital_state, "game");
+  }
+  // cora: digital-state store under a priority worklist.
+  {
+    auto tg = models::make_train_gate(2);
+    cora::PriceModel prices(tg.system);
+    for (int t : tg.trains) {
+      prices.set_location_rate(t, tg.system.process(t).location_index("Appr"), 1);
+    }
+    const int cross = tg.system.process(tg.trains[0]).location_index("Cross");
+    const std::string path = ckpt_path("enc_cora");
+    cora::MinCostOptions opts;
+    opts.checkpoint.path = path;
+    opts.checkpoint.interval = 25;
+    opts.limits.budget = common::Budget::deadline_after(std::chrono::hours(1));
+    ScopedFault fault("core.state_store.intern", common::FaultKind::kDeadline,
+                      200);
+    ASSERT_TRUE(cora::min_cost_reachability(
+                    tg.system, prices,
+                    common::loc_index_pred<ta::DigitalState>(tg.trains[0], cross),
+                    opts)
+                    .resume.saved);
+    expect_chain_store_bytes_match<ta::DigitalState>(
+        path, ckpt::Provider::kPriced, ckpt::read_digital_state,
+        reference_digital_state, "cora");
+  }
+}
+
+// ---- loader fuzzing --------------------------------------------------------
+//
+// Seeded, deterministic mutation fuzzing of load / load_chain. The corpus is
+// a valid train-gate chain (base + deltas); each case rewrites the chain's
+// files with one mutation — truncation, bit flips, splices, lies in the
+// size and count fields, missing links — and loads it. The invariant: the
+// load returns a non-kOk status, or the chain it returns is a prefix of the
+// pristine chain (every prefix resumes to the reference, pinned below), or
+// the engine resumed from it still reaches the reference result. Never a
+// crash, a hang or a runaway allocation (the ASan leg runs this suite).
+
+using Bytes = std::vector<std::uint8_t>;
+
+/// QCKPT1 header: section count u32 @24, header crc32 @28 (over [0, 28)).
+constexpr std::size_t kBaseCountOffset = 24;
+constexpr std::size_t kBaseCrcOffset = 28;
+constexpr std::size_t kBaseHeaderSize = 32;
+/// QCKPD1 header: section count u32 @36 (kDeltaCrcOffset = 40).
+constexpr std::size_t kDeltaCountOffset = 36;
+constexpr std::size_t kDeltaHeaderSize = 44;
+constexpr std::size_t kFrameSize = 16;
+
+void put_le32(Bytes* b, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    (*b)[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+void put_le64(Bytes* b, std::size_t at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    (*b)[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+bool same_sections(const std::vector<ckpt::Section>& a,
+                   const std::vector<ckpt::Section>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].id != b[i].id || a[i].payload != b[i].payload) return false;
+  }
+  return true;
+}
+
+class ChainFuzzer {
+ public:
+  explicit ChainFuzzer(const std::string& name)
+      : tg_(models::make_train_gate(3)),
+        safe_(mutual_exclusion(tg_)),
+        path_(ckpt_path(name)) {
+    reference_ = build_delta_chain(tg_, safe_, path_);
+    pristine_files_.push_back(read_file(path_));
+    for (std::uint32_t seq = 1; fs::exists(ckpt::delta_path(path_, seq));
+         ++seq) {
+      pristine_files_.push_back(read_file(ckpt::delta_path(path_, seq)));
+    }
+    fingerprint_ = le_u64_at(pristine_files_[0], 16);
+    EXPECT_EQ(ckpt::load_chain(path_, fingerprint_, ckpt::Provider::kExplore,
+                               &pristine_),
+              ckpt::LoadStatus::kOk);
+    EXPECT_GE(pristine_.deltas.size(), 3u);
+    // One spare slot past the tip, for splices that append a link.
+    disk_.assign(pristine_files_.size() + 1, std::nullopt);
+    for (std::size_t i = 0; i < pristine_files_.size(); ++i) {
+      disk_[i] = pristine_files_[i];
+    }
+  }
+
+  std::size_t links() const { return pristine_files_.size(); }
+  const Bytes& file(std::size_t slot) const { return pristine_files_[slot]; }
+  std::mt19937_64& rng() { return rng_; }
+  std::size_t pick(std::size_t n) { return static_cast<std::size_t>(rng_() % n); }
+
+  /// The offsets of every section frame of a pristine file.
+  std::vector<std::size_t> frames(std::size_t slot) const {
+    const Bytes& b = pristine_files_[slot];
+    std::size_t at = slot == 0 ? kBaseHeaderSize : kDeltaHeaderSize;
+    std::vector<std::size_t> out;
+    while (at + kFrameSize <= b.size()) {
+      out.push_back(at);
+      at += kFrameSize + static_cast<std::size_t>(le_u64_at(b, at + 4));
+    }
+    return out;
+  }
+
+  /// Installs `files` (slot 0 = base, slot k = delta k, nullopt = absent),
+  /// loads the chain and checks the invariant.
+  void run(const std::vector<std::optional<Bytes>>& files,
+           const std::string& what) {
+    for (std::size_t slot = 0; slot < disk_.size(); ++slot) {
+      install(slot, slot < files.size() ? files[slot] : std::nullopt);
+    }
+    ckpt::Chain chain;
+    const ckpt::LoadStatus st = ckpt::load_chain(
+        path_, fingerprint_, ckpt::Provider::kExplore, &chain);
+    ++cases_;
+    if (st != ckpt::LoadStatus::kOk) return;
+    ++loaded_;
+    bool prefix = chain.deltas.size() <= pristine_.deltas.size() &&
+                  same_sections(chain.base.sections, pristine_.base.sections);
+    for (std::size_t k = 0; prefix && k < chain.deltas.size(); ++k) {
+      prefix = same_sections(chain.deltas[k].sections,
+                             pristine_.deltas[k].sections);
+    }
+    if (prefix) return;
+    // A chain the CRCs cannot tell from a valid one (a flipped section id
+    // sits outside every CRC): resuming from it must still give the
+    // reference answer.
+    ++replayed_;
+    mc::ReachOptions full;
+    full.checkpoint.path = path_;
+    const auto r = mc::check_invariant(tg_.system, safe_, full);
+    EXPECT_TRUE(r.holds()) << what;
+    expect_same_stats(r.stats, reference_.stats, what.c_str());
+    for (auto& d : disk_) d = Bytes{0xFF};  // unknown: rewrite next case
+  }
+
+  /// Every case starts from the pristine chain.
+  std::vector<std::optional<Bytes>> pristine_case() const {
+    return {pristine_files_.begin(), pristine_files_.end()};
+  }
+
+  std::size_t cases() const { return cases_; }
+  std::size_t loaded() const { return loaded_; }
+  std::size_t replayed() const { return replayed_; }
+  const mc::InvariantResult& reference() const { return reference_; }
+  const std::string& path() const { return path_; }
+  const models::TrainGate& model() const { return tg_; }
+  const mc::StatePredicate& safe() const { return safe_; }
+
+ private:
+  void install(std::size_t slot, const std::optional<Bytes>& b) {
+    if (disk_[slot] == b) return;
+    const std::string p = slot == 0 ? path_
+                                    : ckpt::delta_path(
+                                          path_, static_cast<std::uint32_t>(slot));
+    if (b) {
+      write_file(p, *b);
+    } else {
+      fs::remove(p);
+    }
+    disk_[slot] = b;
+  }
+
+  models::TrainGate tg_;
+  mc::StatePredicate safe_;
+  std::string path_;
+  mc::InvariantResult reference_;
+  std::vector<Bytes> pristine_files_;
+  std::uint64_t fingerprint_ = 0;
+  ckpt::Chain pristine_;
+  std::vector<std::optional<Bytes>> disk_;
+  std::mt19937_64 rng_{0x5EED0F0CCull};
+  std::size_t cases_ = 0;
+  std::size_t loaded_ = 0;
+  std::size_t replayed_ = 0;
+};
+
+constexpr int kFuzzCases = 5000;
+
+TEST(CkptFuzz, EveryChainPrefixResumesToTheReference) {
+  ChainFuzzer fz("fuzz_prefix");
+  for (std::size_t keep = 1; keep <= fz.links(); ++keep) {
+    auto files = fz.pristine_case();
+    files.resize(keep);
+    fz.run(files, "prefix");
+    mc::ReachOptions full;
+    full.checkpoint.path = fz.path();
+    const auto r = mc::check_invariant(fz.model().system, fz.safe(), full);
+    EXPECT_TRUE(r.resume.resumed) << keep << " links";
+    EXPECT_TRUE(r.holds());
+    expect_same_stats(r.stats, fz.reference().stats, "prefix resume");
+    // The resumed run rewrote the chain; start the next prefix from scratch.
+    fz.run({}, "reset");
+  }
+}
+
+TEST(CkptFuzz, TruncatedFilesNeverLoad) {
+  ChainFuzzer fz("fuzz_truncate");
+  for (int i = 0; i < kFuzzCases; ++i) {
+    auto files = fz.pristine_case();
+    const std::size_t slot = fz.pick(fz.links());
+    const std::size_t size = fz.file(slot).size();
+    // Half the cuts land in the header and first frame, where the size and
+    // count fields are read.
+    const std::size_t cut = i % 2 == 0 ? fz.pick(std::min<std::size_t>(size, 64))
+                                       : fz.pick(size);
+    files[slot]->resize(cut);
+    fz.run(files, "truncate slot " + std::to_string(slot) + " at " +
+                      std::to_string(cut));
+  }
+  EXPECT_EQ(fz.cases(), static_cast<std::size_t>(kFuzzCases));
+  EXPECT_EQ(fz.loaded(), 0u) << "a truncated link loaded";
+}
+
+TEST(CkptFuzz, BitFlipsLoadOnlyHarmlessly) {
+  ChainFuzzer fz("fuzz_flip");
+  for (int i = 0; i < kFuzzCases; ++i) {
+    auto files = fz.pristine_case();
+    const std::size_t slot = fz.pick(fz.links());
+    Bytes& b = *files[slot];
+    const int flips = 1 + static_cast<int>(fz.pick(4));
+    for (int f = 0; f < flips; ++f) {
+      // Every third flip aims at the header and first frame.
+      const std::size_t at = f % 3 == 0 ? fz.pick(std::min<std::size_t>(b.size(), 64))
+                                        : fz.pick(b.size());
+      b[at] ^= static_cast<std::uint8_t>(1u << fz.pick(8));
+    }
+    fz.run(files, "flip slot " + std::to_string(slot));
+  }
+  EXPECT_EQ(fz.cases(), static_cast<std::size_t>(kFuzzCases));
+}
+
+TEST(CkptFuzz, SplicedAndMissingLinksLoadOnlyAPrefix) {
+  ChainFuzzer fz("fuzz_splice");
+  for (int i = 0; i < kFuzzCases; ++i) {
+    auto files = fz.pristine_case();
+    files.resize(fz.links() + 1);
+    const std::size_t a = fz.pick(fz.links());
+    const std::size_t b = fz.pick(fz.links());
+    std::string what;
+    switch (i % 4) {
+      case 0: {  // head of one file, tail of another
+        const Bytes& x = fz.file(a);
+        const Bytes& y = fz.file(b);
+        Bytes spliced(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(fz.pick(x.size() + 1)));
+        spliced.insert(spliced.end(),
+                       y.begin() + static_cast<std::ptrdiff_t>(fz.pick(y.size() + 1)),
+                       y.end());
+        files[a] = std::move(spliced);
+        what = "splice";
+        break;
+      }
+      case 1:  // a link moved to another position, or past the tip
+        files[i % 8 == 1 ? fz.links() : a] = fz.file(b);
+        what = "move";
+        break;
+      case 2:  // two links swapped
+        std::swap(files[a], files[b]);
+        what = "swap";
+        break;
+      default:  // a link missing
+        files[a].reset();
+        what = "drop";
+        break;
+    }
+    fz.run(files, what + " " + std::to_string(a) + "/" + std::to_string(b));
+  }
+  EXPECT_EQ(fz.cases(), static_cast<std::size_t>(kFuzzCases));
+  EXPECT_GT(fz.loaded(), 0u) << "no case produced a loadable prefix";
+}
+
+TEST(CkptFuzz, LyingSizeAndCountFieldsLoadOnlyHarmlessly) {
+  ChainFuzzer fz("fuzz_lie");
+  const std::uint64_t lies[] = {0, 1, 2, 0x7FFFFFFFull, 0xFFFFFFFFull,
+                                0x100000000ull, 0x7FFFFFFFFFFFFFFFull,
+                                0xFFFFFFFFFFFFFFFFull};
+  for (int i = 0; i < kFuzzCases; ++i) {
+    auto files = fz.pristine_case();
+    const std::size_t slot = fz.pick(fz.links());
+    Bytes& b = *files[slot];
+    const std::uint64_t lie = i % 3 == 0 ? fz.rng()() : lies[fz.pick(std::size(lies))];
+    std::string what;
+    if (i % 2 == 0) {
+      // Section count, with the header CRC resealed so the lie reaches the
+      // frame parser.
+      const std::uint32_t count = static_cast<std::uint32_t>(lie);
+      if (slot == 0) {
+        if (static_cast<std::uint32_t>(le_u64_at(b, kBaseCountOffset)) ==
+            count) {
+          continue;
+        }
+        put_le32(&b, kBaseCountOffset, count);
+        put_le32(&b, kBaseCrcOffset, ckpt::crc32(b.data(), kBaseCrcOffset));
+      } else {
+        put_le32(&b, kDeltaCountOffset, count);
+        reseal_delta_header(&b);
+      }
+      // A count below the real one still parses: the shortened link's chain
+      // id no longer matches its successor, or, at the tip, the missing
+      // sections make the engine refuse the resume.
+      what = "count";
+    } else {
+      const std::vector<std::size_t> at = fz.frames(slot);
+      const std::size_t frame = at[fz.pick(at.size())];
+      if (le_u64_at(b, frame + 4) == lie) continue;
+      put_le64(&b, frame + 4, lie);
+      what = "size";
+    }
+    fz.run(files, what + " lie in slot " + std::to_string(slot));
+  }
+  EXPECT_GT(fz.cases(), static_cast<std::size_t>(kFuzzCases) * 9 / 10);
+}
+
 // ---- append-only CRC-framed record logs ------------------------------------
 //
 // ckpt::RecordLog is the shared on-disk discipline of the service's job
@@ -1778,8 +2618,7 @@ constexpr ckpt::LogFormat kTestLog{"QTEST1\r\n", 1};
 
 std::string log_file(const std::string& name) {
   std::string p = ::testing::TempDir() + "quanta_log_" + name + ".qlog";
-  fs::remove(p);
-  fs::remove(p + ".tmp");
+  remove_with_temps(p);
   return p;
 }
 
@@ -1956,7 +2795,7 @@ TEST(RecordLogTest, RewriteCompactsAtomicallyUnderAFault) {
     EXPECT_FALSE(ckpt::rewrite_log(path, kTestLog, {rec("only")},
                                    "test.rewrite"));
   }
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  EXPECT_TRUE(temp_files(path).empty());
   std::vector<std::vector<std::uint8_t>> records;
   EXPECT_EQ(ckpt::scan_log(path, kTestLog, &records).records, 3u);
 

@@ -486,6 +486,44 @@ TEST(ExecWatchdog, WatchdogDoesNotResetTargetAcrossRuns) {
   EXPECT_EQ(next.poll(0), common::StopReason::kCompleted);
 }
 
+TEST(ExecWatchdog, PreTrippedBudgetRunsNothing) {
+  // A budget that is already tripped on entry must stop every unbatched SMC
+  // entry point before its first run, however the watchdog thread happens
+  // to be scheduled: the watchdog polls once before the executor starts.
+  auto tg = models::make_train_gate(2);
+  auto prop = train_crosses(tg, 0, 30.0);
+  exec::Executor ex(2);
+
+  common::CancelToken cancelled;
+  cancelled.cancel();
+  common::Budget pre_cancelled;
+  pre_cancelled.with_cancel(&cancelled);
+  common::Budget expired;
+  expired.with_deadline_at(common::Budget::Clock::now() -
+                           std::chrono::seconds(1));
+  struct Case {
+    const common::Budget* budget;
+    common::StopReason stop;
+  };
+  for (const Case& c : {Case{&pre_cancelled, common::StopReason::kCancelled},
+                        Case{&expired, common::StopReason::kTimeLimit}}) {
+    for (int i = 0; i < 200; ++i) {
+      const auto est = smc::estimate_probability_runs(
+          tg.system, prop, 400, 0.05, 7, ex, nullptr, *c.budget);
+      ASSERT_EQ(est.completed, 0u) << "estimate, repeat " << i;
+      ASSERT_EQ(est.stop, c.stop) << "estimate, repeat " << i;
+      const auto hits =
+          smc::sample_hit_times(tg.system, prop, 400, 7, ex, *c.budget);
+      ASSERT_EQ(hits.completed, 0u) << "cdf, repeat " << i;
+      ASSERT_EQ(hits.stop, c.stop) << "cdf, repeat " << i;
+      const auto test =
+          smc::sprt_test(tg.system, prop, 0.5, {}, 7, ex, nullptr, *c.budget);
+      ASSERT_EQ(test.runs, 0u) << "sprt, repeat " << i;
+      ASSERT_EQ(test.stop, c.stop) << "sprt, repeat " << i;
+    }
+  }
+}
+
 // Regression: a cancelled estimate must not poison the next estimate on the
 // same executor — the internal watchdog target is per-call, so after the
 // caller resets their own token the resumed run N+1 completes normally.

@@ -1503,7 +1503,7 @@ TEST(CheckpointGc, ExpiresOrphanChainsAndSparesLiveOnes) {
 
   // An orphan chain, wholly old: base + delta + torn temp file.
   for (const char* name : {"job-mc-aaaa.qckpt", "job-mc-aaaa.qckpt.d1",
-                           "job-mc-aaaa.qckpt.tmp"}) {
+                           "job-mc-aaaa.qckpt.tmp.4242.0"}) {
     touch_file(dir + "/" + name);
     age_file(dir + "/" + name, 1000);
   }
@@ -1834,7 +1834,6 @@ namespace {
 std::string journal_path(const char* name) {
   std::string p = ::testing::TempDir() + "quanta_jrnl_" + name + ".qjrnl";
   std::remove(p.c_str());
-  std::remove((p + ".tmp").c_str());
   return p;
 }
 
@@ -2028,7 +2027,6 @@ namespace {
 std::string segment_path(const char* name) {
   std::string p = ::testing::TempDir() + "quanta_seg_" + name + ".qcseg";
   std::remove(p.c_str());
-  std::remove((p + ".tmp").c_str());
   return p;
 }
 
