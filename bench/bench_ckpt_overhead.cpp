@@ -5,8 +5,8 @@
 // and (c) periodic snapshots every K explored states. The periodic sweep
 // compares the two snapshot modes at each interval: full (max_deltas = 0,
 // every save serializes the whole store + worklist and rewrites the file
-// atomically) against incremental (QCKPD1 delta chains, every save appends
-// only the sections that changed since the previous link).
+// atomically) against incremental (delta records appended to the chain's
+// log, each holding only the sections that changed since the previous link).
 // Acceptance (EXPERIMENTS.md): (b) stays within 5% of (a); incremental
 // snapshots at the 2000-state interval stay within 1.5x of baseline, well
 // under the cost of full snapshots at the same interval.
@@ -68,13 +68,6 @@ double best_of(int reps, const models::TrainGate& tg,
   return best;
 }
 
-void remove_chain(const std::string& path) {
-  std::remove(path.c_str());
-  for (std::uint32_t seq = 1; seq <= 4096; ++seq) {
-    if (std::remove(ckpt::delta_path(path, seq).c_str()) != 0) break;
-  }
-}
-
 }  // namespace
 
 int main() {
@@ -99,34 +92,34 @@ int main() {
     table.row({std::to_string(n), "on stop only", std::to_string(states),
                bench::fmt(armed, "%.3f"),
                bench::fmt(armed / base, "%.2f") + "x"});
-    remove_chain(path);
+    ckpt::remove_chain(path);
 
     // Periodic sweep: at each interval, full snapshots (max_deltas = 0,
     // every save serializes and rewrites the whole store + worklist)
-    // against QCKPD1 delta chains (max_deltas = 64, every save appends
+    // against delta chains (max_deltas = 64, every save appends
     // only the changes since the previous link).
     for (std::uint64_t interval : {500u, 2000u, 8000u}) {
       const double full =
           best_of(kReps, tg, pred, path, interval, 0, &states);
-      remove_chain(path);
+      ckpt::remove_chain(path);
       table.row({std::to_string(n), "full @" + std::to_string(interval),
                  std::to_string(states), bench::fmt(full, "%.3f"),
                  bench::fmt(full / base, "%.2f") + "x"});
       const double delta =
           best_of(kReps, tg, pred, path, interval, 64, &states);
-      remove_chain(path);
+      ckpt::remove_chain(path);
       table.row({std::to_string(n), "delta @" + std::to_string(interval),
                  std::to_string(states), bench::fmt(delta, "%.3f"),
                  bench::fmt(delta / base, "%.2f") + "x"});
     }
   }
   table.print();
-  remove_chain(path);
+  ckpt::remove_chain(path);
   std::printf(
       "\n  acceptance: 'on stop only' within 5%% of baseline (the hook adds\n"
       "  one branch per pop; snapshots are written only when a bound trips).\n"
-      "  periodic full snapshots are quadratic in states/interval; QCKPD1\n"
-      "  delta chains must hold the 2000-state interval within 1.5x of\n"
+      "  periodic full snapshots are quadratic in states/interval; delta\n"
+      "  chains must hold the 2000-state interval within 1.5x of\n"
       "  baseline on the 67k-state instance (N = 5).\n");
   return 0;
 }

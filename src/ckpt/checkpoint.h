@@ -6,22 +6,20 @@
 // validates and loads it, continuing exactly where the interrupted run
 // stopped with bit-identical final verdicts and statistics.
 //
-// File layout (all integers little-endian, DESIGN.md "Checkpoint format"):
-//
-//   [magic "QCKPT1\r\n" 8B] [format u32] [provider u32] [fingerprint u64]
-//   [section count u32] [header crc32 u32]
-//   then per section:
-//   [section id u32] [payload size u64] [payload crc32 u32] [payload bytes]
+// On disk a checkpoint is one record log (src/ckpt/record_log.h, DESIGN.md
+// "Checkpoint format"): a base snapshot record, followed by incremental
+// delta records for the store-based engines (src/ckpt/delta.h). save() and
+// load() write and read a log holding a lone base.
 //
 // Safety properties:
-//   * atomic visibility — save() writes a temp file private to the writer
-//     (<path>.tmp.<pid>.<n>) and rename()s it over <path>, so a crash
+//   * atomic visibility — a base goes to a temp file private to the writer
+//     (<path>.tmp.<pid>.<n>) that is rename()d over <path>, so a crash
 //     mid-write leaves either the previous checkpoint or a stray temp file,
-//     never a torn file at <path> that parses;
+//     never a torn file at <path>;
 //   * validated resume — load() checks magic, format version, model
-//     fingerprint, provider and every section CRC; any mismatch degrades to
-//     a fresh start (LoadStatus says why), never a crash and never an
-//     engine resumed from tainted state;
+//     fingerprint, provider and the CRC of every record; any mismatch
+//     degrades to a fresh start (LoadStatus says why), never a crash and
+//     never an engine resumed from tainted state;
 //   * no exceptions — save() reports failure by returning false (the run's
 //     verdict is unaffected), load() by LoadStatus.
 #pragma once
@@ -34,8 +32,9 @@
 
 namespace quanta::ckpt {
 
-/// Bumped whenever the byte layout of the header or any provider section
-/// changes; a checkpoint from another format version is never parsed.
+/// Format version of the checkpoint log, bumped whenever the record layout
+/// or any provider section changes; a checkpoint from another format
+/// version is never parsed.
 inline constexpr std::uint32_t kFormatVersion = 1;
 
 /// Which snapshot provider wrote a checkpoint. A checkpoint is only resumed
@@ -60,7 +59,7 @@ enum class LoadStatus {
   kBadVersion,      ///< incompatible format version
   kBadProvider,     ///< written by a different snapshot provider
   kBadFingerprint,  ///< model/query fingerprint mismatch
-  kCorrupt,         ///< truncated file or section CRC mismatch
+  kCorrupt,         ///< record CRC mismatch, broken link, no complete base
 };
 
 const char* to_string(LoadStatus s);
@@ -82,14 +81,16 @@ struct Snapshot {
   const Section* find(std::uint32_t id) const;
 };
 
-/// Serializes and atomically replaces `path` (write a private temp file,
-/// rename); the header and section frames stream straight from `snap`.
-/// Returns false on any I/O failure — the previous checkpoint, if any, is
-/// left untouched. Visits FaultInjector site "ckpt.file.write".
+/// Atomically replaces `path` with a log holding `snap` as its lone base
+/// record (write a private temp file, rename); the sections stream straight
+/// from `snap`. Returns false on any I/O failure — the previous checkpoint,
+/// if any, is left untouched. Visits FaultInjector site "ckpt.file.write".
 bool save(const std::string& path, const Snapshot& snap);
 
-/// Validates and parses `path`. On anything but kOk, `out` is left
-/// untouched. Visits FaultInjector site "ckpt.file.read".
+/// Validates and parses the checkpoint at `path` and returns its base
+/// record — all of it for a save() file; chains with deltas are read with
+/// load_chain. On anything but kOk, `out` is left untouched. Visits
+/// FaultInjector site "ckpt.file.read".
 LoadStatus load(const std::string& path, std::uint64_t expected_fingerprint,
                 Provider expected_provider, Snapshot* out);
 
@@ -138,9 +139,10 @@ struct Options {
   /// positive decimal, overrides this value (effective_interval()).
   std::uint64_t interval = 0;
   /// Periodic snapshots of the store-based providers append incremental
-  /// QCKPD1 delta records (src/ckpt/delta.h) instead of rewriting the full
-  /// base snapshot; after this many deltas the chain is compacted into a
-  /// fresh base. 0 disables deltas (every periodic snapshot is a full base).
+  /// delta records to the checkpoint log (src/ckpt/delta.h) instead of
+  /// rewriting the full base snapshot; after this many deltas the chain is
+  /// compacted into a fresh base. 0 disables deltas (every periodic
+  /// snapshot is a full base).
   std::uint32_t max_deltas = 64;
 
   bool enabled() const { return !path.empty(); }

@@ -1,24 +1,32 @@
 #include "ckpt/delta.h"
 
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <cstring>
 
-#include "ckpt/atomic_file.h"
-#include "ckpt/crc32.h"
 #include "common/fault.h"
 
 namespace quanta::ckpt {
 
 namespace {
 
-constexpr char kDeltaMagic[8] = {'Q', 'C', 'K', 'P', 'D', '1', '\r', '\n'};
-constexpr std::size_t kDeltaHeaderSize = 8 + 4 + 4 + 8 + 8 + 4 + 4 + 4;
+const LogFormat kChainLog{"QCKPC1\r\n", kFormatVersion};
 
-/// Content hash shared by both chain_id overloads: provider, fingerprint
-/// and every section (id, size, content_hash64 of the payload) in order.
-void mix_sections(Fingerprint& fp, Provider provider, std::uint64_t fingerprint,
-                  const std::vector<Section>& sections) {
+enum Kind : std::uint32_t { kBase = 0, kDelta = 1 };
+/// [kind u32] [provider u32] [fingerprint u64] [parent id u64] [seq u32]
+constexpr std::size_t kRecordHeaderBytes = 4 + 4 + 8 + 8 + 4;
+/// [section id u32] [payload size u64]
+constexpr std::size_t kSectionFrameBytes = 4 + 8;
+
+/// Chain id of one link (see delta.h): provider, fingerprint and every
+/// section (id, size, content_hash64 of the payload) in order, seeded with
+/// (parent id, seq) for a delta.
+std::uint64_t chain_id(Kind kind, std::uint64_t parent_id, std::uint32_t seq,
+                       Provider provider, std::uint64_t fingerprint,
+                       const std::vector<Section>& sections) {
+  Fingerprint fp;
+  if (kind == kDelta) fp.mix(parent_id).mix(seq);
   fp.mix(static_cast<std::uint64_t>(provider));
   fp.mix(fingerprint);
   fp.mix(sections.size());
@@ -27,6 +35,7 @@ void mix_sections(Fingerprint& fp, Provider provider, std::uint64_t fingerprint,
     fp.mix(s.payload.size());
     fp.mix(content_hash64(s.payload.data(), s.payload.size()));
   }
+  return fp.digest();
 }
 
 constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ull;
@@ -36,6 +45,54 @@ constexpr std::uint64_t kP3 = 0x165667B19E3779F9ull;
 /// Folds one 8-byte word into h; a bijection of the word for a fixed h.
 std::uint64_t hash_word(std::uint64_t h, std::uint64_t word) {
   return std::rotl(h ^ (word * kP2), 31) * kP1;
+}
+
+/// Parses record `seq` of the chain (0 = the base), checks that it links
+/// to the chain id *tip, and appends it to *chain, advancing *tip.
+LoadStatus read_link(std::span<const std::uint8_t> rec,
+                     std::uint64_t fingerprint, Provider provider,
+                     std::uint32_t seq, std::uint64_t* tip, Chain* chain) {
+  if (seq > 0) {
+    try {
+      common::FaultInjector::site("ckpt.delta.apply");
+    } catch (...) {
+      return LoadStatus::kIoError;
+    }
+  }
+  io::Reader r(rec.data(), rec.size());
+  const Kind kind = seq == 0 ? kBase : kDelta;
+  const std::uint32_t rec_kind = r.u32();
+  const std::uint32_t rec_provider = r.u32();
+  const std::uint64_t rec_fingerprint = r.u64();
+  const std::uint64_t parent_id = r.u64();
+  const std::uint32_t rec_seq = r.u32();
+  if (!r.ok() || rec_kind != kind) return LoadStatus::kCorrupt;
+  if (rec_provider != static_cast<std::uint32_t>(provider)) {
+    return LoadStatus::kBadProvider;
+  }
+  if (rec_fingerprint != fingerprint) return LoadStatus::kBadFingerprint;
+  // The link check: a delta written against a different base has the wrong
+  // parent id, and a spliced or repeated record the wrong sequence number.
+  if (parent_id != *tip || rec_seq != seq) return LoadStatus::kCorrupt;
+
+  std::vector<Section> sections;
+  while (r.remaining() > 0) {
+    Section s;
+    s.id = r.u32();
+    const std::uint64_t size = r.u64();
+    if (!r.ok() || !r.fits(size, 1)) return LoadStatus::kCorrupt;
+    s.payload.resize(static_cast<std::size_t>(size));
+    r.bytes(s.payload.data(), s.payload.size());
+    sections.push_back(std::move(s));
+  }
+  *tip = chain_id(kind, parent_id, seq, provider, fingerprint, sections);
+  if (kind == kBase) {
+    chain->base = Snapshot{provider, fingerprint, std::move(sections)};
+  } else {
+    chain->deltas.push_back(
+        Delta{provider, fingerprint, parent_id, seq, std::move(sections)});
+  }
+  return LoadStatus::kOk;
 }
 
 }  // namespace
@@ -66,176 +123,83 @@ const Section* Delta::find(std::uint32_t id) const {
   return nullptr;
 }
 
-std::string delta_path(const std::string& base_path, std::uint32_t seq) {
-  return base_path + ".d" + std::to_string(seq);
-}
-
-std::uint64_t chain_id(const Snapshot& base) {
-  Fingerprint fp;
-  mix_sections(fp, base.provider, base.fingerprint, base.sections);
-  return fp.digest();
-}
-
-std::uint64_t chain_id(std::uint64_t parent_id, const Delta& d) {
-  Fingerprint fp;
-  fp.mix(parent_id);
-  fp.mix(d.seq);
-  mix_sections(fp, d.provider, d.fingerprint, d.sections);
-  return fp.digest();
-}
-
-bool save_delta(const std::string& base_path, const Delta& d) {
-  if (base_path.empty() || d.seq == 0) return false;
-  io::Writer header;
-  header.bytes(kDeltaMagic, sizeof(kDeltaMagic));
-  header.u32(kDeltaFormatVersion);
-  header.u32(static_cast<std::uint32_t>(d.provider));
-  header.u64(d.fingerprint);
-  header.u64(d.parent_id);
-  header.u32(d.seq);
-  header.u32(static_cast<std::uint32_t>(d.sections.size()));
-  header.u32(crc32(header.buffer().data(), header.size()));
-  return internal::write_sections_atomic(delta_path(base_path, d.seq),
-                                         header.buffer(), d.sections,
-                                         "ckpt.delta.write");
-}
-
-namespace {
-
-/// Parses and validates one delta file against its expected chain position.
-/// kNoFile is the clean end of the chain; everything else poisons it.
-LoadStatus load_one_delta(const std::string& path, std::uint64_t fingerprint,
-                          Provider provider, std::uint64_t parent_id,
-                          std::uint32_t seq, Delta* out) {
-  std::vector<std::uint8_t> buf;
+LoadStatus load_chain(const std::string& path, std::uint64_t fingerprint,
+                      Provider provider, Chain* out) {
+  if (path.empty()) return LoadStatus::kNoFile;
   try {
-    common::FaultInjector::site("ckpt.delta.apply");
-    switch (internal::read_file(path, &buf)) {
-      case internal::ReadFile::kNoFile: return LoadStatus::kNoFile;
-      case internal::ReadFile::kIoError: return LoadStatus::kIoError;
-      case internal::ReadFile::kOk: break;
-    }
+    common::FaultInjector::site("ckpt.file.read");
   } catch (...) {
     return LoadStatus::kIoError;
   }
-
-  if (buf.size() < kDeltaHeaderSize) return LoadStatus::kCorrupt;
-  if (std::memcmp(buf.data(), kDeltaMagic, sizeof(kDeltaMagic)) != 0) {
-    return LoadStatus::kBadMagic;
-  }
-  const std::uint32_t computed_crc = crc32(buf.data(), kDeltaHeaderSize - 4);
-  io::Reader r(buf.data() + sizeof(kDeltaMagic),
-               buf.size() - sizeof(kDeltaMagic));
-  const std::uint32_t version = r.u32();
-  const std::uint32_t file_provider = r.u32();
-  const std::uint64_t file_fingerprint = r.u64();
-  const std::uint64_t file_parent = r.u64();
-  const std::uint32_t file_seq = r.u32();
-  const std::uint32_t section_count = r.u32();
-  const std::uint32_t header_crc = r.u32();
-  if (header_crc != computed_crc) return LoadStatus::kCorrupt;
-  if (version != kDeltaFormatVersion) return LoadStatus::kBadVersion;
-  if (file_provider != static_cast<std::uint32_t>(provider)) {
-    return LoadStatus::kBadProvider;
-  }
-  if (file_fingerprint != fingerprint) return LoadStatus::kBadFingerprint;
-  // The link check: a delta written against a different base (or a stale
-  // delta left over from an interrupted compaction) has the wrong parent id
-  // or sequence number and refuses to attach.
-  if (file_parent != parent_id || file_seq != seq) return LoadStatus::kCorrupt;
-
-  Delta d;
-  d.provider = provider;
-  d.fingerprint = fingerprint;
-  d.parent_id = file_parent;
-  d.seq = file_seq;
-  if (!internal::read_sections(r, section_count, &d.sections)) {
-    return LoadStatus::kCorrupt;
-  }
-  *out = std::move(d);
-  return LoadStatus::kOk;
-}
-
-}  // namespace
-
-LoadStatus load_chain(const std::string& path, std::uint64_t fingerprint,
-                      Provider provider, Chain* out) {
   Chain chain;
-  const LoadStatus base_status =
-      load(path, fingerprint, provider, &chain.base);
-  if (base_status != LoadStatus::kOk) return base_status;
-  chain.tip_id = chain_id(chain.base);
-
-  for (std::uint32_t seq = 1;; ++seq) {
-    Delta d;
-    const LoadStatus s = load_one_delta(delta_path(path, seq), fingerprint,
-                                        provider, chain.tip_id, seq, &d);
-    if (s == LoadStatus::kNoFile) break;  // clean end of the chain
-    if (s != LoadStatus::kOk) return s;   // broken link poisons everything
-    chain.tip_id = chain_id(chain.tip_id, d);
-    chain.deltas.push_back(std::move(d));
+  std::uint64_t tip = 0;
+  std::uint32_t links = 0;
+  LoadStatus status = LoadStatus::kOk;
+  const LogScanStats scan =
+      visit_log(path, kChainLog, [&](std::span<const std::uint8_t> rec) {
+        status = read_link(rec, fingerprint, provider, links++, &tip, &chain);
+        return status == LoadStatus::kOk;
+      });
+  switch (scan.fresh) {
+    case LogFresh::kNo: break;
+    case LogFresh::kNoFile: return LoadStatus::kNoFile;
+    case LogFresh::kIoError: return LoadStatus::kIoError;
+    case LogFresh::kBadMagic: return LoadStatus::kBadMagic;
+    case LogFresh::kBadVersion: return LoadStatus::kBadVersion;
   }
+  if (status != LoadStatus::kOk) return status;
+  // A complete record that failed its CRC cannot be skipped (the links
+  // behind it would replay against a gap), and a file without a complete
+  // base holds nothing to resume.
+  if (scan.dropped > 0 || links == 0) return LoadStatus::kCorrupt;
   *out = std::move(chain);
   return LoadStatus::kOk;
 }
 
-void remove_deltas(const std::string& base_path, std::uint32_t from_seq) {
-  if (base_path.empty()) return;
-  if (from_seq == 0) from_seq = 1;
-  // Find the contiguous top of the chain first, then remove descending: a
-  // crash mid-removal always leaves a contiguous prefix (which the parent-id
-  // check happily replays) rather than a gap followed by stale deltas.
-  std::uint32_t top = from_seq - 1;
-  for (std::uint32_t seq = from_seq;; ++seq) {
-    std::FILE* f = std::fopen(delta_path(base_path, seq).c_str(), "rb");
-    if (f == nullptr) break;
-    std::fclose(f);
-    top = seq;
-  }
-  for (std::uint32_t seq = top; seq >= from_seq; --seq) {
-    std::remove(delta_path(base_path, seq).c_str());
-    if (seq == from_seq) break;  // the loop guard alone would wrap at 0
-  }
+void remove_chain(const std::string& path) {
+  if (path.empty()) return;
+  std::remove(path.c_str());
+  remove_orphan_temps(path);
 }
 
-void remove_chain(const std::string& base_path) {
-  if (base_path.empty()) return;
-  // Deltas first (descending): any interruption leaves a loadable prefix,
-  // never a headless tail.
-  remove_deltas(base_path);
-  std::remove(base_path.c_str());
-  internal::remove_orphan_temps(base_path);
+bool ChainWriter::write_link(bool base, const std::vector<Section>& sections) {
+  std::array<std::uint8_t, kRecordHeaderBytes> head;
+  io::store_le<std::uint32_t>(head.data(), base ? kBase : kDelta);
+  io::store_le<std::uint32_t>(head.data() + 4,
+                              static_cast<std::uint32_t>(provider_));
+  io::store_le<std::uint64_t>(head.data() + 8, fingerprint_);
+  io::store_le<std::uint64_t>(head.data() + 16, base ? 0 : tip_id_);
+  io::store_le<std::uint32_t>(head.data() + 24, base ? 0 : next_seq_);
+  // Section frames go next to their payloads in the gathered record; the
+  // payloads themselves are never copied.
+  std::vector<std::uint8_t> frames(sections.size() * kSectionFrameBytes);
+  std::vector<std::span<const std::uint8_t>> parts;
+  parts.reserve(1 + 2 * sections.size());
+  parts.emplace_back(head);
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    std::uint8_t* frame = frames.data() + i * kSectionFrameBytes;
+    io::store_le<std::uint32_t>(frame, sections[i].id);
+    io::store_le<std::uint64_t>(frame + 4, sections[i].payload.size());
+    parts.emplace_back(frame, kSectionFrameBytes);
+    parts.emplace_back(sections[i].payload);
+  }
+  if (!base) return log_.append(parts, "ckpt.delta.write");
+  const RecordParts record(parts);
+  return log_.rewrite(path_, kChainLog, {&record, 1}, "ckpt.file.write");
 }
 
-bool ChainWriter::save_base(Snapshot&& snap) {
-  snap.provider = provider_;
-  snap.fingerprint = fingerprint_;
-  // Old deltas go first (descending, inside remove_deltas), so no crash
-  // window ever shows the new base next to deltas of the old chain.
-  remove_deltas(path_);
-  const std::uint64_t id = chain_id(snap);
-  if (!ckpt::save(path_, snap)) {
-    // The old base may have survived (rename never happened) or not; either
-    // way the next periodic save must retry a full base.
-    base_written_ = false;
-    return false;
-  }
-  base_written_ = true;
+bool ChainWriter::save_base(const Snapshot& snap) {
+  // A failed write leaves the log closed, so the next save retries a base.
+  if (!write_link(true, snap.sections)) return false;
+  tip_id_ = chain_id(kBase, 0, 0, provider_, fingerprint_, snap.sections);
   next_seq_ = 1;
-  tip_id_ = id;
   return true;
 }
 
-bool ChainWriter::save_delta_link(std::vector<Section>&& sections) {
-  if (want_base()) return false;
-  Delta d;
-  d.provider = provider_;
-  d.fingerprint = fingerprint_;
-  d.parent_id = tip_id_;
-  d.seq = next_seq_;
-  d.sections = std::move(sections);
-  if (!save_delta(path_, d)) return false;  // tip unchanged; caller retries
-  tip_id_ = chain_id(tip_id_, d);
+bool ChainWriter::save_delta_link(const std::vector<Section>& sections) {
+  if (want_base() || !write_link(false, sections)) return false;
+  tip_id_ = chain_id(kDelta, tip_id_, next_seq_, provider_, fingerprint_,
+                     sections);
   ++next_seq_;
   return true;
 }

@@ -1,5 +1,6 @@
-// Append-only CRC-framed record logs — the shared on-disk discipline of the
-// service's write-ahead job journal and result-cache segment (src/svc).
+// Append-only CRC-framed record logs — the one durable-record layer of
+// quanta: the service's write-ahead job journal (QJRNL1) and result-cache
+// segment (QCSEG1), and every checkpoint chain (QCKPC1, src/ckpt/delta.h).
 //
 // File layout (all integers little-endian, DESIGN.md "Durable daemon
 // state"):
@@ -8,25 +9,31 @@
 //   then per record:
 //   [payload size u32] [payload crc32 u32] [payload bytes]
 //
-// Safety properties, mirroring src/ckpt's snapshot rules:
+// Safety properties:
 //   * a record only counts when its stored and recomputed CRC32 agree — a
 //     bit-flipped record is skipped (its intact length field keeps the
-//     stream in sync), never parsed;
+//     stream in sync) and counted in `dropped`, never parsed; a caller that
+//     cannot skip a record (a checkpoint chain) refuses the whole file;
 //   * a trailing partial record (SIGKILL mid-append) is discarded as a torn
-//     tail: everything before it survives;
+//     tail: everything before it survives. A length reaching past the bytes
+//     actually read ends the scan the same way, so no length field ever
+//     drives an allocation or a read beyond the file;
 //   * a missing file, foreign magic or mismatched format version degrades
-//     to "start fresh" — scan_log never throws and never fails a boot;
-//   * rewrite_log (compaction) goes through the atomic temp-then-rename
-//     path of ckpt::internal::write_file_atomic, so a crash mid-compaction
-//     leaves the previous log intact.
+//     to "start fresh" (LogScanStats::fresh says why) — a scan never throws
+//     and never fails a boot;
+//   * RecordLog::rewrite (compaction, checkpoint bases) writes a temp file
+//     private to the writer and renames it over the path, so a crash
+//     mid-rewrite leaves the previous log intact.
 //
 // Appends are fwrite + fflush: they survive process death (SIGKILL) — the
-// bytes are in the kernel — but not power loss; the daemon's durability
-// target is crash/restart, not fsync-grade storage semantics.
+// bytes are in the kernel — but not power loss; the durability target is
+// crash/restart, not fsync-grade storage semantics.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,37 +46,47 @@ struct LogFormat {
   std::uint32_t version = 1;
 };
 
-/// Per-record payload cap: a corrupted length field claiming more than this
-/// marks the rest of the file torn instead of driving an allocation.
-inline constexpr std::uint32_t kMaxLogRecordBytes = 16u << 20;
+/// Why a scan treated a file as empty ("start fresh"); kNo when it did not.
+/// A short or damaged header counts as kBadMagic: nothing identifies the
+/// file as a log of this format.
+enum class LogFresh { kNo, kNoFile, kIoError, kBadMagic, kBadVersion };
 
-/// How a scan_log pass went. `fresh` means the caller starts with empty
-/// state (no file, unreadable, foreign magic, version mismatch); `dropped`
-/// counts CRC-mismatched records that were skipped in place.
+/// How a scan went. `dropped` counts CRC-mismatched records that were
+/// skipped in place.
 struct LogScanStats {
   std::size_t records = 0;
   std::size_t dropped = 0;
   bool torn_tail = false;
-  bool fresh = false;
+  LogFresh fresh = LogFresh::kNo;
   std::string note;  ///< human-readable reason when fresh / records dropped
 };
 
-/// Reads every valid record of `path` into *records (append order). Never
-/// throws; any corruption degrades per the rules above.
+/// One record gathered from several byte ranges: framed, CRC'd and read
+/// back as their concatenation, without being copied into one buffer.
+using RecordParts = std::span<const std::span<const std::uint8_t>>;
+
+/// Calls `visit` with every valid record of `path` in append order; the
+/// payload lies in place in the scan's read buffer and is valid only during
+/// the call. A visit returning false ends the scan. Never throws; any
+/// corruption degrades per the rules above.
+LogScanStats visit_log(
+    const std::string& path, const LogFormat& fmt,
+    const std::function<bool(std::span<const std::uint8_t>)>& visit);
+
+/// Reads every valid record of `path` into *records (nullptr: count only).
 LogScanStats scan_log(const std::string& path, const LogFormat& fmt,
                       std::vector<std::vector<std::uint8_t>>* records);
 
 /// Atomically replaces `path` with a fresh header plus `records`
 /// (compaction). False on any I/O failure — the previous file is left
-/// untouched. `fault_site` is visited mid-write (see atomic_file.h).
+/// untouched. `fault_site` is visited mid-write (see RecordLog::rewrite).
 bool rewrite_log(const std::string& path, const LogFormat& fmt,
                  const std::vector<std::vector<std::uint8_t>>& records,
                  const char* fault_site);
 
-/// Append handle for one open log. open() validates (or creates) the
-/// header; append() frames one payload and flushes it to the kernel.
-/// Append failures are sticky: the caller degrades to in-memory operation
-/// and the file keeps its last complete record.
+/// Append handle for one open log. Append failures are sticky: a failed
+/// append closes the handle, so no record is ever written behind a
+/// half-written one, and the file keeps its last complete record.
 class RecordLog {
  public:
   RecordLog() = default;
@@ -79,22 +96,41 @@ class RecordLog {
 
   /// Opens `path` for appends, creating it (with a header) when missing.
   /// A file whose header fails validation is truncated and re-created —
-  /// callers scan_log first, so nothing recoverable is lost here.
+  /// callers scan first, so nothing recoverable is lost here.
   bool open(const std::string& path, const LogFormat& fmt, std::string* error);
+
+  /// Writes a header plus `records` to a temp file private to this writer
+  /// (<path>.tmp.<pid>.<n>, created exclusively), renames it over `path`
+  /// and keeps it open: later appends go to the file this call created,
+  /// even after another writer renamed its own file over `path`. False on
+  /// any failure, including a record over 4 GiB — the previous file at
+  /// `path` is untouched, the temp is removed and this log is closed.
+  /// `fault_site` is visited between two half-writes (an injected exception
+  /// there models SIGKILL mid-write).
+  bool rewrite(const std::string& path, const LogFormat& fmt,
+               std::span<const RecordParts> records, const char* fault_site);
+
   bool is_open() const { return f_ != nullptr; }
   void close();
 
-  /// Appends one framed record and flushes. False on any write failure
-  /// (the log is closed; subsequent appends fail fast).
+  /// Appends one framed record and flushes. False on any failure — a write
+  /// error, a record over 4 GiB, or an exception at `fault_site`, which is
+  /// visited between the two halves of the frame — and the log is closed.
+  bool append(RecordParts record, const char* fault_site = nullptr);
   bool append(const std::vector<std::uint8_t>& payload);
 
-  /// Bytes appended through this handle since open() — drives the callers'
-  /// amortized compaction triggers.
+  /// Bytes appended through this handle since open()/rewrite() — drives
+  /// the callers' amortized compaction triggers.
   std::uint64_t appended_bytes() const { return appended_bytes_; }
 
  private:
   std::FILE* f_ = nullptr;
   std::uint64_t appended_bytes_ = 0;
 };
+
+/// Removes every temp file beside `path` whose name starts with its file
+/// name and whose writer process has exited. Temps of live writers, this
+/// process included, stay.
+void remove_orphan_temps(const std::string& path);
 
 }  // namespace quanta::ckpt

@@ -30,7 +30,7 @@ inline constexpr std::uint32_t kSecWorklist = 2;
 inline constexpr std::uint32_t kSecSearchStats = 3;
 inline constexpr std::uint32_t kSecEnginePayload = 4;
 
-/// Delta-record sections (src/ckpt/delta.h). A QCKPD1 record carries the
+/// Delta-record sections (src/ckpt/delta.h). A delta record carries the
 /// store/worklist *changes* since the previous chain link plus full rewrites
 /// of the small sections (stats, engine payload suffix inside
 /// kSecEnginePayload with an engine-chosen base-count prefix).

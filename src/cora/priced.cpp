@@ -217,7 +217,6 @@ class PricedSearch {
     baseline_explored_ = explored;
     baseline_transitions_ = transitions;
     saved_states_ = store_.size();
-    if (chain_.has_value()) chain_->adopt(chain);
     return true;
   }
 
@@ -258,7 +257,7 @@ class PricedSearch {
         for (const NodeInfo& ni : info_) write_info(w, ni);
         snap.add_section(ckpt::kSecEnginePayload, std::move(w));
       }
-      ok = chain_->save_base(std::move(snap));
+      ok = chain_->save_base(snap);
     } else {
       std::vector<ckpt::Section> secs;
       {
@@ -287,7 +286,7 @@ class PricedSearch {
         }
         secs.push_back(ckpt::Section{ckpt::kSecEnginePayload, w.take()});
       }
-      ok = chain_->save_delta_link(std::move(secs));
+      ok = chain_->save_delta_link(secs);
     }
     if (ok) {
       saved_states_ = store_.size();

@@ -75,7 +75,7 @@ struct MinCostOptions {
   /// Crash-safe checkpoint/resume policy (src/ckpt), Provider::kPriced. A
   /// snapshot captures the store, the cost-ordered worklist (restored with
   /// its heap layout intact, so pop order is bit-identical) and the per-node
-  /// tentative costs / predecessors; deltas (QCKPD1) record only appended
+  /// tentative costs / predecessors; delta records hold only appended
   /// states plus the nodes whose tentative cost changed since the last save
   /// — Dijkstra relaxations mutate in place, so changed nodes are tracked in
   /// a dirty journal rather than assumed append-only. The fingerprint covers

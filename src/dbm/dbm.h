@@ -135,7 +135,7 @@ class Dbm {
   bool subset_eq(const Dbm& other) const;
 
   /// The row-major raw-bound matrix (dim*dim entries) — the fixed-width
-  /// payload interned into store::ZonePool and written by the QCKPD1 codec.
+  /// payload interned into store::ZonePool and written by the checkpoint codec.
   const raw_t* raw_data() const { return m_.data(); }
   DbmView view() const { return DbmView(dim_, m_.data()); }
   /// Rebuilds an owning Dbm from a raw matrix in raw_data() layout. The

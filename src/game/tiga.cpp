@@ -124,7 +124,7 @@ bool TimedGame::save_snapshot(std::uint64_t explored, std::uint64_t transitions,
       write_fixpoint(w);
       snap.add_section(kSecGameFixpoint, std::move(w));
     }
-    ok = chain_->save_base(std::move(snap));
+    ok = chain_->save_base(snap);
   } else {
     std::vector<ckpt::Section> secs;
     {
@@ -153,7 +153,7 @@ bool TimedGame::save_snapshot(std::uint64_t explored, std::uint64_t transitions,
       write_fixpoint(w);
       secs.push_back(ckpt::Section{kSecGameFixpoint, w.take()});
     }
-    ok = chain_->save_delta_link(std::move(secs));
+    ok = chain_->save_delta_link(secs);
   }
   if (ok) {
     saved_states_ = store_.size();
@@ -316,7 +316,6 @@ bool TimedGame::restore_from(const ckpt::Chain& chain, std::uint32_t objective,
   baseline_transitions_ = transitions;
   saved_states_ = store_.size();
   saved_expanded_ = expanded_;
-  chain_->adopt(chain);
   return true;
 }
 

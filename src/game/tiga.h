@@ -78,7 +78,7 @@ struct GameResult {
 
 /// With `checkpoint` enabled the whole solve is crash-safe under
 /// Provider::kGame: the game-graph construction checkpoints its store, BFS
-/// worklist and the per-node edge table (incrementally, as QCKPD1 deltas),
+/// worklist and the per-node edge table (incrementally, as delta records),
 /// and the attractor fixpoint snapshots its winning set after every sweep —
 /// an interrupted solve resumed at any point yields the bit-identical
 /// verdict, winning region and strategy. The fingerprint mixes the system,

@@ -139,7 +139,6 @@ class GraphBuilder {
     baseline_transitions_ = transitions;
     saved_states_ = g_.store.size();
     saved_expanded_ = expand_journal_.size();
-    if (chain_.has_value()) chain_->adopt(chain);
     return true;
   }
 
@@ -175,7 +174,7 @@ class GraphBuilder {
         write_succ_journal(w, 0);
         snap.add_section(ckpt::kSecEnginePayload, std::move(w));
       }
-      ok = chain_->save_base(std::move(snap));
+      ok = chain_->save_base(snap);
     } else {
       std::vector<ckpt::Section> secs;
       {
@@ -199,7 +198,7 @@ class GraphBuilder {
         write_succ_journal(w, saved_expanded_);
         secs.push_back(ckpt::Section{ckpt::kSecEnginePayload, w.take()});
       }
-      ok = chain_->save_delta_link(std::move(secs));
+      ok = chain_->save_delta_link(secs);
     }
     if (ok) {
       saved_states_ = g_.store.size();

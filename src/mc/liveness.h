@@ -30,7 +30,7 @@ struct LeadsToResult {
 
 /// With ReachOptions::checkpoint enabled, the zone-graph construction is
 /// checkpointed under Provider::kLiveness (store + DFS worklist + the
-/// successor lists of expanded nodes, incrementally as QCKPD1 deltas); a
+/// successor lists of expanded nodes, incrementally as delta records); a
 /// resumed build is bit-identical to an uninterrupted one. Once the graph
 /// completes it is snapshotted whole (empty worklist), so an interrupt
 /// during the violation search resumes without rebuilding — the search

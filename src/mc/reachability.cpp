@@ -60,8 +60,8 @@ class Explorer {
   /// Rebuilds store/worklist/payload/counters from a validated checkpoint
   /// chain, replaying the base snapshot and every delta. All-or-nothing:
   /// returns false (leaving the explorer fresh) when any section is missing
-  /// or internally inconsistent. On success the chain writer adopts the
-  /// chain tip, so subsequent periodic saves keep appending to it.
+  /// or internally inconsistent. The first save after a resume writes a
+  /// fresh base.
   bool restore_from(const ckpt::Chain& chain) {
     const ckpt::Section* sec_store = chain.base.find(ckpt::kSecStore);
     const ckpt::Section* sec_work = chain.base.find(ckpt::kSecWorklist);
@@ -165,7 +165,6 @@ class Explorer {
     baseline_transitions_ = transitions;
     saved_states_ = store_.size();
     saved_journal_ = store_.covered_journal().size();
-    if (chain_.has_value()) chain_->adopt(chain);
     return true;
   }
 
@@ -219,7 +218,7 @@ class Explorer {
         for (const ta::Move& m : moves_) ckpt::write_move(w, m);
         snap.add_section(ckpt::kSecEnginePayload, std::move(w));
       }
-      ok = chain_->save_base(std::move(snap));
+      ok = chain_->save_base(snap);
     } else {
       std::vector<ckpt::Section> secs;
       {
@@ -250,7 +249,7 @@ class Explorer {
         }
         secs.push_back(ckpt::Section{ckpt::kSecEnginePayload, w.take()});
       }
-      ok = chain_->save_delta_link(std::move(secs));
+      ok = chain_->save_delta_link(secs);
     }
     if (ok) {
       saved_states_ = store_.size();

@@ -59,7 +59,7 @@ struct ReachOptions {
   /// Crash-safe checkpoint/resume policy (src/ckpt): with a path set, the
   /// search resumes from a validated snapshot chain at that path, snapshots
   /// when a resource bound stops it (and every `interval` explored states,
-  /// writing incremental QCKPD1 deltas), and the kUnknown verdict then
+  /// appending incremental delta records), and the kUnknown verdict then
   /// carries the resume handle in ReachResult::resume. Interrupt-at-any-
   /// point + resume is bit-identical to an uninterrupted run. The checkpoint
   /// fingerprint covers the model, these options and the goal predicate's

@@ -1,7 +1,7 @@
 // store::SpillFile — the out-of-core tier of the zone pool: an append-only,
 // memory-mapped file of fixed-width int32 records (the same word-for-word
-// payload layout QCKPD1 snapshots use for zone matrices, so a spilled record
-// is bit-identical to its serialized form).
+// payload layout checkpoints use for zone matrices, so a spilled record is
+// bit-identical to its serialized form).
 //
 // Writes go through pwrite() so the mapped pages stay *clean*: the kernel
 // may drop them under memory pressure and page them back in on demand, which

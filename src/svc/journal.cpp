@@ -58,9 +58,9 @@ JournalReplay Journal::replay(const std::string& path) {
   const ckpt::LogScanStats scan = ckpt::scan_log(path, kJournalFormat, &records);
   out.dropped = scan.dropped;
   out.torn_tail = scan.torn_tail;
-  out.fresh = scan.fresh;
+  out.fresh = scan.fresh != ckpt::LogFresh::kNo;
   out.note = scan.note;
-  if (scan.fresh) return out;
+  if (out.fresh) return out;
 
   // Fold in append order: later records win (a complete retires its admit,
   // a clear retires its quarantine).

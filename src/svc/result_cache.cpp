@@ -62,7 +62,8 @@ bool ResultCache::enable_persistence(const std::string& path,
   std::vector<std::vector<std::uint8_t>> records;
   const ckpt::LogScanStats scan = ckpt::scan_log(path, kSegmentFormat, &records);
   persist_dropped_ += scan.dropped;
-  if (scan.fresh && scan.note != "no log file") {
+  if (scan.fresh != ckpt::LogFresh::kNo &&
+      scan.fresh != ckpt::LogFresh::kNoFile) {
     std::fprintf(stderr,
                  "quantad: cache segment %s unusable (%s); starting cold\n",
                  path.c_str(), scan.note.c_str());

@@ -14,7 +14,6 @@
 #include <ctime>
 #include <future>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "ckpt/delta.h"
@@ -47,36 +46,28 @@ std::size_t gc_checkpoints(const std::string& dir, std::uint64_t ttl_s) {
   if (dir.empty() || ttl_s == 0) return 0;
   DIR* d = ::opendir(dir.c_str());
   if (d == nullptr) return 0;
-  // Chains are aged as a unit keyed by their base path: "job-*.qckpt" plus
-  // its ".dN" deltas and stray ".tmp" files. The age is the newest member's
-  // mtime — an actively growing chain keeps its old base alive, while an
-  // orphan (budget-tripped job whose token was never claimed) goes cold
-  // everywhere at once.
-  struct ChainInfo {
-    std::time_t newest = 0;
-    std::vector<std::string> files;
-  };
-  std::unordered_map<std::string, ChainInfo> chains;
+  // A chain is one "job-*.qckpt" log plus the temps of its writers. Every
+  // append touches the log, so each file's own mtime is its age: a growing
+  // chain stays fresh, while an orphan (budget-tripped job whose token was
+  // never claimed), a killed writer's temp and the ".dN" delta files of the
+  // older per-delta layout go cold and expire.
+  const std::time_t now = std::time(nullptr);
+  std::vector<std::string> expired;
   while (const dirent* entry = ::readdir(d)) {
     const std::string name = entry->d_name;
     if (name.rfind("job-", 0) != 0) continue;
-    const std::size_t pos = name.find(".qckpt");
-    if (pos == std::string::npos) continue;
+    if (name.find(".qckpt") == std::string::npos) continue;
     const std::string path = dir + "/" + name;
     struct stat st{};
-    if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode)) continue;
-    ChainInfo& chain = chains[name.substr(0, pos + 6)];
-    if (st.st_mtime > chain.newest) chain.newest = st.st_mtime;
-    chain.files.push_back(path);
+    if (::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode) &&
+        now - st.st_mtime >= static_cast<std::time_t>(ttl_s)) {
+      expired.push_back(path);
+    }
   }
   ::closedir(d);
-  const std::time_t now = std::time(nullptr);
   std::size_t removed = 0;
-  for (const auto& [base, chain] : chains) {
-    if (now - chain.newest < static_cast<std::time_t>(ttl_s)) continue;
-    for (const std::string& path : chain.files) {
-      if (std::remove(path.c_str()) == 0) ++removed;
-    }
+  for (const std::string& path : expired) {
+    if (std::remove(path.c_str()) == 0) ++removed;
   }
   return removed;
 }

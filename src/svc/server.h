@@ -103,10 +103,11 @@ struct ServerConfig {
   bool cache_persist = true;
 };
 
-/// One TTL sweep over `dir`: removes every "job-*.qckpt*" checkpoint chain
-/// whose newest member is at least `ttl_s` seconds old (chains are aged as
-/// a unit — fresh deltas keep their old base alive). Returns the number of
-/// files removed. The server runs this at start() and amortized afterwards.
+/// One TTL sweep over `dir`: removes every "job-*.qckpt*" file (a chain
+/// log, a writer's temp, a leftover of an older layout) that is at least
+/// `ttl_s` seconds old — each append refreshes a live chain's mtime.
+/// Returns the number of files removed. The server runs this at start()
+/// and amortized afterwards.
 std::size_t gc_checkpoints(const std::string& dir, std::uint64_t ttl_s);
 
 class Server {

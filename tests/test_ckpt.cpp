@@ -1,13 +1,14 @@
 // Crash-safe checkpoint/resume (src/ckpt): format-layer validation, the
-// torn-write / corruption suite (base snapshots AND QCKPD1 delta chains),
-// and the headline end-to-end invariant — interrupt-at-any-point + resume
-// produces bit-identical verdicts and statistics versus an uninterrupted
-// run, for every snapshot provider: symbolic reachability, value iteration,
-// statistical estimation, leads-to liveness, SPRT hypothesis testing,
-// timed-game solving and priced (min-cost) search.
+// torn-write / corruption suite (base snapshots AND delta chains, one log
+// file each), and the headline end-to-end invariant — interrupt-at-any-
+// point + resume produces bit-identical verdicts and statistics versus an
+// uninterrupted run, for every snapshot provider: symbolic reachability,
+// value iteration, statistical estimation, leads-to liveness, SPRT
+// hypothesis testing, timed-game solving and priced (min-cost) search.
 #include "ckpt/checkpoint.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -15,6 +16,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <csignal>
 #include <climits>
 #include <cstdint>
 #include <cstdlib>
@@ -22,6 +24,7 @@
 #include <fstream>
 #include <optional>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -81,14 +84,10 @@ void remove_with_temps(const std::string& path) {
   for (const std::string& t : temp_files(path)) fs::remove(t);
 }
 
-/// Fresh checkpoint path per test; removes leftovers from earlier runs,
-/// including any QCKPD1 delta files of a previous chain.
+/// Fresh checkpoint path per test; removes leftovers from earlier runs.
 std::string ckpt_path(const std::string& name) {
   std::string p = ::testing::TempDir() + "quanta_ckpt_" + name + ".qckpt";
   remove_with_temps(p);
-  for (std::uint32_t seq = 1; seq <= 256; ++seq) {
-    remove_with_temps(ckpt::delta_path(p, seq));
-  }
   return p;
 }
 
@@ -123,6 +122,15 @@ ckpt::Snapshot make_snapshot(std::uint64_t fingerprint) {
   for (int i = 0; i < 100; ++i) b.f64(i * 0.25);
   snap.add_section(2, std::move(b));
   return snap;
+}
+
+bool same_sections(const std::vector<ckpt::Section>& a,
+                   const std::vector<ckpt::Section>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].id != b[i].id || a[i].payload != b[i].payload) return false;
+  }
+  return true;
 }
 
 // ---- CRC32 -----------------------------------------------------------------
@@ -208,6 +216,32 @@ std::uint64_t le_u64_at(const std::vector<std::uint8_t>& b, std::size_t at) {
   return v;
 }
 
+void put_le32(std::vector<std::uint8_t>* b, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    (*b)[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+void put_le64(std::vector<std::uint8_t>* b, std::size_t at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    (*b)[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+// Checkpoint log layout: [magic 8B][version u32][header crc u32], then per
+// record [len u32][crc u32] and the record, whose header is [kind u32]
+// [provider u32][fingerprint u64][parent id u64][seq u32].
+constexpr std::size_t kLogHeaderSize = 16;
+constexpr std::size_t kLogFrameSize = 8;
+constexpr std::size_t kRecordHeaderSize = 28;
+/// Offset of the base record's fingerprint in a checkpoint file.
+constexpr std::size_t kFingerprintOffset = kLogHeaderSize + kLogFrameSize + 8;
+
+/// The fingerprint the base of the checkpoint at `path` was written under.
+std::uint64_t file_fingerprint(const std::string& path) {
+  return le_u64_at(read_file(path), kFingerprintOffset);
+}
+
 TEST(CkptCodec, FixedWidthFieldsAreLittleEndianByteForByte) {
   const std::int32_t words[] = {0, -1, INT32_MIN, INT32_MAX, 0x12345678};
   ckpt::io::Writer w;
@@ -249,8 +283,9 @@ TEST(CkptCodec, FixedWidthFieldsAreLittleEndianByteForByte) {
 }
 
 TEST(CkptContentHash, PinnedValuesOfDeltaFormatVersionTwo) {
-  // Chain ids of version 2 delta records are built from these values; a
-  // change here must bump kDeltaFormatVersion.
+  // Chain ids are built from these values (fixed since delta format
+  // version 2 and kept by the single-log format); a change here must bump
+  // kFormatVersion.
   EXPECT_EQ(ckpt::content_hash64("", 0), 0xD8A310150DF90781ull);
   EXPECT_EQ(ckpt::content_hash64("abc", 3), 0x230E9C1ADACC6828ull);
   const std::string text = "Nobody inspects the spammish repetition";
@@ -312,6 +347,23 @@ TEST(CkptFormat, EmptySectionRoundTrips) {
   EXPECT_TRUE(back.find(9)->payload.empty());
 }
 
+TEST(CkptFormat, BaseOver16MiBRoundTrips) {
+  // Bigger models write bases past 16 MiB (train-gate N=5 is about 13 MB);
+  // a record is bounded only by its u32 length and the bytes on disk.
+  const std::string path = ckpt_path("big_base");
+  ckpt::Snapshot snap = make_snapshot(7);
+  snap.sections[1].payload.resize((std::size_t{17} << 20) + 3);
+  for (std::size_t i = 0; i < snap.sections[1].payload.size(); i += 4093) {
+    snap.sections[1].payload[i] = static_cast<std::uint8_t>(i);
+  }
+  ASSERT_TRUE(ckpt::save(path, snap));
+  ckpt::Snapshot back;
+  ASSERT_EQ(ckpt::load(path, 7, ckpt::Provider::kExplore, &back),
+            ckpt::LoadStatus::kOk);
+  EXPECT_TRUE(same_sections(back.sections, snap.sections));
+  fs::remove(path);
+}
+
 TEST(CkptFormat, MissingFileIsNoFile) {
   ckpt::Snapshot out;
   EXPECT_EQ(ckpt::load(ckpt_path("missing"), 1, ckpt::Provider::kExplore, &out),
@@ -345,13 +397,13 @@ TEST(CkptFormat, FutureFormatVersionRejected) {
   const std::string path = ckpt_path("version");
   ASSERT_TRUE(ckpt::save(path, make_snapshot(42)));
   auto bytes = read_file(path);
-  // Patch the format-version field (offset 8) and re-seal the header CRC
-  // (computed over the first 28 bytes, stored at offset 28) so only the
+  // Patch the format-version field (offset 8) and re-seal the log header
+  // CRC (computed over the first 12 bytes, stored at offset 12) so only the
   // version check can object.
   bytes[8] = static_cast<std::uint8_t>(ckpt::kFormatVersion + 1);
-  const std::uint32_t crc = ckpt::crc32(bytes.data(), 28);
+  const std::uint32_t crc = ckpt::crc32(bytes.data(), 12);
   for (int i = 0; i < 4; ++i) {
-    bytes[28 + static_cast<std::size_t>(i)] =
+    bytes[12 + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(crc >> (8 * i));
   }
   write_file(path, bytes);
@@ -373,10 +425,13 @@ TEST(CkptFormat, TruncationAndBitFlipsAreCorrupt) {
   EXPECT_EQ(ckpt::load(path, 42, ckpt::Provider::kExplore, &out),
             ckpt::LoadStatus::kCorrupt);
 
-  // A single flipped byte anywhere past the magic must be caught by a CRC —
-  // sample the header CRC itself, a section CRC and payload bytes.
-  for (std::size_t pos : {std::size_t{28}, std::size_t{40},
-                          pristine.size() / 2, pristine.size() - 1}) {
+  // A single flipped byte anywhere in the record must be caught by its CRC —
+  // sample the record CRC itself, the provider, the first section id,
+  // the first section size and payload bytes.
+  const std::size_t record = kLogHeaderSize + kLogFrameSize;
+  for (std::size_t pos : {record - 4, record + 4, record + kRecordHeaderSize,
+                          record + kRecordHeaderSize + 4, pristine.size() / 2,
+                          pristine.size() - 1}) {
     auto flipped = pristine;
     flipped[pos] ^= 0x01;
     write_file(path, flipped);
@@ -439,7 +494,7 @@ TEST(CkptFormat, ConcurrentSavesOfOnePathNeverShareATempFile) {
   EXPECT_TRUE(temp_files(path).empty());
 
   // The survivor is one writer's file, whole.
-  const std::uint64_t winner = le_u64_at(read_file(path), 16);
+  const std::uint64_t winner = file_fingerprint(path);
   ASSERT_LT(winner, static_cast<std::uint64_t>(kThreads));
   ckpt::Snapshot back;
   ASSERT_EQ(ckpt::load(path, winner, ckpt::Provider::kExplore, &back),
@@ -452,8 +507,9 @@ TEST(CkptFormat, ConcurrentSavesOfOnePathNeverShareATempFile) {
 TEST(CkptFormat, ConcurrentChainsAndRemovalNeverTouchEachOthersFiles) {
   // Identical daemon jobs write one chain path at once (base, then deltas),
   // and each removes the chain when it completes. No save may fail because
-  // of another writer or a removal, and a file at a chain name is always
-  // some writer's whole file, never a torn or foreign temp renamed there.
+  // of another writer or a removal, and the file at the chain path is
+  // always one writer's chain, whole up to its last complete record: a
+  // writer appends only to the file its own base created.
   const std::string path = ckpt_path("chain_race");
   constexpr int kWriters = 4;
   constexpr int kRounds = 25;
@@ -470,41 +526,41 @@ TEST(CkptFormat, ConcurrentChainsAndRemovalNeverTouchEachOthersFiles) {
         ckpt::ChainWriter chain(path, ckpt::Provider::kExplore, 42, 2);
         ckpt::Snapshot base = make_snapshot(42);
         base.sections[1].payload = payload(t);
-        if (!chain.save_base(std::move(base))) ++failures;
+        if (!chain.save_base(base)) ++failures;
         for (int k = 0; k < 2; ++k) {
-          std::vector<ckpt::Section> link;
-          link.push_back(ckpt::Section{2, payload(t)});
-          if (!chain.save_delta_link(std::move(link))) ++failures;
+          if (!chain.save_delta_link({ckpt::Section{2, payload(t)}})) {
+            ++failures;
+          }
         }
         if (round % 3 == 2) ckpt::remove_chain(path);  // the job completed
       }
       ++done;
     });
   }
-  constexpr std::uintmax_t kDeltaSize = 44 + 16 + kPayload;
   int torn = 0;
+  int mixed = 0;
   int seen = 0;
   while (done.load() < kWriters) {
-    ckpt::Snapshot back;
+    ckpt::Chain back;
     const ckpt::LoadStatus st =
-        ckpt::load(path, 42, ckpt::Provider::kExplore, &back);
-    if (st == ckpt::LoadStatus::kOk) ++seen;
-    if (st != ckpt::LoadStatus::kOk && st != ckpt::LoadStatus::kNoFile) ++torn;
-    for (std::uint32_t seq = 1; seq <= 2; ++seq) {
-      std::error_code ec;
-      const std::uintmax_t size =
-          fs::file_size(ckpt::delta_path(path, seq), ec);
-      if (!ec && size != kDeltaSize) ++torn;
+        ckpt::load_chain(path, 42, ckpt::Provider::kExplore, &back);
+    if (st != ckpt::LoadStatus::kOk) {
+      if (st != ckpt::LoadStatus::kNoFile) ++torn;
+      continue;
+    }
+    ++seen;
+    const auto owner = back.base.sections[1].payload;
+    if (owner.size() != kPayload) ++mixed;
+    for (const ckpt::Delta& d : back.deltas) {
+      if (d.sections.size() != 1 || d.sections[0].payload != owner) ++mixed;
     }
   }
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(torn, 0);
+  EXPECT_EQ(mixed, 0);
   EXPECT_GT(seen, 0);
-  for (const std::string& p :
-       {path, ckpt::delta_path(path, 1), ckpt::delta_path(path, 2)}) {
-    EXPECT_TRUE(temp_files(p).empty()) << p;
-  }
+  EXPECT_TRUE(temp_files(path).empty());
 }
 
 TEST(CkptFormat, RemoveChainClearsOnlyTempsOfExitedWriters) {
@@ -519,9 +575,8 @@ TEST(CkptFormat, RemoveChainClearsOnlyTempsOfExitedWriters) {
   ASSERT_EQ(::waitpid(child, nullptr, 0), child);
   const std::string dead = std::to_string(child);
   const std::string live = std::to_string(::getpid());
-  const std::vector<std::string> orphans = {
-      path + ".tmp." + dead + ".0",
-      ckpt::delta_path(path, 1) + ".tmp." + dead + ".1"};
+  const std::vector<std::string> orphans = {path + ".tmp." + dead + ".0",
+                                            path + ".tmp." + dead + ".1"};
   const std::string live_temp = path + ".tmp." + live + ".9";
   for (const std::string& f : orphans) write_file(f, {1, 2, 3});
   write_file(live_temp, {4, 5, 6});
@@ -706,7 +761,7 @@ TEST(CkptReachability, CorruptCheckpointDegradesToFreshStart) {
   auto flipped = pristine;
   flipped[pristine.size() / 2] ^= 0x20;
   auto crc_flip = pristine;
-  crc_flip[28] ^= 0x01;  // header CRC byte
+  crc_flip[kLogHeaderSize + 4] ^= 0x01;  // record CRC byte
   auto truncated = pristine;
   truncated.resize(pristine.size() - 7);
   const std::vector<Case> cases = {
@@ -1078,23 +1133,39 @@ TEST(CkptStatistical, MidBatchCancellationDiscardsThePartialBatch) {
   EXPECT_EQ(resumed.p_hat, reference.p_hat);
 }
 
-// ---- QCKPD1 delta chains ---------------------------------------------------
+// ---- delta chains ----------------------------------------------------------
 
-// QCKPD1 header layout (ckpt/delta.h): magic 8B, version u32 @8, provider
-// u32 @12, fingerprint u64 @16, parent chain id u64 @24, seq u32 @32,
-// section count u32 @36, header crc32 u32 @40 (over the first 40 bytes).
-constexpr std::size_t kDeltaVersionOffset = 8;
-constexpr std::size_t kDeltaParentOffset = 24;
-constexpr std::size_t kDeltaCrcOffset = 40;
+// Record header fields, as offsets into a record (see kRecordHeaderSize).
+constexpr std::size_t kRecProviderOffset = 4;
+constexpr std::size_t kRecFingerprintOffset = 8;
+constexpr std::size_t kRecParentOffset = 16;
+constexpr std::size_t kRecSeqOffset = 24;
 
-/// Re-seals a delta header CRC after a deliberate semantic patch, so only
-/// the patched field — not the CRC — can cause the refusal under test.
-void reseal_delta_header(std::vector<std::uint8_t>* bytes) {
-  const std::uint32_t crc = ckpt::crc32(bytes->data(), kDeltaCrcOffset);
-  for (int i = 0; i < 4; ++i) {
-    (*bytes)[kDeltaCrcOffset + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(crc >> (8 * i));
+/// One complete record of a checkpoint log: the offset of its frame and the
+/// size of the record behind the frame.
+struct LogRecord {
+  std::size_t at;
+  std::size_t size;
+};
+
+/// The complete records of a checkpoint file, in order.
+std::vector<LogRecord> log_records(const std::vector<std::uint8_t>& b) {
+  std::vector<LogRecord> out;
+  std::size_t at = kLogHeaderSize;
+  while (b.size() >= at + kLogFrameSize) {
+    const std::size_t size = static_cast<std::uint32_t>(le_u64_at(b, at));
+    if (b.size() - at - kLogFrameSize < size) break;
+    out.push_back({at, size});
+    at += kLogFrameSize + size;
   }
+  return out;
+}
+
+/// Re-seals a record's CRC after a deliberate semantic patch, so only the
+/// patched field — not the CRC — can cause the refusal under test.
+void reseal_record(std::vector<std::uint8_t>* b, const LogRecord& rec) {
+  put_le32(b, rec.at + 4,
+           ckpt::crc32(b->data() + rec.at + kLogFrameSize, rec.size));
 }
 
 /// A truncated train-gate run whose periodic snapshots build a base + delta
@@ -1110,11 +1181,25 @@ mc::InvariantResult build_delta_chain(const models::TrainGate& tg,
   const auto truncated = mc::check_invariant(tg.system, safe, opts);
   EXPECT_EQ(truncated.verdict, common::Verdict::kUnknown);
   EXPECT_TRUE(truncated.resume.saved);
-  EXPECT_TRUE(fs::exists(path)) << "base snapshot missing";
-  EXPECT_TRUE(fs::exists(ckpt::delta_path(path, 1)))
+  EXPECT_GE(log_records(read_file(path)).size(), 2u)
       << "interval 20 over " << opts.limits.max_states
       << " states wrote no delta";
   return reference;
+}
+
+/// Runs the check again on the chain at `path`: the load must end in
+/// `want`, and resumed or fresh, the answer must be the reference.
+void expect_resume(const models::TrainGate& tg, const mc::StatePredicate& safe,
+                   const std::string& path,
+                   const mc::InvariantResult& reference, ckpt::LoadStatus want,
+                   const char* what) {
+  mc::ReachOptions full;
+  full.checkpoint.path = path;
+  const auto r = mc::check_invariant(tg.system, safe, full);
+  EXPECT_EQ(r.resume.load, want) << what;
+  EXPECT_EQ(r.resume.resumed, want == ckpt::LoadStatus::kOk) << what;
+  EXPECT_TRUE(r.holds()) << what;
+  expect_same_stats(r.stats, reference.stats, what);
 }
 
 TEST(CkptDeltaChain, PeriodicDeltasResumeBitIdentically) {
@@ -1122,14 +1207,8 @@ TEST(CkptDeltaChain, PeriodicDeltasResumeBitIdentically) {
   const auto safe = mutual_exclusion(tg);
   const std::string path = ckpt_path("chain_resume");
   const auto reference = build_delta_chain(tg, safe, path);
-
-  mc::ReachOptions full;
-  full.checkpoint.path = path;
-  const auto resumed = mc::check_invariant(tg.system, safe, full);
-  EXPECT_EQ(resumed.resume.load, ckpt::LoadStatus::kOk);
-  EXPECT_TRUE(resumed.resume.resumed);
-  EXPECT_TRUE(resumed.holds());
-  expect_same_stats(resumed.stats, reference.stats, "delta-chain resume");
+  expect_resume(tg, safe, path, reference, ckpt::LoadStatus::kOk,
+                "delta-chain resume");
 }
 
 TEST(CkptDeltaChain, FullSnapshotModeWritesNoDeltas) {
@@ -1146,13 +1225,9 @@ TEST(CkptDeltaChain, FullSnapshotModeWritesNoDeltas) {
   opts.checkpoint.max_deltas = 0;
   opts.limits.max_states = reference.stats.states_stored / 2;
   ASSERT_TRUE(mc::check_invariant(tg.system, safe, opts).resume.saved);
-  EXPECT_FALSE(fs::exists(ckpt::delta_path(path, 1)));
-
-  mc::ReachOptions full;
-  full.checkpoint.path = path;
-  const auto resumed = mc::check_invariant(tg.system, safe, full);
-  EXPECT_TRUE(resumed.resume.resumed);
-  expect_same_stats(resumed.stats, reference.stats, "full-snapshot resume");
+  EXPECT_EQ(log_records(read_file(path)).size(), 1u);
+  expect_resume(tg, safe, path, reference, ckpt::LoadStatus::kOk,
+                "full-snapshot resume");
 }
 
 TEST(CkptDeltaChain, MissingBaseFileStartsFresh) {
@@ -1161,15 +1236,19 @@ TEST(CkptDeltaChain, MissingBaseFileStartsFresh) {
   const std::string path = ckpt_path("chain_nobase");
   const auto reference = build_delta_chain(tg, safe, path);
 
-  // Deltas without their base are worthless: fresh start, still correct.
+  // Deltas without their base are worthless: a log whose first record is a
+  // delta (the base cut out) is refused whole — fresh start, still correct.
+  auto bytes = read_file(path);
+  const auto recs = log_records(bytes);
+  bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(recs[0].at),
+              bytes.begin() + static_cast<std::ptrdiff_t>(recs[1].at));
+  write_file(path, bytes);
+  expect_resume(tg, safe, path, reference, ckpt::LoadStatus::kCorrupt,
+                "fresh after a headless chain");
+
   fs::remove(path);
-  mc::ReachOptions full;
-  full.checkpoint.path = path;
-  const auto r = mc::check_invariant(tg.system, safe, full);
-  EXPECT_EQ(r.resume.load, ckpt::LoadStatus::kNoFile);
-  EXPECT_FALSE(r.resume.resumed);
-  EXPECT_TRUE(r.holds());
-  expect_same_stats(r.stats, reference.stats, "fresh after missing base");
+  expect_resume(tg, safe, path, reference, ckpt::LoadStatus::kNoFile,
+                "fresh after missing base");
 }
 
 TEST(CkptDeltaChain, DeltaAgainstMismatchedBaseStartsFresh) {
@@ -1178,22 +1257,28 @@ TEST(CkptDeltaChain, DeltaAgainstMismatchedBaseStartsFresh) {
   const std::string path = ckpt_path("chain_badparent");
   const auto reference = build_delta_chain(tg, safe, path);
 
-  // Patch the delta's parent chain id and re-seal the header CRC: the delta
-  // now claims descent from a different base. The link check must refuse it
-  // and poison the whole chain.
-  const std::string d1 = ckpt::delta_path(path, 1);
-  auto bytes = read_file(d1);
-  bytes[kDeltaParentOffset] ^= 0xFF;
-  reseal_delta_header(&bytes);
-  write_file(d1, bytes);
-
-  mc::ReachOptions full;
-  full.checkpoint.path = path;
-  const auto r = mc::check_invariant(tg.system, safe, full);
-  EXPECT_EQ(r.resume.load, ckpt::LoadStatus::kCorrupt);
-  EXPECT_FALSE(r.resume.resumed);
-  EXPECT_TRUE(r.holds());
-  expect_same_stats(r.stats, reference.stats, "fresh after parent mismatch");
+  // Patch one link field of the first delta and re-seal its CRC: the delta
+  // now claims descent from a different base, another position, model or
+  // provider. The link check must refuse it and poison the whole chain.
+  const auto pristine = read_file(path);
+  const LogRecord d1 = log_records(pristine)[1];
+  struct Case {
+    const char* name;
+    std::size_t field;
+    ckpt::LoadStatus want;
+  };
+  for (const Case& c :
+       {Case{"parent id", kRecParentOffset, ckpt::LoadStatus::kCorrupt},
+        Case{"seq", kRecSeqOffset, ckpt::LoadStatus::kCorrupt},
+        Case{"fingerprint", kRecFingerprintOffset,
+             ckpt::LoadStatus::kBadFingerprint},
+        Case{"provider", kRecProviderOffset, ckpt::LoadStatus::kBadProvider}}) {
+    auto bytes = pristine;
+    bytes[d1.at + kLogFrameSize + c.field] ^= 0x01;
+    reseal_record(&bytes, d1);
+    write_file(path, bytes);
+    expect_resume(tg, safe, path, reference, c.want, c.name);
+  }
 }
 
 TEST(CkptDeltaChain, BitFlipInsideADeltaStartsFresh) {
@@ -1202,43 +1287,47 @@ TEST(CkptDeltaChain, BitFlipInsideADeltaStartsFresh) {
   const std::string path = ckpt_path("chain_bitflip");
   const auto reference = build_delta_chain(tg, safe, path);
 
-  const std::string d1 = ckpt::delta_path(path, 1);
-  const auto pristine = read_file(d1);
-  ASSERT_GT(pristine.size(), std::size_t{48});
+  const auto pristine = read_file(path);
+  const auto recs = log_records(pristine);
+  ASSERT_GE(recs.size(), 3u);
+  const LogRecord d1 = recs[1];
+  const std::size_t body = d1.at + kLogFrameSize;
 
-  // A flip in the header CRC region and one deep in a section payload both
-  // poison the chain; a truncated tail (a torn non-atomic write, the
-  // on-disk shape of a SIGKILL mid-delta on filesystems without atomic
-  // rename) is refused the same way.
+  // A complete record that fails its CRC poisons the chain wherever the
+  // flip lands — the record CRC, a section id (which the record CRC now
+  // covers) or a payload byte, of a middle record or of the last one.
   struct Case {
     const char* name;
-    std::vector<std::uint8_t> bytes;
+    std::size_t at;
   };
-  auto header_flip = pristine;
-  header_flip[kDeltaCrcOffset] ^= 0x01;
-  auto payload_flip = pristine;
-  payload_flip[pristine.size() - 3] ^= 0x10;
+  for (const Case& c : {Case{"record CRC flip", d1.at + 4},
+                        Case{"section id flip", body + kRecordHeaderSize},
+                        Case{"payload bit flip", body + d1.size - 3},
+                        Case{"last record flip", pristine.size() - 3}}) {
+    auto bytes = pristine;
+    bytes[c.at] ^= 0x10;
+    write_file(path, bytes);
+    expect_resume(tg, safe, path, reference, ckpt::LoadStatus::kCorrupt,
+                  c.name);
+  }
+
+  // A torn last record — the on-disk shape of a SIGKILL mid-append — is the
+  // clean end of the chain: the run resumes from the last complete record.
   auto torn = pristine;
   torn.resize(pristine.size() - 5);
-  const std::vector<Case> cases = {{"header CRC flip", header_flip},
-                                   {"payload bit flip", payload_flip},
-                                   {"torn tail", torn}};
-  for (const Case& c : cases) {
-    write_file(d1, c.bytes);
-    mc::ReachOptions full;
-    full.checkpoint.path = path;
-    const auto r = mc::check_invariant(tg.system, safe, full);
-    EXPECT_EQ(r.resume.load, ckpt::LoadStatus::kCorrupt) << c.name;
-    EXPECT_FALSE(r.resume.resumed) << c.name;
-    EXPECT_TRUE(r.holds()) << c.name;
-    expect_same_stats(r.stats, reference.stats, c.name);
-  }
+  write_file(path, torn);
+  ckpt::Chain chain;
+  ASSERT_EQ(ckpt::load_chain(path, file_fingerprint(path),
+                             ckpt::Provider::kExplore, &chain),
+            ckpt::LoadStatus::kOk);
+  EXPECT_EQ(chain.deltas.size(), recs.size() - 2);
+  expect_resume(tg, safe, path, reference, ckpt::LoadStatus::kOk, "torn tail");
 }
 
 TEST(CkptDeltaChain, KilledDeltaWriteEndsTheChainAtThePreviousLink) {
-  // save_delta writes a private temp file and renames: a kill mid-write
-  // leaves at most a stray temp, never a torn delta, so the chain simply ends at the
-  // previous validated link and the resume replays that prefix.
+  // A fault between the two halves of a delta's frame leaves a torn record
+  // at the end of the log and closes it; the next periodic save writes a
+  // fresh base, so the run keeps checkpointing and resumes bit-identically.
   auto tg = models::make_train_gate(3);
   const auto safe = mutual_exclusion(tg);
   const auto reference = mc::check_invariant(tg.system, safe);
@@ -1252,45 +1341,155 @@ TEST(CkptDeltaChain, KilledDeltaWriteEndsTheChainAtThePreviousLink) {
     ScopedFault fault("ckpt.delta.write", common::FaultKind::kException, 2);
     ASSERT_TRUE(mc::check_invariant(tg.system, safe, opts).resume.saved);
   }
-  EXPECT_TRUE(temp_files(ckpt::delta_path(path, 1)).empty());
-  EXPECT_TRUE(temp_files(ckpt::delta_path(path, 2)).empty());
-
-  mc::ReachOptions full;
-  full.checkpoint.path = path;
-  const auto resumed = mc::check_invariant(tg.system, safe, full);
-  EXPECT_TRUE(resumed.resume.resumed);
-  EXPECT_TRUE(resumed.holds());
-  expect_same_stats(resumed.stats, reference.stats, "resume past torn write");
+  EXPECT_TRUE(temp_files(path).empty());
+  expect_resume(tg, safe, path, reference, ckpt::LoadStatus::kOk,
+                "resume past torn write");
 }
 
-TEST(CkptDeltaChain, VersionOneDeltaIsRefusedAndTheRunStartsFresh) {
-  // Version 1 chain ids were a byte-wise FNV-1a pass over the payloads; a v1
-  // link would never match a v2 parent id, so the loader refuses the old
-  // version outright instead of reporting it as corruption.
+/// RAII: caps the size of files this process writes (RLIMIT_FSIZE), with
+/// SIGXFSZ ignored so a write past the cap fails with EFBIG instead of
+/// killing the process.
+class ScopedFileSizeLimit {
+ public:
+  explicit ScopedFileSizeLimit(std::size_t bytes)
+      : handler_(std::signal(SIGXFSZ, SIG_IGN)) {
+    rlimit cap{};
+    ok_ = ::getrlimit(RLIMIT_FSIZE, &old_) == 0;
+    cap = old_;
+    cap.rlim_cur = static_cast<rlim_t>(bytes);
+    ok_ = ok_ && ::setrlimit(RLIMIT_FSIZE, &cap) == 0;
+  }
+  ~ScopedFileSizeLimit() {
+    if (ok_) ::setrlimit(RLIMIT_FSIZE, &old_);
+    std::signal(SIGXFSZ, handler_);
+  }
+  ScopedFileSizeLimit(const ScopedFileSizeLimit&) = delete;
+  ScopedFileSizeLimit& operator=(const ScopedFileSizeLimit&) = delete;
+  bool ok() const { return ok_; }
+
+ private:
+  void (*handler_)(int);
+  rlimit old_{};
+  bool ok_ = false;
+};
+
+TEST(CkptDeltaChain, FailedAppendClosesTheLogAndTheNextSaveIsABase) {
+  // Two ways an append fails: an injected fault between the two halves of
+  // the frame, and a write error. Either way the file keeps the chain up to
+  // the previous record behind a torn tail, the writer writes nothing more
+  // to it, and its next save is a base that replaces the file.
+  const std::vector<ckpt::Section> link = {
+      ckpt::Section{2, std::vector<std::uint8_t>(std::size_t{1} << 16, 7)}};
+  for (const bool io_error : {false, true}) {
+    const std::string path =
+        ckpt_path(io_error ? "append_io_error" : "append_fault");
+    ckpt::ChainWriter chain(path, ckpt::Provider::kExplore, 42, 8);
+    ASSERT_TRUE(chain.save_base(make_snapshot(42)));
+    ASSERT_TRUE(chain.save_delta_link(link));
+    const auto intact = read_file(path);
+    if (io_error) {
+      ScopedFileSizeLimit limit(intact.size() + 100);
+      ASSERT_TRUE(limit.ok());
+      EXPECT_FALSE(chain.save_delta_link(link));
+    } else {
+      ScopedFault fault("ckpt.delta.write", common::FaultKind::kException, 1);
+      EXPECT_FALSE(chain.save_delta_link(link));
+    }
+    EXPECT_TRUE(chain.want_base()) << io_error;
+    EXPECT_FALSE(chain.save_delta_link(link)) << io_error;
+
+    const auto torn = read_file(path);
+    ASSERT_GT(torn.size(), intact.size()) << io_error;
+    EXPECT_TRUE(std::equal(intact.begin(), intact.end(), torn.begin()));
+    ckpt::Chain back;
+    ASSERT_EQ(ckpt::load_chain(path, 42, ckpt::Provider::kExplore, &back),
+              ckpt::LoadStatus::kOk);
+    EXPECT_EQ(back.deltas.size(), 1u);
+
+    ASSERT_TRUE(chain.save_base(make_snapshot(42)));
+    ASSERT_TRUE(chain.save_delta_link(link));
+    EXPECT_EQ(read_file(path), intact) << io_error;
+  }
+}
+
+TEST(CkptDeltaChain, ResumedRunStartsAFreshChainWithABase) {
+  // A resumed run never appends to the chain it loaded: its first save is a
+  // new base renamed over the old chain, so every writer appends only to a
+  // file it created itself.
   auto tg = models::make_train_gate(3);
   const auto safe = mutual_exclusion(tg);
-  const std::string path = ckpt_path("chain_v1");
+  const std::string path = ckpt_path("chain_rebase");
   const auto reference = build_delta_chain(tg, safe, path);
+  const auto before = read_file(path);
+  const LogRecord old_base = log_records(before)[0];
 
-  const std::string d1 = ckpt::delta_path(path, 1);
-  auto bytes = read_file(d1);
-  ASSERT_EQ(bytes[kDeltaVersionOffset], ckpt::kDeltaFormatVersion);
-  bytes[kDeltaVersionOffset] = 1;
-  reseal_delta_header(&bytes);
-  write_file(d1, bytes);
+  mc::ReachOptions opts;
+  opts.checkpoint.path = path;
+  opts.checkpoint.interval = 20;
+  opts.limits.max_states = reference.stats.states_stored * 3 / 4;
+  const auto second = mc::check_invariant(tg.system, safe, opts);
+  EXPECT_TRUE(second.resume.resumed);
+  EXPECT_TRUE(second.resume.saved);
 
-  ckpt::Chain chain;
-  EXPECT_EQ(ckpt::load_chain(path, le_u64_at(read_file(path), 16),
-                             ckpt::Provider::kExplore, &chain),
-            ckpt::LoadStatus::kBadVersion);
+  const auto after = read_file(path);
+  const LogRecord new_base = log_records(after)[0];
+  const auto record_bytes = [](const std::vector<std::uint8_t>& b,
+                               const LogRecord& r) {
+    const auto from = b.begin() + static_cast<std::ptrdiff_t>(r.at);
+    return std::vector<std::uint8_t>(
+        from, from + static_cast<std::ptrdiff_t>(kLogFrameSize + r.size));
+  };
+  EXPECT_NE(record_bytes(after, new_base), record_bytes(before, old_base));
+  expect_resume(tg, safe, path, reference, ckpt::LoadStatus::kOk,
+                "resume of the resumed run's chain");
+}
 
-  mc::ReachOptions full;
-  full.checkpoint.path = path;
-  const auto r = mc::check_invariant(tg.system, safe, full);
-  EXPECT_EQ(r.resume.load, ckpt::LoadStatus::kBadVersion);
-  EXPECT_FALSE(r.resume.resumed);
-  EXPECT_TRUE(r.holds());
-  expect_same_stats(r.stats, reference.stats, "fresh after a v1 delta");
+TEST(CkptDeltaChain, OldLayoutOrOtherVersionIsRefusedAndTheRunStartsFresh) {
+  // A checkpoint of the older per-file layout — a base file with its own
+  // magic, plus one ".dN" file per delta — is not a record log: the loader
+  // refuses it as kBadMagic, with or without a delta file beside it. A log
+  // of another format version is refused as kBadVersion. Either way the
+  // run starts fresh.
+  auto tg = models::make_train_gate(3);
+  const auto safe = mutual_exclusion(tg);
+  const std::string path = ckpt_path("old_layout");
+  const auto reference = build_delta_chain(tg, safe, path);
+  const auto pristine = read_file(path);
+
+  auto other_version = pristine;
+  put_le32(&other_version, 8, ckpt::kFormatVersion + 1);
+  put_le32(&other_version, 12, ckpt::crc32(other_version.data(), 12));
+  write_file(path, other_version);
+  expect_resume(tg, safe, path, reference, ckpt::LoadStatus::kBadVersion,
+                "another format version");
+
+  // The older base header: magic, format 1, provider, fingerprint, section
+  // count, header CRC; then one section frame with its own CRC.
+  const char old_base_magic[8] = {'Q', 'C', 'K', 'P', 'T', '1', '\r', '\n'};
+  const char old_delta_magic[8] = {'Q', 'C', 'K', 'P', 'D', '1', '\r', '\n'};
+  RefBytes old_base;
+  for (char c : old_base_magic) old_base.u8(static_cast<std::uint8_t>(c));
+  old_base.u32(1);
+  old_base.u32(static_cast<std::uint32_t>(ckpt::Provider::kExplore));
+  old_base.u64(file_fingerprint(path));
+  old_base.u32(1);
+  old_base.u32(ckpt::crc32(old_base.bytes.data(), old_base.bytes.size()));
+  old_base.u32(ckpt::kSecSearchStats);
+  old_base.u64(16);
+  old_base.u32(ckpt::crc32(std::vector<std::uint8_t>(16).data(), 16));
+  for (int i = 0; i < 16; ++i) old_base.u8(0);
+  RefBytes old_delta;
+  for (char c : old_delta_magic) old_delta.u8(static_cast<std::uint8_t>(c));
+  old_delta.u32(2);
+
+  write_file(path, old_base.bytes);
+  expect_resume(tg, safe, path, reference, ckpt::LoadStatus::kBadMagic,
+                "old-layout base");
+  write_file(path, old_base.bytes);
+  write_file(path + ".d1", old_delta.bytes);
+  expect_resume(tg, safe, path, reference, ckpt::LoadStatus::kBadMagic,
+                "old-layout base and delta");
+  fs::remove(path + ".d1");
 }
 
 TEST(CkptDeltaChain, FaultDuringDeltaApplyStartsFresh) {
@@ -1301,17 +1500,9 @@ TEST(CkptDeltaChain, FaultDuringDeltaApplyStartsFresh) {
 
   // An I/O failure while reading a delta (injected at ckpt.delta.apply)
   // poisons the chain exactly like corruption: fresh start, correct result.
-  mc::ReachOptions full;
-  full.checkpoint.path = path;
-  mc::InvariantResult r;
-  {
-    ScopedFault fault("ckpt.delta.apply", common::FaultKind::kException, 1);
-    r = mc::check_invariant(tg.system, safe, full);
-  }
-  EXPECT_EQ(r.resume.load, ckpt::LoadStatus::kIoError);
-  EXPECT_FALSE(r.resume.resumed);
-  EXPECT_TRUE(r.holds());
-  expect_same_stats(r.stats, reference.stats, "fresh after apply fault");
+  ScopedFault fault("ckpt.delta.apply", common::FaultKind::kException, 1);
+  expect_resume(tg, safe, path, reference, ckpt::LoadStatus::kIoError,
+                "fresh after apply fault");
 }
 
 // ---- QUANTA_CKPT_INTERVAL --------------------------------------------------
@@ -2195,8 +2386,7 @@ void expect_chain_store_bytes_match(const std::string& path,
                                     ckpt::Provider provider, Read read_state,
                                     Ref ref, const char* what) {
   ckpt::Chain chain;
-  ASSERT_EQ(ckpt::load_chain(path, le_u64_at(read_file(path), 16), provider,
-                             &chain),
+  ASSERT_EQ(ckpt::load_chain(path, file_fingerprint(path), provider, &chain),
             ckpt::LoadStatus::kOk)
       << what;
   ASSERT_FALSE(chain.deltas.empty()) << what << ": no delta was written";
@@ -2314,46 +2504,17 @@ TEST(CkptStoreEncoding, EngineChainsMatchTheMaterializingReference) {
 
 // ---- loader fuzzing --------------------------------------------------------
 //
-// Seeded, deterministic mutation fuzzing of load / load_chain. The corpus is
-// a valid train-gate chain (base + deltas); each case rewrites the chain's
-// files with one mutation — truncation, bit flips, splices, lies in the
-// size and count fields, missing links — and loads it. The invariant: the
-// load returns a non-kOk status, or the chain it returns is a prefix of the
-// pristine chain (every prefix resumes to the reference, pinned below), or
-// the engine resumed from it still reaches the reference result. Never a
-// crash, a hang or a runaway allocation (the ASan leg runs this suite).
+// Seeded, deterministic mutation fuzzing of load_chain. The corpus is a
+// valid train-gate chain (one log: base + deltas); each case rewrites the
+// file with one mutation — truncation, bit flips, spliced, moved, swapped
+// or dropped records, lies in the length and size fields — and loads it.
+// The invariant: the load returns a non-kOk status, or the chain it returns
+// is a prefix of the pristine chain (every prefix resumes to the reference,
+// pinned below), or the engine resumed from it still reaches the reference
+// result. Never a crash, a hang or a runaway allocation (the ASan leg runs
+// this suite).
 
 using Bytes = std::vector<std::uint8_t>;
-
-/// QCKPT1 header: section count u32 @24, header crc32 @28 (over [0, 28)).
-constexpr std::size_t kBaseCountOffset = 24;
-constexpr std::size_t kBaseCrcOffset = 28;
-constexpr std::size_t kBaseHeaderSize = 32;
-/// QCKPD1 header: section count u32 @36 (kDeltaCrcOffset = 40).
-constexpr std::size_t kDeltaCountOffset = 36;
-constexpr std::size_t kDeltaHeaderSize = 44;
-constexpr std::size_t kFrameSize = 16;
-
-void put_le32(Bytes* b, std::size_t at, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    (*b)[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
-  }
-}
-
-void put_le64(Bytes* b, std::size_t at, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    (*b)[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
-  }
-}
-
-bool same_sections(const std::vector<ckpt::Section>& a,
-                   const std::vector<ckpt::Section>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].id != b[i].id || a[i].payload != b[i].payload) return false;
-  }
-  return true;
-}
 
 class ChainFuzzer {
  public:
@@ -2362,52 +2523,62 @@ class ChainFuzzer {
         safe_(mutual_exclusion(tg_)),
         path_(ckpt_path(name)) {
     reference_ = build_delta_chain(tg_, safe_, path_);
-    pristine_files_.push_back(read_file(path_));
-    for (std::uint32_t seq = 1; fs::exists(ckpt::delta_path(path_, seq));
-         ++seq) {
-      pristine_files_.push_back(read_file(ckpt::delta_path(path_, seq)));
-    }
-    fingerprint_ = le_u64_at(pristine_files_[0], 16);
+    pristine_file_ = read_file(path_);
+    disk_ = pristine_file_;
+    records_ = log_records(pristine_file_);
+    fingerprint_ = file_fingerprint(path_);
     EXPECT_EQ(ckpt::load_chain(path_, fingerprint_, ckpt::Provider::kExplore,
                                &pristine_),
               ckpt::LoadStatus::kOk);
     EXPECT_GE(pristine_.deltas.size(), 3u);
-    // One spare slot past the tip, for splices that append a link.
-    disk_.assign(pristine_files_.size() + 1, std::nullopt);
-    for (std::size_t i = 0; i < pristine_files_.size(); ++i) {
-      disk_[i] = pristine_files_[i];
-    }
   }
 
-  std::size_t links() const { return pristine_files_.size(); }
-  const Bytes& file(std::size_t slot) const { return pristine_files_[slot]; }
+  const Bytes& file() const { return pristine_file_; }
+  const std::vector<LogRecord>& records() const { return records_; }
   std::mt19937_64& rng() { return rng_; }
   std::size_t pick(std::size_t n) { return static_cast<std::size_t>(rng_() % n); }
 
-  /// The offsets of every section frame of a pristine file.
-  std::vector<std::size_t> frames(std::size_t slot) const {
-    const Bytes& b = pristine_files_[slot];
-    std::size_t at = slot == 0 ? kBaseHeaderSize : kDeltaHeaderSize;
+  /// The bytes of record `k` (frame included).
+  Bytes record(std::size_t k) const {
+    const auto from =
+        pristine_file_.begin() + static_cast<std::ptrdiff_t>(records_[k].at);
+    return {from, from + static_cast<std::ptrdiff_t>(kLogFrameSize +
+                                                     records_[k].size)};
+  }
+
+  /// The log header followed by the given records.
+  Bytes assemble(const std::vector<Bytes>& recs) const {
+    Bytes b(pristine_file_.begin(),
+            pristine_file_.begin() + static_cast<std::ptrdiff_t>(kLogHeaderSize));
+    for (const Bytes& r : recs) b.insert(b.end(), r.begin(), r.end());
+    return b;
+  }
+
+  /// The offsets (in the file) of every section frame of record `k`.
+  std::vector<std::size_t> sections(std::size_t k) const {
+    std::size_t at = records_[k].at + kLogFrameSize + kRecordHeaderSize;
+    const std::size_t end = records_[k].at + kLogFrameSize + records_[k].size;
     std::vector<std::size_t> out;
-    while (at + kFrameSize <= b.size()) {
+    while (at + 12 <= end) {
       out.push_back(at);
-      at += kFrameSize + static_cast<std::size_t>(le_u64_at(b, at + 4));
+      at += 12 + static_cast<std::size_t>(le_u64_at(pristine_file_, at + 4));
     }
     return out;
   }
 
-  /// Installs `files` (slot 0 = base, slot k = delta k, nullopt = absent),
-  /// loads the chain and checks the invariant.
-  void run(const std::vector<std::optional<Bytes>>& files,
-           const std::string& what) {
-    for (std::size_t slot = 0; slot < disk_.size(); ++slot) {
-      install(slot, slot < files.size() ? files[slot] : std::nullopt);
+  /// Installs `bytes` at the chain path, loads it and checks the
+  /// invariant. Returns the number of links loaded, or nullopt when the
+  /// load refused the file.
+  std::optional<std::size_t> run(const Bytes& bytes, const std::string& what) {
+    if (disk_ != bytes) {
+      write_file(path_, bytes);
+      disk_ = bytes;
     }
     ckpt::Chain chain;
     const ckpt::LoadStatus st = ckpt::load_chain(
         path_, fingerprint_, ckpt::Provider::kExplore, &chain);
     ++cases_;
-    if (st != ckpt::LoadStatus::kOk) return;
+    if (st != ckpt::LoadStatus::kOk) return std::nullopt;
     ++loaded_;
     bool prefix = chain.deltas.size() <= pristine_.deltas.size() &&
                   same_sections(chain.base.sections, pristine_.base.sections);
@@ -2415,22 +2586,18 @@ class ChainFuzzer {
       prefix = same_sections(chain.deltas[k].sections,
                              pristine_.deltas[k].sections);
     }
-    if (prefix) return;
-    // A chain the CRCs cannot tell from a valid one (a flipped section id
-    // sits outside every CRC): resuming from it must still give the
-    // reference answer.
-    ++replayed_;
-    mc::ReachOptions full;
-    full.checkpoint.path = path_;
-    const auto r = mc::check_invariant(tg_.system, safe_, full);
-    EXPECT_TRUE(r.holds()) << what;
-    expect_same_stats(r.stats, reference_.stats, what.c_str());
-    for (auto& d : disk_) d = Bytes{0xFF};  // unknown: rewrite next case
-  }
-
-  /// Every case starts from the pristine chain.
-  std::vector<std::optional<Bytes>> pristine_case() const {
-    return {pristine_files_.begin(), pristine_files_.end()};
+    if (!prefix) {
+      // A chain the CRCs cannot tell from a valid one: resuming from it
+      // must still give the reference answer.
+      ++replayed_;
+      mc::ReachOptions full;
+      full.checkpoint.path = path_;
+      const auto r = mc::check_invariant(tg_.system, safe_, full);
+      EXPECT_TRUE(r.holds()) << what;
+      expect_same_stats(r.stats, reference_.stats, what.c_str());
+      disk_.clear();  // unknown: rewrite next case
+    }
+    return 1 + chain.deltas.size();
   }
 
   std::size_t cases() const { return cases_; }
@@ -2442,27 +2609,15 @@ class ChainFuzzer {
   const mc::StatePredicate& safe() const { return safe_; }
 
  private:
-  void install(std::size_t slot, const std::optional<Bytes>& b) {
-    if (disk_[slot] == b) return;
-    const std::string p = slot == 0 ? path_
-                                    : ckpt::delta_path(
-                                          path_, static_cast<std::uint32_t>(slot));
-    if (b) {
-      write_file(p, *b);
-    } else {
-      fs::remove(p);
-    }
-    disk_[slot] = b;
-  }
-
   models::TrainGate tg_;
   mc::StatePredicate safe_;
   std::string path_;
   mc::InvariantResult reference_;
-  std::vector<Bytes> pristine_files_;
+  Bytes pristine_file_;
+  std::vector<LogRecord> records_;
   std::uint64_t fingerprint_ = 0;
   ckpt::Chain pristine_;
-  std::vector<std::optional<Bytes>> disk_;
+  Bytes disk_;
   std::mt19937_64 rng_{0x5EED0F0CCull};
   std::size_t cases_ = 0;
   std::size_t loaded_ = 0;
@@ -2472,135 +2627,151 @@ class ChainFuzzer {
 constexpr int kFuzzCases = 5000;
 
 TEST(CkptFuzz, EveryChainPrefixResumesToTheReference) {
+  // Each prefix of the chain, whole or with the next record torn midway
+  // (a SIGKILL mid-append), loads exactly its complete records and resumes
+  // bit-identically.
   ChainFuzzer fz("fuzz_prefix");
-  for (std::size_t keep = 1; keep <= fz.links(); ++keep) {
-    auto files = fz.pristine_case();
-    files.resize(keep);
-    fz.run(files, "prefix");
-    mc::ReachOptions full;
-    full.checkpoint.path = fz.path();
-    const auto r = mc::check_invariant(fz.model().system, fz.safe(), full);
-    EXPECT_TRUE(r.resume.resumed) << keep << " links";
-    EXPECT_TRUE(r.holds());
-    expect_same_stats(r.stats, fz.reference().stats, "prefix resume");
-    // The resumed run rewrote the chain; start the next prefix from scratch.
-    fz.run({}, "reset");
+  const auto& recs = fz.records();
+  for (std::size_t keep = 1; keep <= recs.size(); ++keep) {
+    const std::size_t end = recs[keep - 1].at + kLogFrameSize + recs[keep - 1].size;
+    for (const bool torn : {false, true}) {
+      if (torn && keep == recs.size()) continue;
+      const std::size_t cut =
+          torn ? end + (kLogFrameSize + recs[keep].size) / 2 : end;
+      const Bytes file(fz.file().begin(),
+                       fz.file().begin() + static_cast<std::ptrdiff_t>(cut));
+      EXPECT_EQ(fz.run(file, "prefix"), keep) << keep << " links";
+      mc::ReachOptions full;
+      full.checkpoint.path = fz.path();
+      const auto r = mc::check_invariant(fz.model().system, fz.safe(), full);
+      EXPECT_TRUE(r.resume.resumed) << keep << " links";
+      EXPECT_TRUE(r.holds());
+      expect_same_stats(r.stats, fz.reference().stats, "prefix resume");
+    }
   }
 }
 
-TEST(CkptFuzz, TruncatedFilesNeverLoad) {
+TEST(CkptFuzz, TruncatedFilesLoadOnlyAPrefix) {
   ChainFuzzer fz("fuzz_truncate");
+  const auto& recs = fz.records();
   for (int i = 0; i < kFuzzCases; ++i) {
-    auto files = fz.pristine_case();
-    const std::size_t slot = fz.pick(fz.links());
-    const std::size_t size = fz.file(slot).size();
-    // Half the cuts land in the header and first frame, where the size and
-    // count fields are read.
-    const std::size_t cut = i % 2 == 0 ? fz.pick(std::min<std::size_t>(size, 64))
-                                       : fz.pick(size);
-    files[slot]->resize(cut);
-    fz.run(files, "truncate slot " + std::to_string(slot) + " at " +
-                      std::to_string(cut));
+    const std::size_t size = fz.file().size();
+    // Half the cuts land in the log header and the base record's header,
+    // where the magic, version and link fields are read.
+    const std::size_t cut = i % 2 == 0 ? fz.pick(64) : fz.pick(size);
+    const Bytes file(fz.file().begin(),
+                     fz.file().begin() + static_cast<std::ptrdiff_t>(cut));
+    std::size_t complete = 0;
+    while (complete < recs.size() &&
+           recs[complete].at + kLogFrameSize + recs[complete].size <= cut) {
+      ++complete;
+    }
+    const auto links = fz.run(file, "truncate at " + std::to_string(cut));
+    // Exactly the complete records load; without a complete base, nothing.
+    EXPECT_EQ(links, complete == 0 ? std::nullopt
+                                   : std::optional<std::size_t>(complete))
+        << "cut at " << cut;
   }
   EXPECT_EQ(fz.cases(), static_cast<std::size_t>(kFuzzCases));
-  EXPECT_EQ(fz.loaded(), 0u) << "a truncated link loaded";
+  EXPECT_EQ(fz.replayed(), 0u);
 }
 
 TEST(CkptFuzz, BitFlipsLoadOnlyHarmlessly) {
   ChainFuzzer fz("fuzz_flip");
   for (int i = 0; i < kFuzzCases; ++i) {
-    auto files = fz.pristine_case();
-    const std::size_t slot = fz.pick(fz.links());
-    Bytes& b = *files[slot];
+    Bytes b = fz.file();
     const int flips = 1 + static_cast<int>(fz.pick(4));
     for (int f = 0; f < flips; ++f) {
-      // Every third flip aims at the header and first frame.
-      const std::size_t at = f % 3 == 0 ? fz.pick(std::min<std::size_t>(b.size(), 64))
-                                        : fz.pick(b.size());
+      // Every third flip aims at the frame, record header and first
+      // section frame of a record, where the length and link fields live.
+      const LogRecord& r = fz.records()[fz.pick(fz.records().size())];
+      const std::size_t at =
+          f % 3 == 0 ? r.at + fz.pick(kLogFrameSize + kRecordHeaderSize + 12)
+                     : fz.pick(b.size());
       b[at] ^= static_cast<std::uint8_t>(1u << fz.pick(8));
     }
-    fz.run(files, "flip slot " + std::to_string(slot));
+    fz.run(b, "flip case " + std::to_string(i));
   }
   EXPECT_EQ(fz.cases(), static_cast<std::size_t>(kFuzzCases));
+  // The record CRC covers every byte a flip can land on that a scan reads
+  // as record content: nothing but a prefix ever loads.
+  EXPECT_EQ(fz.replayed(), 0u);
 }
 
 TEST(CkptFuzz, SplicedAndMissingLinksLoadOnlyAPrefix) {
   ChainFuzzer fz("fuzz_splice");
+  const std::size_t n = fz.records().size();
   for (int i = 0; i < kFuzzCases; ++i) {
-    auto files = fz.pristine_case();
-    files.resize(fz.links() + 1);
-    const std::size_t a = fz.pick(fz.links());
-    const std::size_t b = fz.pick(fz.links());
+    std::vector<Bytes> recs;
+    for (std::size_t k = 0; k < n; ++k) recs.push_back(fz.record(k));
+    const std::size_t a = fz.pick(n);
+    const std::size_t b = fz.pick(n);
+    Bytes file;
     std::string what;
     switch (i % 4) {
-      case 0: {  // head of one file, tail of another
-        const Bytes& x = fz.file(a);
-        const Bytes& y = fz.file(b);
-        Bytes spliced(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(fz.pick(x.size() + 1)));
-        spliced.insert(spliced.end(),
-                       y.begin() + static_cast<std::ptrdiff_t>(fz.pick(y.size() + 1)),
-                       y.end());
-        files[a] = std::move(spliced);
+      case 0: {  // the head of the file up to one byte, the tail from another
+        const Bytes& x = fz.file();
+        file.assign(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(
+                                               fz.pick(x.size() + 1)));
+        file.insert(file.end(),
+                    x.begin() + static_cast<std::ptrdiff_t>(fz.pick(x.size() + 1)),
+                    x.end());
         what = "splice";
         break;
       }
-      case 1:  // a link moved to another position, or past the tip
-        files[i % 8 == 1 ? fz.links() : a] = fz.file(b);
+      case 1:  // a record copied over another position, or past the tip
+        if (i % 8 == 1) {
+          recs.push_back(recs[b]);
+        } else {
+          recs[a] = recs[b];
+        }
         what = "move";
         break;
-      case 2:  // two links swapped
-        std::swap(files[a], files[b]);
+      case 2:  // two records swapped
+        std::swap(recs[a], recs[b]);
         what = "swap";
         break;
-      default:  // a link missing
-        files[a].reset();
+      default:  // a record missing
+        recs.erase(recs.begin() + static_cast<std::ptrdiff_t>(a));
         what = "drop";
         break;
     }
-    fz.run(files, what + " " + std::to_string(a) + "/" + std::to_string(b));
+    if (file.empty()) file = fz.assemble(recs);
+    fz.run(file, what + " " + std::to_string(a) + "/" + std::to_string(b));
   }
   EXPECT_EQ(fz.cases(), static_cast<std::size_t>(kFuzzCases));
   EXPECT_GT(fz.loaded(), 0u) << "no case produced a loadable prefix";
+  EXPECT_EQ(fz.replayed(), 0u) << "a reordered chain loaded";
 }
 
 TEST(CkptFuzz, LyingSizeAndCountFieldsLoadOnlyHarmlessly) {
+  // The format has two size fields: the frame's record length (u32) and
+  // each section's payload size (u64). Section-size lies get the record CRC
+  // re-sealed, so they reach the section parser.
   ChainFuzzer fz("fuzz_lie");
   const std::uint64_t lies[] = {0, 1, 2, 0x7FFFFFFFull, 0xFFFFFFFFull,
                                 0x100000000ull, 0x7FFFFFFFFFFFFFFFull,
                                 0xFFFFFFFFFFFFFFFFull};
   for (int i = 0; i < kFuzzCases; ++i) {
-    auto files = fz.pristine_case();
-    const std::size_t slot = fz.pick(fz.links());
-    Bytes& b = *files[slot];
-    const std::uint64_t lie = i % 3 == 0 ? fz.rng()() : lies[fz.pick(std::size(lies))];
+    Bytes b = fz.file();
+    const std::size_t k = fz.pick(fz.records().size());
+    const LogRecord& rec = fz.records()[k];
+    const std::uint64_t lie =
+        i % 3 == 0 ? fz.rng()() : lies[fz.pick(std::size(lies))];
     std::string what;
     if (i % 2 == 0) {
-      // Section count, with the header CRC resealed so the lie reaches the
-      // frame parser.
-      const std::uint32_t count = static_cast<std::uint32_t>(lie);
-      if (slot == 0) {
-        if (static_cast<std::uint32_t>(le_u64_at(b, kBaseCountOffset)) ==
-            count) {
-          continue;
-        }
-        put_le32(&b, kBaseCountOffset, count);
-        put_le32(&b, kBaseCrcOffset, ckpt::crc32(b.data(), kBaseCrcOffset));
-      } else {
-        put_le32(&b, kDeltaCountOffset, count);
-        reseal_delta_header(&b);
-      }
-      // A count below the real one still parses: the shortened link's chain
-      // id no longer matches its successor, or, at the tip, the missing
-      // sections make the engine refuse the resume.
-      what = "count";
+      if (rec.size == static_cast<std::uint32_t>(lie)) continue;
+      put_le32(&b, rec.at, static_cast<std::uint32_t>(lie));
+      what = "length";
     } else {
-      const std::vector<std::size_t> at = fz.frames(slot);
+      const std::vector<std::size_t> at = fz.sections(k);
       const std::size_t frame = at[fz.pick(at.size())];
       if (le_u64_at(b, frame + 4) == lie) continue;
       put_le64(&b, frame + 4, lie);
+      reseal_record(&b, rec);
       what = "size";
     }
-    fz.run(files, what + " lie in slot " + std::to_string(slot));
+    fz.run(b, what + " lie in record " + std::to_string(k));
   }
   EXPECT_GT(fz.cases(), static_cast<std::size_t>(kFuzzCases) * 9 / 10);
 }
@@ -2645,7 +2816,7 @@ TEST(RecordLogTest, AppendScanRoundTripAcrossReopen) {
   }
   std::vector<std::vector<std::uint8_t>> records;
   const auto stats = ckpt::scan_log(path, kTestLog, &records);
-  EXPECT_FALSE(stats.fresh);
+  EXPECT_EQ(stats.fresh, ckpt::LogFresh::kNo);
   EXPECT_FALSE(stats.torn_tail);
   EXPECT_EQ(stats.dropped, 0u);
   ASSERT_EQ(stats.records, 3u);
@@ -2656,7 +2827,7 @@ TEST(RecordLogTest, AppendScanRoundTripAcrossReopen) {
 
 TEST(RecordLogTest, MissingFileScansFresh) {
   const auto stats = ckpt::scan_log(log_file("missing"), kTestLog, nullptr);
-  EXPECT_TRUE(stats.fresh);
+  EXPECT_EQ(stats.fresh, ckpt::LogFresh::kNoFile);
   EXPECT_EQ(stats.note, "no log file");
   EXPECT_EQ(stats.records, 0u);
 }
@@ -2679,7 +2850,7 @@ TEST(RecordLogTest, BitFlippedRecordIsSkippedAlone) {
 
   std::vector<std::vector<std::uint8_t>> records;
   const auto stats = ckpt::scan_log(path, kTestLog, &records);
-  EXPECT_FALSE(stats.fresh);
+  EXPECT_EQ(stats.fresh, ckpt::LogFresh::kNo);
   EXPECT_FALSE(stats.torn_tail);
   EXPECT_EQ(stats.dropped, 1u);
   ASSERT_EQ(stats.records, 2u);  // neighbours undamaged
@@ -2708,7 +2879,7 @@ TEST(RecordLogTest, TornTailDiscardsOnlyThePartialRecord) {
     std::vector<std::vector<std::uint8_t>> records;
     const auto stats = ckpt::scan_log(path, kTestLog, &records);
     EXPECT_TRUE(stats.torn_tail) << "cut at " << cut;
-    EXPECT_FALSE(stats.fresh);
+    EXPECT_EQ(stats.fresh, ckpt::LogFresh::kNo);
     ASSERT_EQ(stats.records, 2u) << "cut at " << cut;
     EXPECT_EQ(records[0], rec("alpha"));
     EXPECT_EQ(records[1], rec("beta"));
@@ -2725,7 +2896,8 @@ TEST(RecordLogTest, ImplausibleLengthEndsTheScanAsTorn) {
     ASSERT_TRUE(log.append(rec("beta")));
   }
   // Scribble 0xFFFFFFFF over the second record's length field (offset
-  // 16 + 13): a frame this absurd cannot be resynchronized past.
+  // 16 + 13): a length reaching past the end of the file cannot be
+  // resynchronized past, and drives no allocation.
   auto bytes = read_file(path);
   for (std::size_t i = 0; i < 4; ++i) bytes[29 + i] = 0xFF;
   write_file(path, bytes);
@@ -2751,7 +2923,7 @@ TEST(RecordLogTest, ForeignMagicOrVersionStartsFresh) {
   bad[0] ^= 0xFF;
   write_file(path, bad);
   auto stats = ckpt::scan_log(path, kTestLog, nullptr);
-  EXPECT_TRUE(stats.fresh);
+  EXPECT_EQ(stats.fresh, ckpt::LogFresh::kBadMagic);
   EXPECT_EQ(stats.note, "bad magic");
 
   // Version byte patched without re-sealing the header CRC: the CRC check
@@ -2760,14 +2932,14 @@ TEST(RecordLogTest, ForeignMagicOrVersionStartsFresh) {
   bad[8] ^= 0x01;
   write_file(path, bad);
   stats = ckpt::scan_log(path, kTestLog, nullptr);
-  EXPECT_TRUE(stats.fresh);
+  EXPECT_EQ(stats.fresh, ckpt::LogFresh::kBadMagic);
   EXPECT_EQ(stats.note, "header CRC mismatch");
 
   // A genuinely newer format version (header re-sealed): still fresh — old
   // code must not guess at a future layout.
   write_file(path, pristine);
   stats = ckpt::scan_log(path, ckpt::LogFormat{"QTEST1\r\n", 2}, nullptr);
-  EXPECT_TRUE(stats.fresh);
+  EXPECT_EQ(stats.fresh, ckpt::LogFresh::kBadVersion);
   EXPECT_EQ(stats.note, "format version mismatch");
 
   // Truncated header.
@@ -2775,7 +2947,7 @@ TEST(RecordLogTest, ForeignMagicOrVersionStartsFresh) {
   bad.resize(7);
   write_file(path, bad);
   stats = ckpt::scan_log(path, kTestLog, nullptr);
-  EXPECT_TRUE(stats.fresh);
+  EXPECT_EQ(stats.fresh, ckpt::LogFresh::kBadMagic);
   EXPECT_EQ(stats.note, "short header");
 }
 
@@ -2816,9 +2988,31 @@ TEST(RecordLogTest, OpenOverADamagedHeaderRecreatesTheFile) {
   ASSERT_TRUE(log.append(rec("alpha")));
   std::vector<std::vector<std::uint8_t>> records;
   const auto stats = ckpt::scan_log(path, kTestLog, &records);
-  EXPECT_FALSE(stats.fresh);
+  EXPECT_EQ(stats.fresh, ckpt::LogFresh::kNo);
   ASSERT_EQ(stats.records, 1u);
   EXPECT_EQ(records[0], rec("alpha"));
+}
+
+TEST(RecordLogTest, RecordOverFourGiBFailsCleanly) {
+  // A record must fit the u32 length field. Both write paths refuse a
+  // larger one before writing a byte (the parts alias one small buffer, so
+  // nothing near 4 GiB is allocated); the file keeps its records and the
+  // log is closed.
+  const std::string path = log_file("too_big");
+  const std::vector<std::uint8_t> chunk(std::size_t{1} << 20, 0x5A);
+  const std::vector<std::span<const std::uint8_t>> parts(4097, chunk);
+  const ckpt::RecordParts huge(parts);
+
+  ckpt::RecordLog log;
+  ASSERT_TRUE(log.rewrite(path, kTestLog, {}, nullptr));
+  ASSERT_TRUE(log.append(rec("alpha")));
+  const auto before = read_file(path);
+  EXPECT_FALSE(log.append(huge));
+  EXPECT_FALSE(log.is_open());
+  EXPECT_FALSE(log.rewrite(path, kTestLog, {&huge, 1}, nullptr));
+  EXPECT_FALSE(log.is_open());
+  EXPECT_EQ(read_file(path), before);
+  EXPECT_TRUE(temp_files(path).empty());
 }
 
 }  // namespace

@@ -696,10 +696,7 @@ TEST(FaultInjection, EnvSpecDegradesGracefully) {
   // link and an apply fault must degrade the load to a fresh start — either
   // way both runs stay sound.
   const std::string ckpt_path = ::testing::TempDir() + "env_spec_fault.qckpt";
-  std::remove(ckpt_path.c_str());
-  for (std::uint32_t seq = 1; seq <= 256; ++seq) {
-    std::remove(ckpt::delta_path(ckpt_path, seq).c_str());
-  }
+  ckpt::remove_chain(ckpt_path);
   mc::ReachOptions copts;
   copts.record_trace = false;
   copts.limits.budget = Budget::deadline_after(std::chrono::hours(24));
@@ -709,10 +706,7 @@ TEST(FaultInjection, EnvSpecDegradesGracefully) {
   expect_consistent(c1.verdict, c1.stop());
   auto c2 = mc::reachable(tg.system, never(), copts);
   expect_consistent(c2.verdict, c2.stop());
-  std::remove(ckpt_path.c_str());
-  for (std::uint32_t seq = 1; seq <= 256; ++seq) {
-    std::remove(ckpt::delta_path(ckpt_path, seq).c_str());
-  }
+  ckpt::remove_chain(ckpt_path);
 
   EXPECT_TRUE(FaultInjector::instance().fired())
       << "spec " << kEnvFaultSpec << " never fired; site unreachable?";

@@ -33,8 +33,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1501,32 +1503,38 @@ TEST(CheckpointGc, ExpiresOrphanChainsAndSparesLiveOnes) {
   ASSERT_NE(::mkdtemp(tmpl), nullptr);
   const std::string dir = tmpl;
 
-  // An orphan chain, wholly old: base + delta + torn temp file.
-  for (const char* name : {"job-mc-aaaa.qckpt", "job-mc-aaaa.qckpt.d1",
-                           "job-mc-aaaa.qckpt.tmp.4242.0"}) {
+  // A chain is one log plus its writers' temps. An orphan chain, wholly
+  // old: the log and a killed writer's temp.
+  for (const char* name :
+       {"job-mc-aaaa.qckpt", "job-mc-aaaa.qckpt.tmp.4242.0"}) {
     touch_file(dir + "/" + name);
     age_file(dir + "/" + name, 1000);
   }
-  // A live chain: the base is old but its newest delta is fresh — an
-  // actively resumed job must not lose its history out from under it.
+  // A live chain: every append refreshes its log, so it stays however old
+  // its base is; an old temp of a writer killed beside it still expires.
   touch_file(dir + "/job-mc-bbbb.qckpt");
-  age_file(dir + "/job-mc-bbbb.qckpt", 1000);
-  touch_file(dir + "/job-mc-bbbb.qckpt.d1");
-  // A fresh chain and an unrelated file.
+  touch_file(dir + "/job-mc-bbbb.qckpt.tmp.4243.0");
+  age_file(dir + "/job-mc-bbbb.qckpt.tmp.4243.0", 1000);
+  // Old-layout leftovers (one ".dN" file per delta) expire by TTL too.
+  for (const char* name : {"job-mc-dddd.qckpt.d1", "job-mc-dddd.qckpt.d2"}) {
+    touch_file(dir + "/" + name);
+    age_file(dir + "/" + name, 1000);
+  }
+  // A fresh chain, and an old unrelated file GC must not touch.
   touch_file(dir + "/job-smc-cccc.qckpt");
   touch_file(dir + "/unrelated.txt");
+  age_file(dir + "/unrelated.txt", 1000);
 
-  EXPECT_EQ(gc_checkpoints(dir, 500), 3u);
-  EXPECT_EQ(count_job_files(dir), 3);  // bbbb base+delta, cccc base
+  EXPECT_EQ(gc_checkpoints(dir, 500), 5u);
+  EXPECT_EQ(count_job_files(dir), 2);  // the bbbb and cccc logs
   // Idempotent: nothing left to expire.
   EXPECT_EQ(gc_checkpoints(dir, 500), 0u);
 
   for (const char* name :
-       {"job-mc-bbbb.qckpt", "job-mc-bbbb.qckpt.d1", "job-smc-cccc.qckpt",
-        "unrelated.txt"}) {
-    std::remove((dir + "/" + name).c_str());
+       {"job-mc-bbbb.qckpt", "job-smc-cccc.qckpt", "unrelated.txt"}) {
+    EXPECT_EQ(std::remove((dir + "/" + name).c_str()), 0) << name;
   }
-  ::rmdir(dir.c_str());
+  EXPECT_EQ(::rmdir(dir.c_str()), 0);
 }
 
 TEST_F(ServerTest, StartupSweepExpiresOrphansAndCompletionRemovesChain) {
@@ -2131,6 +2139,177 @@ TEST(ResultCacheTest, PersistWriteFaultDegradesToMemoryOnly) {
   cache.insert(2, "key-2", rich_response());
   EXPECT_TRUE(cache.lookup(2, "key-2", &out));
   EXPECT_EQ(cache.stats().persist_failures, 1u);
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Record-log scanner fuzzing: journal replay and cache-segment reload
+// ---------------------------------------------------------------------------
+//
+// Seeded, deterministic mutation of valid QJRNL1 and QCSEG1 files —
+// truncation, bit flips, spliced records and lies in length fields — fed
+// to Journal::replay and ResultCache::enable_persistence. Every case must
+// degrade cleanly: no crash or hang, and nothing replayed that differs
+// from what was written.
+
+namespace {
+
+constexpr int kScanFuzzCases = 20000;
+
+/// Offsets of the record frames of a log file: a 16-byte header, then per
+/// record [len u32][crc u32][payload].
+std::vector<std::size_t> frame_offsets(const std::vector<std::uint8_t>& b) {
+  std::vector<std::size_t> out;
+  std::size_t at = 16;
+  while (at + 8 <= b.size()) {
+    out.push_back(at);
+    std::uint32_t len = 0;
+    for (int k = 0; k < 4; ++k) {
+      len |= static_cast<std::uint32_t>(b[at + static_cast<std::size_t>(k)])
+             << (8 * k);
+    }
+    at += 8 + len;
+  }
+  return out;
+}
+
+/// Case `i` of the mutation schedule over `pristine`.
+std::vector<std::uint8_t> mutate(const std::vector<std::uint8_t>& pristine,
+                                 const std::vector<std::size_t>& frames,
+                                 std::mt19937_64& rng, int i) {
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  std::vector<std::uint8_t> b = pristine;
+  switch (i % 4) {
+    case 0:  // truncated anywhere
+      b.resize(pick(b.size()));
+      break;
+    case 1: {  // one to four bit flips
+      const std::size_t flips = 1 + pick(4);
+      for (std::size_t f = 0; f < flips; ++f) {
+        b[pick(b.size())] ^= static_cast<std::uint8_t>(1u << pick(8));
+      }
+      break;
+    }
+    case 2: {  // the head up to one byte, the tail from another
+      const std::size_t head = pick(b.size() + 1);
+      const std::size_t tail = pick(b.size() + 1);
+      b.resize(head);
+      b.insert(b.end(), pristine.begin() + static_cast<std::ptrdiff_t>(tail),
+               pristine.end());
+      break;
+    }
+    default: {  // a lie in one record's length field
+      const std::uint32_t lies[] = {0, 1, 7, 0x7FFFFFFFu, 0xFFFFFFFFu};
+      const std::uint32_t lie = i % 3 == 0 ? static_cast<std::uint32_t>(rng())
+                                           : lies[pick(std::size(lies))];
+      const std::size_t at = frames[pick(frames.size())];
+      for (int k = 0; k < 4; ++k) {
+        b[at + static_cast<std::size_t>(k)] =
+            static_cast<std::uint8_t>(lie >> (8 * k));
+      }
+      break;
+    }
+  }
+  return b;
+}
+
+}  // namespace
+
+TEST(RecordLogFuzz, JournalReplayReplaysOnlyWrittenRecords) {
+  const std::string path = journal_path("fuzz");
+  std::map<std::uint64_t, std::string> requests;
+  std::map<std::uint64_t, std::string> answers;
+  std::set<std::uint64_t> quarantined;
+  std::uint64_t appends = 0;
+  {
+    Journal j;
+    std::string error;
+    ASSERT_TRUE(j.open(path, JournalReplay{}, &error)) << error;
+    for (std::uint64_t t = 1; t <= 12; ++t) {
+      requests[t] = R"({"engine":"mc","model":"train-gate-)" +
+                    std::to_string(t) + "\"}";
+      j.admit(t, 0xF00 + t, requests[t]);
+      j.start(t, 0xF00 + t);
+      if (t % 3 == 0) {
+        j.quarantine(0xF00 + t);
+        quarantined.insert(0xF00 + t);
+      }
+      if (t % 4 != 0) {
+        answers[t] = R"({"status":"ok","explored":)" + std::to_string(t) + "}";
+        j.complete(t, 0xF00 + t, answers[t]);
+      }
+    }
+    ASSERT_EQ(j.append_failures(), 0u);
+    appends = j.appends();
+  }
+  const auto pristine = slurp(path);
+  const auto frames = frame_offsets(pristine);
+  ASSERT_EQ(frames.size(), appends);
+
+  std::mt19937_64 rng(0x10C5CA11ull);
+  std::size_t replayed = 0;
+  for (int i = 0; i < kScanFuzzCases; ++i) {
+    spew(path, mutate(pristine, frames, rng, i));
+    const JournalReplay r = Journal::replay(path);
+    for (const PendingJob& job : r.pending) {
+      ASSERT_EQ(requests.count(job.ticket), 1u) << "case " << i;
+      EXPECT_EQ(job.request_json, requests[job.ticket]) << "case " << i;
+      EXPECT_EQ(job.fingerprint, 0xF00 + job.ticket) << "case " << i;
+    }
+    for (const auto& [ticket, json] : r.answers) {
+      ASSERT_EQ(answers.count(ticket), 1u) << "case " << i;
+      EXPECT_EQ(json, answers[ticket]) << "case " << i;
+    }
+    for (std::uint64_t fp : r.quarantined) {
+      EXPECT_EQ(quarantined.count(fp), 1u) << "case " << i;
+    }
+    EXPECT_LE(r.next_ticket, 13u) << "case " << i;
+    replayed += r.pending.size() + r.answers.size();
+  }
+  EXPECT_GT(replayed, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(RecordLogFuzz, CacheSegmentReloadsOnlyWrittenEntries) {
+  const std::string path = segment_path("fuzz");
+  constexpr std::uint64_t kEntries = 10;
+  std::vector<std::string> written;
+  {
+    ResultCache cache(1 << 20);
+    std::string error;
+    ASSERT_TRUE(cache.enable_persistence(path, &error)) << error;
+    for (std::uint64_t k = 0; k < kEntries; ++k) {
+      Response r = rich_response();
+      r.explored = 100 + k;
+      cache.insert(k, "key-" + std::to_string(k), r);
+      written.push_back(to_wire(r).to_json());
+    }
+  }
+  const auto pristine = slurp(path);
+  const auto frames = frame_offsets(pristine);
+  ASSERT_EQ(frames.size(), kEntries);
+
+  std::mt19937_64 rng(0x5E6F0221ull);
+  std::size_t reloaded = 0;
+  for (int i = 0; i < kScanFuzzCases; ++i) {
+    spew(path, mutate(pristine, frames, rng, i));
+    ResultCache back(1 << 20);
+    std::string error;
+    ASSERT_TRUE(back.enable_persistence(path, &error)) << error;
+    std::size_t hits = 0;
+    for (std::uint64_t k = 0; k < kEntries; ++k) {
+      Response out;
+      if (!back.lookup(k, "key-" + std::to_string(k), &out)) continue;
+      ++hits;
+      EXPECT_EQ(to_wire(out).to_json(), written[k]) << "case " << i;
+    }
+    // Nothing reloaded under a key that was never written.
+    EXPECT_EQ(back.stats().entries, hits) << "case " << i;
+    reloaded += hits;
+  }
+  EXPECT_GT(reloaded, 0u);
   std::remove(path.c_str());
 }
 
