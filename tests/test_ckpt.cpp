@@ -2502,6 +2502,128 @@ TEST(CkptStoreEncoding, EngineChainsMatchTheMaterializingReference) {
   }
 }
 
+/// content_hash64 of every byte of the file at `path`.
+std::uint64_t file_hash(const std::string& path) {
+  const std::vector<std::uint8_t> b = read_file(path);
+  return ckpt::content_hash64(b.data(), b.size());
+}
+
+TEST(CkptChainBytes, EngineChainFilesMatchPinnedHashes) {
+  // Whole chain files — record headers, every section, base and deltas —
+  // of the four store engines, each run with a fixed interval and stopped
+  // at a fixed fault point. The hashes were taken from the per-engine
+  // checkpoint code before the engines moved onto the shared store-chain
+  // driver: a change here is a change of the checkpoint format.
+  auto tg = models::make_train_gate(3);
+  auto has_deltas = [](const std::string& path) {
+    return log_records(read_file(path)).size() >= 2;
+  };
+  auto run_reach = [&](const char* name, core::SearchOrder order) {
+    const std::string path = ckpt_path(name);
+    mc::ReachOptions opts;
+    opts.order = order;
+    opts.checkpoint.path = path;
+    opts.checkpoint.interval = 20;
+    opts.limits.budget = common::Budget::deadline_after(std::chrono::hours(1));
+    ScopedFault fault("core.state_store.intern", common::FaultKind::kDeadline,
+                      300);
+    EXPECT_TRUE(mc::check_invariant(tg.system, mutual_exclusion(tg), opts)
+                    .resume.saved)
+        << name;
+    EXPECT_TRUE(has_deltas(path)) << name;
+    return file_hash(path);
+  };
+  EXPECT_EQ(run_reach("pin_reach_bfs", core::SearchOrder::kBfs),
+            8624973988906394483u);
+  EXPECT_EQ(run_reach("pin_reach_dfs", core::SearchOrder::kDfs),
+            18108708451403470043u);
+
+  // Leads-to: a truncated build, and a complete one whose last record is
+  // the whole-graph snapshot (no pending entry).
+  const auto phi = mc::loc_pred(tg.system, "Train(0)", "Appr");
+  const auto psi = mc::loc_pred(tg.system, "Train(0)", "Cross");
+  for (const std::uint64_t after : {std::uint64_t{200}, std::uint64_t{0}}) {
+    const std::string path = ckpt_path("pin_live_" + std::to_string(after));
+    mc::ReachOptions opts;
+    opts.checkpoint.path = path;
+    opts.checkpoint.interval = 30;
+    opts.limits.budget = common::Budget::deadline_after(std::chrono::hours(1));
+    std::optional<ScopedFault> fault;
+    if (after != 0) {
+      fault.emplace("core.state_store.intern", common::FaultKind::kDeadline,
+                    after);
+    }
+    EXPECT_TRUE(mc::check_leads_to(tg.system, phi, psi, opts).resume.saved);
+    EXPECT_TRUE(has_deltas(path)) << after;
+    EXPECT_EQ(file_hash(path),
+              after != 0 ? 4524652973446648103u : 11635399183246062767u)
+        << after;
+  }
+
+  // TIGA: a build stopped mid-graph, and a solve stopped in the attractor
+  // fixpoint after two sweeps, whose chain holds build deltas followed by
+  // fixpoint-phase records.
+  auto game_tg = models::make_train_game(
+      {.num_trains = 2, .first_train_approaching = true});
+  core::SearchLimits limits;
+  limits.budget = common::Budget::deadline_after(std::chrono::hours(1));
+  for (const char* site : {"core.state_store.intern", "game.tiga.sweep"}) {
+    const bool build = site[0] == 'c';
+    const std::string path =
+        ckpt_path(build ? "pin_game_build" : "pin_game_fixpoint");
+    ckpt::Options ck;
+    ck.path = path;
+    ck.interval = 25;
+    ScopedFault fault(site, common::FaultKind::kDeadline, build ? 200 : 3);
+    EXPECT_TRUE(game::TimedGame(game_tg.system, limits, ck)
+                    .solve_reachability(train0_crosses(game_tg))
+                    .resume.saved)
+        << site;
+    EXPECT_TRUE(has_deltas(path)) << site;
+    EXPECT_EQ(file_hash(path),
+              build ? 10657966982053426047u : 14096523756166942835u)
+        << site;
+    if (!build) {
+      ckpt::Chain chain;
+      ASSERT_EQ(ckpt::load_chain(path, file_fingerprint(path),
+                                 ckpt::Provider::kGame, &chain),
+                ckpt::LoadStatus::kOk);
+      ASSERT_GE(chain.deltas.size(), 2u);
+      EXPECT_NE(chain.deltas.back().find(5), nullptr)  // kSecGameFixpoint
+          << "no fixpoint-phase record";
+      EXPECT_EQ(chain.deltas.front().find(5), nullptr)
+          << "no build-phase delta";
+    }
+  }
+
+  // CORA: priority worklist, relaxations journalled by dirty id.
+  {
+    auto cora_tg = models::make_train_gate(2);
+    cora::PriceModel prices(cora_tg.system);
+    for (int t : cora_tg.trains) {
+      prices.set_location_rate(
+          t, cora_tg.system.process(t).location_index("Appr"), 1);
+    }
+    const int cross =
+        cora_tg.system.process(cora_tg.trains[0]).location_index("Cross");
+    const std::string path = ckpt_path("pin_cora");
+    cora::MinCostOptions opts;
+    opts.checkpoint.path = path;
+    opts.checkpoint.interval = 25;
+    opts.limits.budget = common::Budget::deadline_after(std::chrono::hours(1));
+    ScopedFault fault("core.state_store.intern", common::FaultKind::kDeadline,
+                      200);
+    EXPECT_TRUE(cora::min_cost_reachability(
+                    cora_tg.system, prices,
+                    common::loc_index_pred<ta::DigitalState>(
+                        cora_tg.trains[0], cross),
+                    opts)
+                    .resume.saved);
+    EXPECT_TRUE(has_deltas(path));
+    EXPECT_EQ(file_hash(path), 6745833347985073774u);
+  }
+}
+
 // ---- loader fuzzing --------------------------------------------------------
 //
 // Seeded, deterministic mutation fuzzing of load_chain. The corpus is a
