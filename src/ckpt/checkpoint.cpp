@@ -32,7 +32,8 @@ std::uint64_t Options::effective_interval() const {
   return interval;
 }
 
-const Section* Snapshot::find(std::uint32_t id) const {
+const Section* find_section(const std::vector<Section>& sections,
+                            std::uint32_t id) {
   for (const Section& s : sections) {
     if (s.id == id) return &s;
   }

@@ -69,6 +69,10 @@ struct Section {
   std::vector<std::uint8_t> payload;
 };
 
+/// The first section with id `id`, or nullptr.
+const Section* find_section(const std::vector<Section>& sections,
+                            std::uint32_t id);
+
 struct Snapshot {
   Provider provider = Provider::kExplore;
   std::uint64_t fingerprint = 0;
@@ -78,7 +82,9 @@ struct Snapshot {
     sections.push_back(Section{id, w.take()});
   }
   /// nullptr when the snapshot has no such section.
-  const Section* find(std::uint32_t id) const;
+  const Section* find(std::uint32_t id) const {
+    return find_section(sections, id);
+  }
 };
 
 /// Atomically replaces `path` with a log holding `snap` as its lone base

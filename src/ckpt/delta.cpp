@@ -116,13 +116,6 @@ std::uint64_t content_hash64(const void* data, std::size_t size) {
   return h ^ (h >> 32);
 }
 
-const Section* Delta::find(std::uint32_t id) const {
-  for (const Section& s : sections) {
-    if (s.id == id) return &s;
-  }
-  return nullptr;
-}
-
 LoadStatus load_chain(const std::string& path, std::uint64_t fingerprint,
                       Provider provider, Chain* out) {
   if (path.empty()) return LoadStatus::kNoFile;

@@ -66,7 +66,9 @@ struct Delta {
   std::uint32_t seq = 0;          ///< 1-based position in the chain
   std::vector<Section> sections;
 
-  const Section* find(std::uint32_t id) const;
+  const Section* find(std::uint32_t id) const {
+    return find_section(sections, id);
+  }
 };
 
 /// 64-bit hash of every byte of a range, folded in one little-endian 8-byte

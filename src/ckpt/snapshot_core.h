@@ -1,14 +1,15 @@
-// Snapshot codec for the shared exploration core: serializes a
-// core::StateStore (with covered/tombstone bits), a core::Worklist and the
-// running SearchStats counters into checkpoint sections, and rebuilds them
-// on resume. The store section persists states in insertion order only —
-// StateStore::restore re-derives the hash table deterministically, so the
-// resumed search is bit-identical to the uninterrupted one.
+// Section codecs of the shared exploration core: a core::StateStore (with
+// covered/tombstone bits) and a core::Worklist, whole for a base record and
+// as a diff against the previous save for a delta record. The store section
+// persists states in insertion order only — StateStore::restore re-derives
+// the hash table deterministically, so the resumed search is bit-identical
+// to the uninterrupted one. The driver that writes and replays these
+// sections for the four store engines is StoreChain (ckpt/store_chain.h).
 //
-// Engines plug in a state codec for their state type: a write_state
-// callable that encodes one pooled store record from the store's ZonePool,
-// and a read_state callable that decodes a plain state. ckpt/snapshot_ta.h
-// provides the zone-state and digital-state codecs.
+// States go through the StateCodec of their type: a write that encodes one
+// pooled store record from the store's ZonePool, and a read that decodes a
+// plain state. ckpt/snapshot_ta.h provides the zone-state and digital-state
+// codecs.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +24,8 @@
 
 namespace quanta::ckpt {
 
-/// Section ids of the Provider::kExplore layout. Engine payload (parents,
-/// moves, costs, ...) rides in kSecEnginePayload, opaque to this layer.
+/// Section ids of a store-engine record. Engine payload (parents, moves,
+/// costs, ...) rides in kSecEnginePayload, opaque to this layer.
 inline constexpr std::uint32_t kSecStore = 1;
 inline constexpr std::uint32_t kSecWorklist = 2;
 inline constexpr std::uint32_t kSecSearchStats = 3;
@@ -36,6 +37,12 @@ inline constexpr std::uint32_t kSecEnginePayload = 4;
 /// kSecEnginePayload with an engine-chosen base-count prefix).
 inline constexpr std::uint32_t kSecStoreDelta = 11;
 inline constexpr std::uint32_t kSecWorklistDelta = 12;
+
+/// The state codec of a store's state type: static write(io::Writer&,
+/// const store::ZonePool&, const pooled record&) and read(io::Reader&, S*).
+/// ckpt/snapshot_ta.h specializes it for the zone and digital states.
+template <typename S>
+struct StateCodec;
 
 /// Appends states [first, last) of a pooled store, each encoded straight
 /// from its pooled record: no state is materialized to be saved. The buffer
@@ -97,23 +104,6 @@ bool read_store_vectors(io::Reader& r, bool inclusion, bool tombstone_covered,
   return r.ok();
 }
 
-/// Rebuilds a store snapshotted with write_store. `opts` must match the
-/// serialized options (they are derived from the same engine options that
-/// feed the fingerprint); returns false on any mismatch or malformed data.
-template <typename S, typename Traits, typename ReadState>
-bool read_store(io::Reader& r, typename core::StateStore<S, Traits>::Options opts,
-                ReadState&& read_state, core::StateStore<S, Traits>* out) {
-  std::vector<S> states;
-  std::vector<std::uint8_t> covered;
-  if (!read_store_vectors<S>(r, opts.inclusion, opts.tombstone_covered,
-                             read_state, &states, &covered)) {
-    return false;
-  }
-  *out = core::StateStore<S, Traits>::restore(opts, std::move(states),
-                                              std::move(covered));
-  return true;
-}
-
 /// Store changes since the previous chain link: the states appended beyond
 /// `base_states` and the covered-journal suffix beyond `base_journal`.
 /// States are append-only and covered bits only flip 0 -> 1, so this is a
@@ -163,27 +153,18 @@ bool apply_store_delta(io::Reader& r, ReadState&& read_state,
   return r.ok();
 }
 
-/// Serializes the pending worklist entries. `pending_first` / `pending_last`
-/// re-queue the popped-but-unexpanded entry of an interrupted search at the
-/// position the order pops next (front for BFS, back for DFS; a kPriority
-/// restore adopts the serialized heap array verbatim and sifts a single
-/// trailing pending entry into place, keeping delta chains byte-stable).
-inline void write_worklist(io::Writer& w, const core::Worklist& work,
-                           const core::Worklist::Entry* pending_front,
-                           const core::Worklist::Entry* pending_back) {
-  w.u8(static_cast<std::uint8_t>(work.order()));
-  const std::vector<core::Worklist::Entry> entries = work.snapshot();
-  std::uint64_t count = entries.size();
-  if (pending_front != nullptr) ++count;
-  if (pending_back != nullptr) ++count;
-  w.u64(count);
-  auto put = [&w](const core::Worklist::Entry& e) {
+/// Serializes a worklist's entries in pop order — the caller has already
+/// put an interrupted search's pending entry where the order pops next. A
+/// kPriority restore adopts the heap array verbatim and sifts a single
+/// trailing entry into place, keeping delta chains byte-stable.
+inline void write_worklist(io::Writer& w, core::SearchOrder order,
+                           const std::vector<core::Worklist::Entry>& entries) {
+  w.u8(static_cast<std::uint8_t>(order));
+  w.u64(entries.size());
+  for (const core::Worklist::Entry& e : entries) {
     w.i32(e.id);
     w.i64(e.key);
-  };
-  if (pending_front != nullptr) put(*pending_front);
-  for (const core::Worklist::Entry& e : entries) put(e);
-  if (pending_back != nullptr) put(*pending_back);
+  }
 }
 
 /// Worklist changes since the previous link, as a splice against the
@@ -193,7 +174,7 @@ inline void write_worklist(io::Writer& w, const core::Worklist& work,
 /// the rest", DFS into "keep the untouched prefix", and a priority heap into
 /// a moderate splice; any mismatch just lands in `appended`, so the encoding
 /// is always exact. `prev` and `cur` are the caller-built full entry lists
-/// (pending entry already positioned, per write_worklist).
+/// (pending entry already positioned, as for write_worklist).
 inline void write_worklist_delta(io::Writer& w,
                                  const std::vector<core::Worklist::Entry>& prev,
                                  const std::vector<core::Worklist::Entry>& cur) {
@@ -261,30 +242,6 @@ inline bool read_worklist_entries(io::Reader& r, core::SearchOrder order,
     e.key = r.i64();
     out->push_back(e);
   }
-  return r.ok();
-}
-
-inline bool read_worklist(io::Reader& r, core::Worklist* work) {
-  std::vector<core::Worklist::Entry> entries;
-  if (!read_worklist_entries(r, work->order(), &entries)) return false;
-  work->restore(std::move(entries));
-  return true;
-}
-
-/// The resumable counters of SearchStats. `states_explored` must already
-/// exclude the pending entry's visit (core::CheckpointHook contract);
-/// states_stored is derived from the store and stop/truncated reset to
-/// running on resume.
-inline void write_search_stats(io::Writer& w, std::uint64_t states_explored,
-                               std::uint64_t transitions) {
-  w.u64(states_explored);
-  w.u64(transitions);
-}
-
-inline bool read_search_stats(io::Reader& r, std::uint64_t* states_explored,
-                              std::uint64_t* transitions) {
-  *states_explored = r.u64();
-  *transitions = r.u64();
   return r.ok();
 }
 

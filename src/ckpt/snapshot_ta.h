@@ -15,6 +15,7 @@
 
 #include "ckpt/checkpoint.h"
 #include "ckpt/io.h"
+#include "ckpt/snapshot_core.h"
 #include "dbm/dbm.h"
 #include "store/pool.h"
 #include "ta/digital.h"
@@ -92,6 +93,28 @@ inline bool read_digital_state(io::Reader& r, ta::DigitalState* out) {
   for (std::uint32_t i = 0; i < nc; ++i) out->clocks[i] = r.i32();
   return r.ok();
 }
+
+template <>
+struct StateCodec<ta::SymState> {
+  static void write(io::Writer& w, const store::ZonePool& p,
+                    const core::StateTraits<ta::SymState>::Pooled& st) {
+    write_sym_state(w, p, st);
+  }
+  static bool read(io::Reader& r, ta::SymState* out) {
+    return read_sym_state(r, out);
+  }
+};
+
+template <>
+struct StateCodec<ta::DigitalState> {
+  static void write(io::Writer& w, const store::ZonePool& p,
+                    const core::StateTraits<ta::DigitalState>::Pooled& st) {
+    write_digital_state(w, p, st);
+  }
+  static bool read(io::Reader& r, ta::DigitalState* out) {
+    return read_digital_state(r, out);
+  }
+};
 
 inline void write_move(io::Writer& w, const ta::Move& m) {
   w.u32(static_cast<std::uint32_t>(m.participants.size()));

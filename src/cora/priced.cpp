@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 
-#include "ckpt/delta.h"
-#include "ckpt/snapshot_core.h"
 #include "ckpt/snapshot_ta.h"
+#include "ckpt/store_chain.h"
 #include "core/explore.h"
 #include "core/state_store.h"
 #include "core/worklist.h"
@@ -72,7 +70,7 @@ bool read_str(ckpt::io::Reader& r, std::string* out) {
 /// per-node (best, parent, action) table. Relaxations mutate the table in
 /// place, so deltas carry a dirty-id journal — every node whose entry
 /// changed since the last save — instead of assuming append-only growth.
-class PricedSearch {
+class PricedSearch : ckpt::StorePayload {
  public:
   struct NodeInfo {
     std::int64_t best;
@@ -86,12 +84,8 @@ class PricedSearch {
         prices_(prices),
         goal_(goal),
         opts_(opts),
-        queue_(core::SearchOrder::kPriority) {
-    if (opts_.checkpoint.enabled()) {
-      chain_.emplace(opts_.checkpoint.path, ckpt::Provider::kPriced,
-                     snapshot_fingerprint(), opts_.checkpoint.max_deltas);
-    }
-  }
+        queue_(core::SearchOrder::kPriority),
+        chain_(store_, queue_, *this, opts_.checkpoint) {}
 
   /// The model skeleton, the complete price annotation, the trace switch
   /// (it changes the serialized payload) and the canonical AST of the goal.
@@ -115,212 +109,14 @@ class PricedSearch {
     return fp.digest();
   }
 
-  bool restore_from(const ckpt::Chain& chain) {
-    const ckpt::Section* sec_store = chain.base.find(ckpt::kSecStore);
-    const ckpt::Section* sec_work = chain.base.find(ckpt::kSecWorklist);
-    const ckpt::Section* sec_stats = chain.base.find(ckpt::kSecSearchStats);
-    const ckpt::Section* sec_payload = chain.base.find(ckpt::kSecEnginePayload);
-    if (sec_store == nullptr || sec_work == nullptr || sec_stats == nullptr ||
-        sec_payload == nullptr) {
-      return false;
-    }
-    std::vector<ta::DigitalState> states;
-    std::vector<std::uint8_t> covered;
-    {
-      ckpt::io::Reader r(sec_store->payload);
-      if (!ckpt::read_store_vectors<ta::DigitalState>(
-              r, store_.options().inclusion, store_.options().tombstone_covered,
-              ckpt::read_digital_state, &states, &covered)) {
-        return false;
-      }
-    }
-    std::vector<core::Worklist::Entry> entries;
-    {
-      ckpt::io::Reader r(sec_work->payload);
-      if (!ckpt::read_worklist_entries(r, core::SearchOrder::kPriority,
-                                       &entries)) {
-        return false;
-      }
-    }
-    std::uint64_t explored = 0;
-    std::uint64_t transitions = 0;
-    {
-      ckpt::io::Reader r(sec_stats->payload);
-      if (!ckpt::read_search_stats(r, &explored, &transitions)) return false;
-    }
-    std::vector<NodeInfo> info;
-    {
-      ckpt::io::Reader r(sec_payload->payload);
-      const std::uint64_t n = r.u64();
-      if (!r.ok() || n != states.size() || !r.fits(n, 12)) return false;
-      info.resize(static_cast<std::size_t>(n),
-                  NodeInfo{kInfCost, -1, {}});
-      for (std::uint64_t i = 0; i < n; ++i) {
-        if (!read_info(r, n, &info[static_cast<std::size_t>(i)])) return false;
-      }
-      if (!r.ok()) return false;
-    }
-    std::uint64_t journal_len = 0;
-    for (std::uint8_t c : covered) journal_len += c != 0 ? 1 : 0;
-    for (const ckpt::Delta& d : chain.deltas) {
-      const ckpt::Section* d_store = d.find(ckpt::kSecStoreDelta);
-      const ckpt::Section* d_work = d.find(ckpt::kSecWorklistDelta);
-      const ckpt::Section* d_stats = d.find(ckpt::kSecSearchStats);
-      const ckpt::Section* d_payload = d.find(ckpt::kSecEnginePayload);
-      if (d_store == nullptr || d_work == nullptr || d_stats == nullptr ||
-          d_payload == nullptr) {
-        return false;
-      }
-      {
-        ckpt::io::Reader r(d_store->payload);
-        if (!ckpt::apply_store_delta<ta::DigitalState>(
-                r, ckpt::read_digital_state, &states, &covered, &journal_len)) {
-          return false;
-        }
-      }
-      info.resize(states.size(), NodeInfo{kInfCost, -1, {}});
-      {
-        ckpt::io::Reader r(d_work->payload);
-        if (!ckpt::apply_worklist_delta(r, &entries)) return false;
-      }
-      {
-        ckpt::io::Reader r(d_stats->payload);
-        if (!ckpt::read_search_stats(r, &explored, &transitions)) return false;
-      }
-      {
-        ckpt::io::Reader r(d_payload->payload);
-        const std::uint64_t base_n = r.u64();
-        const std::uint64_t n_dirty = r.u64();
-        if (!r.ok() || base_n > states.size() || !r.fits(n_dirty, 16)) {
-          return false;
-        }
-        for (std::uint64_t k = 0; k < n_dirty; ++k) {
-          const std::int32_t id = r.i32();
-          if (id < 0 || static_cast<std::size_t>(id) >= info.size()) {
-            return false;
-          }
-          if (!read_info(r, info.size(), &info[static_cast<std::size_t>(id)])) {
-            return false;
-          }
-        }
-        if (!r.ok()) return false;
-      }
-    }
-
-    prev_entries_ = entries;
-    store_ = core::StateStore<ta::DigitalState>::restore(
-        store_.options(), std::move(states), std::move(covered));
-    info_ = std::move(info);
-    dirty_flag_.assign(info_.size(), 0);
-    dirty_.clear();
-    queue_.restore(std::move(entries));
-    baseline_explored_ = explored;
-    baseline_transitions_ = transitions;
-    saved_states_ = store_.size();
-    return true;
-  }
-
-  bool save_snapshot(const core::SearchStats& stats,
-                     const core::Worklist::Entry& pending) {
-    if (!chain_.has_value()) return false;
-    // The pending entry re-queues at the BACK: the priority restore adopts
-    // the heap array verbatim and sifts a single trailing entry, which is
-    // exactly where a just-popped minimum re-inserts without reshuffling.
-    std::vector<core::Worklist::Entry> cur = queue_.snapshot();
-    cur.push_back(pending);
-    const std::uint64_t explored =
-        baseline_explored_ + stats.states_explored - 1;
-    const std::uint64_t transitions =
-        baseline_transitions_ + stats.transitions;
-
-    bool ok;
-    if (chain_->want_base()) {
-      ckpt::Snapshot snap;
-      {
-        ckpt::io::Writer w;
-        ckpt::write_store(w, store_, ckpt::write_digital_state);
-        snap.add_section(ckpt::kSecStore, std::move(w));
-      }
-      {
-        ckpt::io::Writer w;
-        ckpt::write_worklist(w, queue_, nullptr, &pending);
-        snap.add_section(ckpt::kSecWorklist, std::move(w));
-      }
-      {
-        ckpt::io::Writer w;
-        ckpt::write_search_stats(w, explored, transitions);
-        snap.add_section(ckpt::kSecSearchStats, std::move(w));
-      }
-      {
-        ckpt::io::Writer w;
-        w.u64(info_.size());
-        for (const NodeInfo& ni : info_) write_info(w, ni);
-        snap.add_section(ckpt::kSecEnginePayload, std::move(w));
-      }
-      ok = chain_->save_base(snap);
-    } else {
-      std::vector<ckpt::Section> secs;
-      {
-        ckpt::io::Writer w;
-        ckpt::write_store_delta(w, store_, saved_states_, /*base_journal=*/0,
-                                ckpt::write_digital_state);
-        secs.push_back(ckpt::Section{ckpt::kSecStoreDelta, w.take()});
-      }
-      {
-        ckpt::io::Writer w;
-        ckpt::write_worklist_delta(w, prev_entries_, cur);
-        secs.push_back(ckpt::Section{ckpt::kSecWorklistDelta, w.take()});
-      }
-      {
-        ckpt::io::Writer w;
-        ckpt::write_search_stats(w, explored, transitions);
-        secs.push_back(ckpt::Section{ckpt::kSecSearchStats, w.take()});
-      }
-      {
-        ckpt::io::Writer w;
-        w.u64(saved_states_);
-        w.u64(dirty_.size());
-        for (std::int32_t id : dirty_) {
-          w.i32(id);
-          write_info(w, info_[static_cast<std::size_t>(id)]);
-        }
-        secs.push_back(ckpt::Section{ckpt::kSecEnginePayload, w.take()});
-      }
-      ok = chain_->save_delta_link(secs);
-    }
-    if (ok) {
-      saved_states_ = store_.size();
-      for (std::int32_t id : dirty_) {
-        dirty_flag_[static_cast<std::size_t>(id)] = 0;
-      }
-      dirty_.clear();
-      prev_entries_ = std::move(cur);
-    }
-    return ok;
-  }
-
-  MinCostResult run(bool resumed, ckpt::ResumeInfo* resume_out) {
+  /// Resumes from the checkpoint chain when there is one, then runs the
+  /// search.
+  MinCostResult run() {
     MinCostResult result;
-    if (resume_out != nullptr) result.resume = *resume_out;
-    if (!resumed) {
+    if (!chain_.start(ckpt::Provider::kPriced, snapshot_fingerprint(),
+                      &result.resume)) {
       std::int32_t init = intern(sem_.initial());
       relax(init, 0, -1, "init");
-    }
-    core::CheckpointHook hook;
-    const core::CheckpointHook* hook_ptr = nullptr;
-    const std::uint64_t interval = opts_.checkpoint.effective_interval();
-    if (chain_.has_value() &&
-        (opts_.checkpoint.save_on_stop || interval != 0)) {
-      hook.interval = interval;
-      hook.sink = [this, &result](const core::SearchStats& s,
-                                  const core::Worklist::Entry& pending) {
-        if (s.stop != common::StopReason::kCompleted &&
-            !opts_.checkpoint.save_on_stop) {
-          return;
-        }
-        if (save_snapshot(s, pending)) result.resume.saved = true;
-      };
-      hook_ptr = &hook;
     }
     std::int32_t goal_node = -1;
     result.stats = core::explore(
@@ -354,10 +150,8 @@ class PricedSearch {
           }
           return taken;
         },
-        opts_.observer, hook_ptr);
-    result.stats.states_explored +=
-        static_cast<std::size_t>(baseline_explored_);
-    result.stats.transitions += static_cast<std::size_t>(baseline_transitions_);
+        opts_.observer, chain_.hook());
+    chain_.add_baseline(result.stats);
     if (goal_node < 0 && !result.stats.truncated) {
       result.verdict = common::Verdict::kViolated;
     }
@@ -372,6 +166,57 @@ class PricedSearch {
   }
 
  private:
+  /// Payload: every node's (best, parent, action) in a base; in a delta,
+  /// the entries of the nodes relaxed since the last save, by id.
+  void encode(ckpt::io::Writer& w, bool base,
+              std::size_t saved_states) const override {
+    if (base) {
+      w.u64(info_.size());
+      for (const NodeInfo& ni : info_) write_info(w, ni);
+      return;
+    }
+    w.u64(saved_states);
+    w.u64(dirty_.size());
+    for (std::int32_t id : dirty_) {
+      w.i32(id);
+      write_info(w, info_[static_cast<std::size_t>(id)]);
+    }
+  }
+
+  bool decode(ckpt::io::Reader& r, bool base, std::size_t states) override {
+    info_.resize(states, NodeInfo{kInfCost, -1, {}});
+    dirty_flag_.resize(states, 0);
+    if (base) {
+      const std::uint64_t n = r.u64();
+      if (!r.ok() || n != states || !r.fits(n, 12)) return false;
+      for (NodeInfo& ni : info_) {
+        if (!read_info(r, states, &ni)) return false;
+      }
+      return r.ok();
+    }
+    const std::uint64_t base_n = r.u64();
+    const std::uint64_t n_dirty = r.u64();
+    if (!r.ok() || base_n > states || !r.fits(n_dirty, 16)) return false;
+    for (std::uint64_t k = 0; k < n_dirty; ++k) {
+      const std::int32_t id = r.i32();
+      if (id < 0 || static_cast<std::size_t>(id) >= states ||
+          !read_info(r, states, &info_[static_cast<std::size_t>(id)])) {
+        return false;
+      }
+    }
+    return r.ok();
+  }
+
+  void mark_saved() override {
+    for (std::int32_t id : dirty_) dirty_flag_[static_cast<std::size_t>(id)] = 0;
+    dirty_.clear();
+  }
+
+  void reset() override {
+    info_.clear();
+    dirty_flag_.clear();
+  }
+
   static void write_info(ckpt::io::Writer& w, const NodeInfo& ni) {
     w.i64(ni.best);
     w.i32(ni.parent);
@@ -427,11 +272,7 @@ class PricedSearch {
   // once — the flag dedups repeat relaxations of the same node).
   std::vector<std::int32_t> dirty_;
   std::vector<char> dirty_flag_;
-  std::uint64_t baseline_explored_ = 0;
-  std::uint64_t baseline_transitions_ = 0;
-  std::optional<ckpt::ChainWriter> chain_;
-  std::size_t saved_states_ = 0;
-  std::vector<core::Worklist::Entry> prev_entries_;
+  ckpt::StoreChain<ta::DigitalState> chain_;
 };
 
 }  // namespace
@@ -443,25 +284,7 @@ MinCostResult min_cost_reachability(const ta::System& sys,
   opts.limits.validate("cora.min_cost_reachability");
   return common::governed(
       [&] {
-        PricedSearch search(sys, prices, goal, opts);
-        ckpt::ResumeInfo resume;
-        bool resumed = false;
-        if (opts.checkpoint.enabled()) {
-          resume.path = opts.checkpoint.path;
-          if (opts.checkpoint.resume) {
-            ckpt::Chain chain;
-            resume.load =
-                ckpt::load_chain(opts.checkpoint.path,
-                                 search.snapshot_fingerprint(),
-                                 ckpt::Provider::kPriced, &chain);
-            if (resume.load == ckpt::LoadStatus::kOk) {
-              resumed = search.restore_from(chain);
-              if (!resumed) resume.load = ckpt::LoadStatus::kCorrupt;
-            }
-            resume.resumed = resumed;
-          }
-        }
-        return search.run(resumed, &resume);
+        return PricedSearch(sys, prices, goal, opts).run();
       },
       [&opts](common::StopReason r) {
         MinCostResult result;

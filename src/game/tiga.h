@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "ckpt/checkpoint.h"
-#include "ckpt/delta.h"
+#include "ckpt/store_chain.h"
 #include "common/pred.h"
 #include "common/verdict.h"
 #include "core/observer.h"
@@ -84,7 +84,7 @@ struct GameResult {
 /// verdict, winning region and strategy. The fingerprint mixes the system,
 /// the objective kind and the canonical AST of the objective predicate, so
 /// a checkpoint never resumes under a structurally different query.
-class TimedGame {
+class TimedGame : ckpt::StorePayload {
  public:
   /// `limits` bounds the game-graph construction (states, deadline, memory,
   /// cancellation); a truncated build yields kUnknown results. The budget is
@@ -123,18 +123,24 @@ class TimedGame {
 
   std::uint64_t solve_fingerprint(std::uint32_t objective,
                                   const GamePredicate& pred) const;
-  bool restore_from(const ckpt::Chain& chain, std::uint32_t objective,
-                    FixpointState* fix);
-  bool save_snapshot(std::uint64_t explored, std::uint64_t transitions,
-                     const core::Worklist::Entry* pending,
-                     std::uint32_t objective, const FixpointState* fix);
-  void build_graph(bool resumed, std::uint32_t objective,
-                   ckpt::ResumeInfo* resume);
-  /// Chain setup + optional resume + (checkpointed) graph build. Returns
-  /// false when the build truncated — the result then already carries the
-  /// kUnknown verdict and stop reason.
+  /// Checkpoint payload: the edge tables of the expanded nodes, all of them
+  /// in a base, those expanded since the last save in a delta. During the
+  /// fixpoint every save also carries fixpoint_section(); the last one
+  /// along the chain wins.
+  void encode(ckpt::io::Writer& w, bool base,
+              std::size_t saved_states) const override;
+  bool decode(ckpt::io::Reader& r, bool base, std::size_t states) override;
+  bool decode_extra(const ckpt::Section& sec, std::size_t states) override;
+  void mark_saved() override;
+  void reset() override;
+  ckpt::Section fixpoint_section() const;
+  void save_fixpoint();
+  void build_graph(bool resumed);
+  /// Checkpoint setup + optional resume + (checkpointed) graph build.
+  /// Returns false when the build truncated — the result then already
+  /// carries the kUnknown verdict and stop reason.
   bool prepare(std::uint32_t objective, const GamePredicate& pred,
-               GameResult* result, FixpointState* fix);
+               GameResult* result);
   GameResult solve_reachability_impl(const GamePredicate& goal);
   GameResult solve_safety_impl(const GamePredicate& safe);
 
@@ -151,14 +157,13 @@ class TimedGame {
   /// just the new suffix.
   std::size_t expanded_ = 0;
   bool built_ = false;
-  // Counters carried over from the interrupted run when resuming.
-  std::uint64_t baseline_explored_ = 0;
-  std::uint64_t baseline_transitions_ = 0;
-  // Delta-snapshot bookkeeping (per solve; reset in prepare()).
-  std::optional<ckpt::ChainWriter> chain_;
-  std::size_t saved_states_ = 0;
-  std::size_t saved_expanded_ = 0;
-  std::vector<core::Worklist::Entry> prev_entries_;
+  /// The solve in progress: its objective and fixpoint progress.
+  std::uint32_t objective_ = 0;
+  FixpointState fix_;
+  std::size_t saved_expanded_ = 0;  ///< expanded_ at the last save
+  /// Re-armed by every solve; resumes only before the graph is built.
+  ckpt::StoreChain<ta::DigitalState> chain_{store_, work_, *this,
+                                            checkpoint_};
 };
 
 /// Exhaustively verifies a reachability strategy in closed loop: from the

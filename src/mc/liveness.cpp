@@ -1,10 +1,7 @@
 #include "mc/liveness.h"
 
-#include <optional>
-
-#include "ckpt/delta.h"
-#include "ckpt/snapshot_core.h"
 #include "ckpt/snapshot_ta.h"
+#include "ckpt/store_chain.h"
 #include "core/explore.h"
 #include "core/state_store.h"
 #include "core/worklist.h"
@@ -35,11 +32,14 @@ struct Graph {
 /// suffix). Once the build completes, the whole graph is saved with an
 /// empty worklist: resuming that snapshot skips construction entirely and
 /// the violation search — a pure function of the complete graph — reruns.
-class GraphBuilder {
+class GraphBuilder : ckpt::StorePayload {
  public:
   GraphBuilder(const ta::SymbolicSemantics& sem, const StatePredicate& phi,
                const StatePredicate& psi, const ReachOptions& opts)
-      : sem_(sem), opts_(opts), work_(core::SearchOrder::kDfs) {
+      : sem_(sem),
+        opts_(opts),
+        work_(core::SearchOrder::kDfs),
+        chain_(g_.store, work_, *this, opts_.checkpoint) {
     ckpt::Fingerprint fp;
     fp.mix(0x4C454144u)  // "LEAD"
         .mix(ckpt::fingerprint(sem.system()))
@@ -47,188 +47,16 @@ class GraphBuilder {
         .mix_str(phi.canonical())
         .mix_str(psi.canonical());
     fp_ = fp.digest();
-    if (opts_.checkpoint.enabled()) {
-      chain_.emplace(opts_.checkpoint.path, ckpt::Provider::kLiveness, fp_,
-                     opts_.checkpoint.max_deltas);
-    }
   }
 
-  std::uint64_t fingerprint() const { return fp_; }
   Graph& graph() { return g_; }
 
-  bool restore_from(const ckpt::Chain& chain) {
-    const ckpt::Section* sec_store = chain.base.find(ckpt::kSecStore);
-    const ckpt::Section* sec_work = chain.base.find(ckpt::kSecWorklist);
-    const ckpt::Section* sec_stats = chain.base.find(ckpt::kSecSearchStats);
-    const ckpt::Section* sec_payload = chain.base.find(ckpt::kSecEnginePayload);
-    if (sec_store == nullptr || sec_work == nullptr || sec_stats == nullptr ||
-        sec_payload == nullptr) {
-      return false;
-    }
-    std::vector<ta::SymState> states;
-    std::vector<std::uint8_t> covered;
-    {
-      ckpt::io::Reader r(sec_store->payload);
-      if (!ckpt::read_store_vectors<ta::SymState>(
-              r, g_.store.options().inclusion,
-              g_.store.options().tombstone_covered, ckpt::read_sym_state,
-              &states, &covered)) {
-        return false;
-      }
-    }
-    std::vector<core::Worklist::Entry> entries;
-    {
-      ckpt::io::Reader r(sec_work->payload);
-      if (!ckpt::read_worklist_entries(r, core::SearchOrder::kDfs, &entries)) {
-        return false;
-      }
-    }
-    std::uint64_t explored = 0;
-    std::uint64_t transitions = 0;
-    {
-      ckpt::io::Reader r(sec_stats->payload);
-      if (!ckpt::read_search_stats(r, &explored, &transitions)) return false;
-    }
-    std::vector<std::vector<std::int32_t>> succ(states.size());
-    std::vector<std::int32_t> journal;
-    if (!read_succ_journal(sec_payload->payload, /*delta=*/false, &succ,
-                           &journal)) {
-      return false;
-    }
-
-    std::uint64_t journal_len = 0;
-    for (std::uint8_t c : covered) journal_len += c != 0 ? 1 : 0;
-    for (const ckpt::Delta& d : chain.deltas) {
-      const ckpt::Section* d_store = d.find(ckpt::kSecStoreDelta);
-      const ckpt::Section* d_work = d.find(ckpt::kSecWorklistDelta);
-      const ckpt::Section* d_stats = d.find(ckpt::kSecSearchStats);
-      const ckpt::Section* d_payload = d.find(ckpt::kSecEnginePayload);
-      if (d_store == nullptr || d_work == nullptr || d_stats == nullptr ||
-          d_payload == nullptr) {
-        return false;
-      }
-      {
-        ckpt::io::Reader r(d_store->payload);
-        if (!ckpt::apply_store_delta<ta::SymState>(
-                r, ckpt::read_sym_state, &states, &covered, &journal_len)) {
-          return false;
-        }
-      }
-      succ.resize(states.size());
-      {
-        ckpt::io::Reader r(d_work->payload);
-        if (!ckpt::apply_worklist_delta(r, &entries)) return false;
-      }
-      {
-        ckpt::io::Reader r(d_stats->payload);
-        if (!ckpt::read_search_stats(r, &explored, &transitions)) return false;
-      }
-      if (!read_succ_journal(d_payload->payload, /*delta=*/true, &succ,
-                             &journal)) {
-        return false;
-      }
-    }
-
-    prev_entries_ = entries;
-    g_.store = core::StateStore<ta::SymState>::restore(
-        g_.store.options(), std::move(states), std::move(covered));
-    g_.succ = std::move(succ);
-    expand_journal_ = std::move(journal);
-    work_.restore(std::move(entries));
-    baseline_explored_ = explored;
-    baseline_transitions_ = transitions;
-    saved_states_ = g_.store.size();
-    saved_expanded_ = expand_journal_.size();
-    return true;
-  }
-
-  /// `pending` is the popped-but-unexpanded entry of an interrupted build
-  /// (re-queued at the back, DFS pops next), or nullptr for the complete-
-  /// graph snapshot written after the build finishes.
-  bool save_snapshot(std::uint64_t explored, std::uint64_t transitions,
-                     const core::Worklist::Entry* pending) {
-    if (!chain_.has_value()) return false;
-    std::vector<core::Worklist::Entry> cur = work_.snapshot();
-    if (pending != nullptr) cur.push_back(*pending);
-
-    bool ok;
-    if (chain_->want_base()) {
-      ckpt::Snapshot snap;
-      {
-        ckpt::io::Writer w;
-        ckpt::write_store(w, g_.store, ckpt::write_sym_state);
-        snap.add_section(ckpt::kSecStore, std::move(w));
-      }
-      {
-        ckpt::io::Writer w;
-        ckpt::write_worklist(w, work_, nullptr, pending);
-        snap.add_section(ckpt::kSecWorklist, std::move(w));
-      }
-      {
-        ckpt::io::Writer w;
-        ckpt::write_search_stats(w, explored, transitions);
-        snap.add_section(ckpt::kSecSearchStats, std::move(w));
-      }
-      {
-        ckpt::io::Writer w;
-        write_succ_journal(w, 0);
-        snap.add_section(ckpt::kSecEnginePayload, std::move(w));
-      }
-      ok = chain_->save_base(snap);
-    } else {
-      std::vector<ckpt::Section> secs;
-      {
-        ckpt::io::Writer w;
-        ckpt::write_store_delta(w, g_.store, saved_states_,
-                                /*base_journal=*/0, ckpt::write_sym_state);
-        secs.push_back(ckpt::Section{ckpt::kSecStoreDelta, w.take()});
-      }
-      {
-        ckpt::io::Writer w;
-        ckpt::write_worklist_delta(w, prev_entries_, cur);
-        secs.push_back(ckpt::Section{ckpt::kSecWorklistDelta, w.take()});
-      }
-      {
-        ckpt::io::Writer w;
-        ckpt::write_search_stats(w, explored, transitions);
-        secs.push_back(ckpt::Section{ckpt::kSecSearchStats, w.take()});
-      }
-      {
-        ckpt::io::Writer w;
-        write_succ_journal(w, saved_expanded_);
-        secs.push_back(ckpt::Section{ckpt::kSecEnginePayload, w.take()});
-      }
-      ok = chain_->save_delta_link(secs);
-    }
-    if (ok) {
-      saved_states_ = g_.store.size();
-      saved_expanded_ = expand_journal_.size();
-      prev_entries_ = std::move(cur);
-    }
-    return ok;
-  }
-
-  SearchStats build(bool resumed, ckpt::ResumeInfo* resume) {
+  /// Resumes from the checkpoint chain when there is one, then builds (the
+  /// rest of) the graph.
+  SearchStats build(ckpt::ResumeInfo* resume) {
+    const bool resumed =
+        chain_.start(ckpt::Provider::kLiveness, fp_, resume);
     if (!resumed) intern(sem_.initial());
-    core::CheckpointHook hook;
-    const core::CheckpointHook* hook_ptr = nullptr;
-    const std::uint64_t interval = opts_.checkpoint.effective_interval();
-    if (chain_.has_value() &&
-        (opts_.checkpoint.save_on_stop || interval != 0)) {
-      hook.interval = interval;
-      hook.sink = [this, resume](const SearchStats& s,
-                                 const core::Worklist::Entry& pending) {
-        if (s.stop != common::StopReason::kCompleted &&
-            !opts_.checkpoint.save_on_stop) {
-          return;
-        }
-        const bool ok =
-            save_snapshot(baseline_explored_ + s.states_explored - 1,
-                          baseline_transitions_ + s.transitions, &pending);
-        if (resume != nullptr && ok) resume->saved = true;
-      };
-      hook_ptr = &hook;
-    }
     // Whether this run will actually extend the graph: a resumed complete
     // snapshot (empty worklist) has nothing to add, and re-saving it would
     // only grow the delta chain with empty links.
@@ -247,16 +75,14 @@ class GraphBuilder {
           expand_journal_.push_back(e.id);
           return taken;
         },
-        opts_.observer, hook_ptr);
-    stats.states_explored += static_cast<std::size_t>(baseline_explored_);
-    stats.transitions += static_cast<std::size_t>(baseline_transitions_);
+        opts_.observer, chain_.hook());
+    chain_.add_baseline(stats);
     // Build complete: persist the full graph (empty worklist) so a crash
     // during the violation search resumes straight into it. Skipped when
     // this run itself resumed a complete graph — nothing changed.
-    if (!stats.truncated && chain_.has_value() && interval != 0 && extends) {
-      const bool ok = save_snapshot(stats.states_explored, stats.transitions,
-                                    nullptr);
-      if (resume != nullptr && ok) resume->saved = true;
+    if (!stats.truncated && opts_.checkpoint.effective_interval() != 0 &&
+        extends) {
+      chain_.save(stats.states_explored, stats.transitions, nullptr);
     }
     return stats;
   }
@@ -274,11 +100,11 @@ class GraphBuilder {
     return id;
   }
 
-  /// Successor-journal codec: the expanded nodes from `from` on, in
-  /// expansion order, each with its successor list. The same layout serves
-  /// the base section (from = 0, prefixed with the total node count) and
-  /// the delta suffix (from = last saved position).
-  void write_succ_journal(ckpt::io::Writer& w, std::size_t from) const {
+  /// Payload: the expanded nodes in expansion order, each with its
+  /// successor list — all of them in a base, those expanded since the last
+  /// save in a delta — behind the total node count.
+  void encode(ckpt::io::Writer& w, bool base, std::size_t) const override {
+    const std::size_t from = base ? 0 : saved_expanded_;
     w.u64(g_.store.size());
     w.u64(from);
     w.u64(expand_journal_.size() - from);
@@ -291,38 +117,43 @@ class GraphBuilder {
     }
   }
 
-  static bool read_succ_journal(const std::vector<std::uint8_t>& payload,
-                                bool delta,
-                                std::vector<std::vector<std::int32_t>>* succ,
-                                std::vector<std::int32_t>* journal) {
-    ckpt::io::Reader r(payload);
+  bool decode(ckpt::io::Reader& r, bool base, std::size_t states) override {
+    std::vector<std::vector<std::int32_t>>& succ = g_.succ;
+    succ.resize(states);
     const std::uint64_t n = r.u64();
     const std::uint64_t from = r.u64();
     const std::uint64_t count = r.u64();
-    if (!r.ok() || n != succ->size() || from != journal->size() ||
-        (!delta && from != 0) || !r.fits(count, 8)) {
+    if (!r.ok() || n != succ.size() || from != expand_journal_.size() ||
+        (base && from != 0) || !r.fits(count, 8)) {
       return false;
     }
     for (std::uint64_t i = 0; i < count; ++i) {
       const std::int32_t id = r.i32();
       const std::uint32_t len = r.u32();
-      if (!r.ok() || id < 0 || static_cast<std::size_t>(id) >= succ->size() ||
+      if (!r.ok() || id < 0 || static_cast<std::size_t>(id) >= succ.size() ||
           !r.fits(len, 4)) {
         return false;
       }
-      std::vector<std::int32_t>& next = (*succ)[static_cast<std::size_t>(id)];
+      std::vector<std::int32_t>& next = succ[static_cast<std::size_t>(id)];
       next.clear();
       next.reserve(len);
       for (std::uint32_t k = 0; k < len; ++k) {
         const std::int32_t child = r.i32();
-        if (child < 0 || static_cast<std::size_t>(child) >= succ->size()) {
+        if (child < 0 || static_cast<std::size_t>(child) >= succ.size()) {
           return false;
         }
         next.push_back(child);
       }
-      journal->push_back(id);
+      expand_journal_.push_back(id);
     }
     return r.ok();
+  }
+
+  void mark_saved() override { saved_expanded_ = expand_journal_.size(); }
+
+  void reset() override {
+    g_.succ.clear();
+    expand_journal_.clear();
   }
 
   const ta::SymbolicSemantics& sem_;
@@ -332,12 +163,8 @@ class GraphBuilder {
   std::uint64_t fp_ = 0;
   /// Ids in expansion order; g_.succ[id] is authoritative once id appears.
   std::vector<std::int32_t> expand_journal_;
-  std::uint64_t baseline_explored_ = 0;
-  std::uint64_t baseline_transitions_ = 0;
-  std::optional<ckpt::ChainWriter> chain_;
-  std::size_t saved_states_ = 0;
-  std::size_t saved_expanded_ = 0;
-  std::vector<core::Worklist::Entry> prev_entries_;
+  std::size_t saved_expanded_ = 0;  ///< expand_journal_ size at the last save
+  ckpt::StoreChain<ta::SymState> chain_;
 };
 
 /// Iterative detection of a cycle or dead-end inside the non-psi subgraph
@@ -396,22 +223,7 @@ LeadsToResult check_leads_to(const ta::System& sys, const StatePredicate& phi,
             sys, ta::SymbolicSemantics::Options{opts.extrapolate});
         LeadsToResult result;
         GraphBuilder builder(sem, phi, psi, opts);
-        bool resumed = false;
-        if (opts.checkpoint.enabled()) {
-          result.resume.path = opts.checkpoint.path;
-          if (opts.checkpoint.resume) {
-            ckpt::Chain chain;
-            result.resume.load =
-                ckpt::load_chain(opts.checkpoint.path, builder.fingerprint(),
-                                 ckpt::Provider::kLiveness, &chain);
-            if (result.resume.load == ckpt::LoadStatus::kOk) {
-              resumed = builder.restore_from(chain);
-              if (!resumed) result.resume.load = ckpt::LoadStatus::kCorrupt;
-            }
-            result.resume.resumed = resumed;
-          }
-        }
-        result.stats = builder.build(resumed, &result.resume);
+        result.stats = builder.build(&result.resume);
         if (result.stats.truncated) {
           // Unexpanded frontier states would read as stuck runs; a truncated
           // graph supports no verdict at all.
