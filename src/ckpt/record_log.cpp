@@ -221,45 +221,6 @@ LogScanStats scan_log(const std::string& path, const LogFormat& fmt,
   });
 }
 
-bool rewrite_log(const std::string& path, const LogFormat& fmt,
-                 const std::vector<std::vector<std::uint8_t>>& records,
-                 const char* fault_site) {
-  const std::vector<Bytes> payloads(records.begin(), records.end());
-  std::vector<RecordParts> parts;
-  parts.reserve(payloads.size());
-  for (const Bytes& payload : payloads) parts.emplace_back(&payload, 1);
-  RecordLog log;
-  return log.rewrite(path, fmt, parts, fault_site);
-}
-
-bool RecordLog::open(const std::string& path, const LogFormat& fmt,
-                     std::string* error) {
-  close();
-  // Validate any existing header first: appending records behind a foreign
-  // or torn header would make them unrecoverable on the next scan.
-  std::vector<std::uint8_t> existing;
-  LogFresh why;
-  const bool header_ok =
-      read_file(path, &existing) == ReadFile::kOk &&
-      check_header(existing.data(), existing.size(), fmt, &why) == nullptr;
-  f_ = std::fopen(path.c_str(), header_ok ? "ab" : "wb");
-  if (f_ == nullptr) {
-    if (error != nullptr) *error = "cannot open log " + path;
-    return false;
-  }
-  if (!header_ok) {
-    const Header header = make_header(fmt);
-    if (std::fwrite(header.data(), 1, header.size(), f_) != header.size() ||
-        std::fflush(f_) != 0) {
-      close();
-      if (error != nullptr) *error = "cannot write log header " + path;
-      return false;
-    }
-  }
-  appended_bytes_ = 0;
-  return true;
-}
-
 bool RecordLog::rewrite(const std::string& path, const LogFormat& fmt,
                         std::span<const RecordParts> records,
                         const char* fault_site) {
@@ -294,6 +255,16 @@ bool RecordLog::rewrite(const std::string& path, const LogFormat& fmt,
   f_ = f;
   appended_bytes_ = 0;
   return true;
+}
+
+bool RecordLog::rewrite(const std::string& path, const LogFormat& fmt,
+                        const std::vector<std::vector<std::uint8_t>>& records,
+                        const char* fault_site) {
+  const std::vector<Bytes> payloads(records.begin(), records.end());
+  std::vector<RecordParts> parts;
+  parts.reserve(payloads.size());
+  for (const Bytes& payload : payloads) parts.emplace_back(&payload, 1);
+  return rewrite(path, fmt, parts, fault_site);
 }
 
 void RecordLog::close() {

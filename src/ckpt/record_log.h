@@ -23,7 +23,9 @@
 //     and never fails a boot;
 //   * RecordLog::rewrite (compaction, checkpoint bases) writes a temp file
 //     private to the writer and renames it over the path, so a crash
-//     mid-rewrite leaves the previous log intact.
+//     mid-rewrite leaves the previous log intact; the writer keeps that
+//     file open and appends to it, so a log is never reopened (and never
+//     read back) to be appended to.
 //
 // Appends are fwrite + fflush: they survive process death (SIGKILL) — the
 // bytes are in the kernel — but not power loss; the durability target is
@@ -77,13 +79,6 @@ LogScanStats visit_log(
 LogScanStats scan_log(const std::string& path, const LogFormat& fmt,
                       std::vector<std::vector<std::uint8_t>>* records);
 
-/// Atomically replaces `path` with a fresh header plus `records`
-/// (compaction). False on any I/O failure — the previous file is left
-/// untouched. `fault_site` is visited mid-write (see RecordLog::rewrite).
-bool rewrite_log(const std::string& path, const LogFormat& fmt,
-                 const std::vector<std::vector<std::uint8_t>>& records,
-                 const char* fault_site);
-
 /// Append handle for one open log. Append failures are sticky: a failed
 /// append closes the handle, so no record is ever written behind a
 /// half-written one, and the file keeps its last complete record.
@@ -93,11 +88,6 @@ class RecordLog {
   ~RecordLog() { close(); }
   RecordLog(const RecordLog&) = delete;
   RecordLog& operator=(const RecordLog&) = delete;
-
-  /// Opens `path` for appends, creating it (with a header) when missing.
-  /// A file whose header fails validation is truncated and re-created —
-  /// callers scan first, so nothing recoverable is lost here.
-  bool open(const std::string& path, const LogFormat& fmt, std::string* error);
 
   /// Writes a header plus `records` to a temp file private to this writer
   /// (<path>.tmp.<pid>.<n>, created exclusively), renames it over `path`
@@ -109,6 +99,11 @@ class RecordLog {
   /// there models SIGKILL mid-write).
   bool rewrite(const std::string& path, const LogFormat& fmt,
                std::span<const RecordParts> records, const char* fault_site);
+  /// The same with one whole payload per record (compaction of the journal
+  /// and the cache segment).
+  bool rewrite(const std::string& path, const LogFormat& fmt,
+               const std::vector<std::vector<std::uint8_t>>& records,
+               const char* fault_site);
 
   bool is_open() const { return f_ != nullptr; }
   void close();
@@ -119,8 +114,8 @@ class RecordLog {
   bool append(RecordParts record, const char* fault_site = nullptr);
   bool append(const std::vector<std::uint8_t>& payload);
 
-  /// Bytes appended through this handle since open()/rewrite() — drives
-  /// the callers' amortized compaction triggers.
+  /// Bytes appended through this handle since rewrite() — drives the
+  /// callers' amortized compaction triggers.
   std::uint64_t appended_bytes() const { return appended_bytes_; }
 
  private:

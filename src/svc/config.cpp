@@ -1,7 +1,6 @@
 #include "svc/config.h"
 
 #include <cstdlib>
-#include <cstring>
 #include <thread>
 
 #include "common/env.h"
@@ -47,19 +46,6 @@ std::uint64_t default_ckpt_ttl_s() {
 std::string default_state_dir() {
   const char* s = std::getenv("QUANTAD_STATE_DIR");
   return s != nullptr ? s : "";
-}
-
-bool default_journal() {
-  // Not env_u64: "0" is a meaningful value here. Only an explicit "0"
-  // weakens the posture; a garbled value must never silently drop restart
-  // durability.
-  const char* s = std::getenv("QUANTAD_JOURNAL");
-  return s == nullptr || std::strcmp(s, "0") != 0;
-}
-
-bool default_cache_persist() {
-  const char* s = std::getenv("QUANTAD_CACHE_PERSIST");
-  return s == nullptr || std::strcmp(s, "0") != 0;
 }
 
 }  // namespace quanta::svc

@@ -46,13 +46,4 @@ inline constexpr std::uint64_t kMaxCkptTtlS = 1ull << 30;
 /// amnesiac across restarts exactly like the pre-journal builds.
 std::string default_state_dir();
 
-/// Write-ahead job journaling, effective only with a state dir.
-/// QUANTAD_JOURNAL: "0" disables, anything else keeps the default: on
-/// (a garbled value never weakens the posture).
-bool default_journal();
-
-/// Result-cache spill to disk, effective only with a state dir.
-/// QUANTAD_CACHE_PERSIST: "0" disables, anything else keeps on.
-bool default_cache_persist();
-
 }  // namespace quanta::svc

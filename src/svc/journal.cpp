@@ -139,8 +139,8 @@ bool Journal::open(const std::string& path, const JournalReplay& replayed,
   }
   try {
     common::FaultInjector::site("svc.journal.append");
-    if (!ckpt::rewrite_log(path, kJournalFormat, compacted,
-                           "svc.journal.append")) {
+    if (!log_.rewrite(path, kJournalFormat, compacted,
+                      "svc.journal.append")) {
       if (error != nullptr) *error = "journal compaction failed: " + path;
       return false;
     }
@@ -150,7 +150,6 @@ bool Journal::open(const std::string& path, const JournalReplay& replayed,
     }
     return false;
   }
-  if (!log_.open(path, kJournalFormat, error)) return false;
   healthy_ = true;
   return true;
 }

@@ -117,8 +117,8 @@ bool ResultCache::compact_locked(std::string* error) {
   }
   try {
     common::FaultInjector::site("svc.cache.persist");
-    if (!ckpt::rewrite_log(persist_path_, kSegmentFormat, records,
-                           "svc.cache.persist")) {
+    if (!log_.rewrite(persist_path_, kSegmentFormat, records,
+                      "svc.cache.persist")) {
       if (error != nullptr) {
         *error = "cache segment rewrite failed: " + persist_path_;
       }
@@ -130,7 +130,7 @@ bool ResultCache::compact_locked(std::string* error) {
     }
     return false;
   }
-  return log_.open(persist_path_, kSegmentFormat, error);
+  return true;
 }
 
 void ResultCache::persist_append_locked(const Entry& e) {

@@ -235,47 +235,45 @@ void Server::setup_durable_state() {
                  cfg_.state_dir.c_str(), std::strerror(errno));
     return;
   }
-  if (cfg_.journal) {
-    const std::string path = cfg_.state_dir + "/journal.qjrnl";
-    JournalReplay replay = Journal::replay(path);
-    if (replay.dropped > 0 || replay.torn_tail ||
-        (replay.fresh && replay.note != "no log file")) {
-      std::fprintf(stderr,
-                   "quantad: journal %s degraded (%s, %zu records dropped)\n",
-                   path.c_str(),
-                   replay.note.empty() ? "recovered" : replay.note.c_str(),
-                   replay.dropped);
-    }
-    // Compact-and-reopen before any state moves out of `replay` (open
-    // serializes it back to disk). Failure costs durability, never the boot.
-    auto journal = std::make_unique<Journal>();
-    std::string err;
-    if (journal->open(path, replay, &err)) {
-      std::lock_guard<std::mutex> lock(journal_mu_);
-      journal_ = std::move(journal);
-    } else {
-      std::fprintf(stderr,
-                   "quantad: %s; continuing without journaling\n", err.c_str());
-    }
-    next_ticket_.store(replay.next_ticket, std::memory_order_relaxed);
-    journal_replayed_.store(replay.pending.size(), std::memory_order_relaxed);
-    journal_dropped_.store(replay.dropped, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(journal_mu_);
-      ticket_answers_ = std::move(replay.answers);
-      for (const PendingJob& job : replay.pending) {
-        tickets_pending_.insert(job.ticket);
-      }
-    }
-    supervisor_->restore_quarantine(replay.quarantined);
-    recovery_jobs_ = std::move(replay.pending);
+  const std::string path = cfg_.state_dir + "/journal.qjrnl";
+  JournalReplay replay = Journal::replay(path);
+  if (replay.dropped > 0 || replay.torn_tail ||
+      (replay.fresh && replay.note != "no log file")) {
+    std::fprintf(stderr,
+                 "quantad: journal %s degraded (%s, %zu records dropped)\n",
+                 path.c_str(),
+                 replay.note.empty() ? "recovered" : replay.note.c_str(),
+                 replay.dropped);
   }
-  if (cfg_.cache_persist) {
-    std::string err;
-    if (!cache_->enable_persistence(cfg_.state_dir + "/cache.qcseg", &err)) {
-      std::fprintf(stderr, "quantad: %s; cache stays in-memory-only\n",
-                   err.c_str());
+  // Compact before any state moves out of `replay` (open serializes it
+  // back to disk and appends behind it). Failure costs durability, never
+  // the boot.
+  auto journal = std::make_unique<Journal>();
+  std::string err;
+  if (journal->open(path, replay, &err)) {
+    std::lock_guard<std::mutex> lock(journal_mu_);
+    journal_ = std::move(journal);
+  } else {
+    std::fprintf(stderr,
+                 "quantad: %s; continuing without journaling\n", err.c_str());
+  }
+  next_ticket_.store(replay.next_ticket, std::memory_order_relaxed);
+  journal_replayed_.store(replay.pending.size(), std::memory_order_relaxed);
+  journal_dropped_.store(replay.dropped, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(journal_mu_);
+    ticket_answers_ = std::move(replay.answers);
+    for (const PendingJob& job : replay.pending) {
+      tickets_pending_.insert(job.ticket);
     }
+  }
+  supervisor_->restore_quarantine(replay.quarantined);
+  recovery_jobs_ = std::move(replay.pending);
+  std::string cache_err;
+  if (!cache_->enable_persistence(cfg_.state_dir + "/cache.qcseg",
+                                  &cache_err)) {
+    std::fprintf(stderr, "quantad: %s; cache stays in-memory-only\n",
+                 cache_err.c_str());
   }
 }
 

@@ -90,17 +90,13 @@ struct ServerConfig {
   /// default. Claimed chains are removed as soon as their job completes.
   std::uint64_t ckpt_ttl_s = 0;
   /// Durable-state directory (created if missing): the write-ahead job
-  /// journal and the cache segment live here. Empty = no durability, the
-  /// daemon is amnesiac across restarts. Any failure to set the directory
-  /// or its files up degrades to in-memory-only operation, never a failed
-  /// boot.
+  /// journal (restarts replay incomplete jobs and restore the quarantine
+  /// set and --ticket answers) and the cache segment (restarts reload the
+  /// cache, so post-restart traffic is warm and byte-identical) live here.
+  /// Empty = no durability, the daemon is amnesiac across restarts. Any
+  /// failure to set the directory or its files up degrades to
+  /// in-memory-only operation, never a failed boot.
   std::string state_dir;
-  /// Write-ahead job journaling (needs state_dir): restarts replay
-  /// incomplete jobs and restore the quarantine set and --ticket answers.
-  bool journal = true;
-  /// Result-cache spill to disk (needs state_dir): restarts reload the
-  /// cache, so post-restart traffic is warm and byte-identical.
-  bool cache_persist = true;
 };
 
 /// One TTL sweep over `dir`: removes every "job-*.qckpt*" file (a chain

@@ -2908,6 +2908,8 @@ TEST(CkptFuzz, LyingSizeAndCountFieldsLoadOnlyHarmlessly) {
 // scan_log never fails a boot.
 
 constexpr ckpt::LogFormat kTestLog{"QTEST1\r\n", 1};
+/// A log holding just its header, as rewrite() creates it.
+const std::vector<std::vector<std::uint8_t>> kNoRecords;
 
 std::string log_file(const std::string& name) {
   std::string p = ::testing::TempDir() + "quanta_log_" + name + ".qlog";
@@ -2923,17 +2925,18 @@ TEST(RecordLogTest, AppendScanRoundTripAcrossReopen) {
   const std::string path = log_file("roundtrip");
   {
     ckpt::RecordLog log;
-    std::string error;
-    ASSERT_TRUE(log.open(path, kTestLog, &error)) << error;
+    ASSERT_TRUE(log.rewrite(path, kTestLog, kNoRecords, nullptr));
     EXPECT_TRUE(log.append(rec("alpha")));
     EXPECT_TRUE(log.append(rec("")));  // empty payloads are legal records
     EXPECT_EQ(log.appended_bytes(), (8u + 5u) + 8u);
   }
   {
-    // Re-open appends behind the existing header, never re-writes it.
+    // Re-opening is what the journal and the cache do at boot: scan,
+    // rewrite the records, append behind them.
+    std::vector<std::vector<std::uint8_t>> kept;
+    ASSERT_EQ(ckpt::scan_log(path, kTestLog, &kept).records, 2u);
     ckpt::RecordLog log;
-    std::string error;
-    ASSERT_TRUE(log.open(path, kTestLog, &error)) << error;
+    ASSERT_TRUE(log.rewrite(path, kTestLog, kept, nullptr));
     EXPECT_TRUE(log.append(rec("gamma")));
   }
   std::vector<std::vector<std::uint8_t>> records;
@@ -2958,8 +2961,7 @@ TEST(RecordLogTest, BitFlippedRecordIsSkippedAlone) {
   const std::string path = log_file("bitflip");
   {
     ckpt::RecordLog log;
-    std::string error;
-    ASSERT_TRUE(log.open(path, kTestLog, &error)) << error;
+    ASSERT_TRUE(log.rewrite(path, kTestLog, kNoRecords, nullptr));
     for (const char* s : {"alpha", "beta", "gamma"}) {
       ASSERT_TRUE(log.append(rec(s)));
     }
@@ -2984,8 +2986,7 @@ TEST(RecordLogTest, TornTailDiscardsOnlyThePartialRecord) {
   const std::string path = log_file("torn");
   {
     ckpt::RecordLog log;
-    std::string error;
-    ASSERT_TRUE(log.open(path, kTestLog, &error)) << error;
+    ASSERT_TRUE(log.rewrite(path, kTestLog, kNoRecords, nullptr));
     for (const char* s : {"alpha", "beta", "gamma"}) {
       ASSERT_TRUE(log.append(rec(s)));
     }
@@ -3012,8 +3013,7 @@ TEST(RecordLogTest, ImplausibleLengthEndsTheScanAsTorn) {
   const std::string path = log_file("hugelen");
   {
     ckpt::RecordLog log;
-    std::string error;
-    ASSERT_TRUE(log.open(path, kTestLog, &error)) << error;
+    ASSERT_TRUE(log.rewrite(path, kTestLog, kNoRecords, nullptr));
     ASSERT_TRUE(log.append(rec("alpha")));
     ASSERT_TRUE(log.append(rec("beta")));
   }
@@ -3034,8 +3034,7 @@ TEST(RecordLogTest, ForeignMagicOrVersionStartsFresh) {
   const std::string path = log_file("header");
   {
     ckpt::RecordLog log;
-    std::string error;
-    ASSERT_TRUE(log.open(path, kTestLog, &error)) << error;
+    ASSERT_TRUE(log.rewrite(path, kTestLog, kNoRecords, nullptr));
     ASSERT_TRUE(log.append(rec("alpha")));
   }
   const auto pristine = read_file(path);
@@ -3077,8 +3076,7 @@ TEST(RecordLogTest, RewriteCompactsAtomicallyUnderAFault) {
   const std::string path = log_file("rewrite");
   {
     ckpt::RecordLog log;
-    std::string error;
-    ASSERT_TRUE(log.open(path, kTestLog, &error)) << error;
+    ASSERT_TRUE(log.rewrite(path, kTestLog, kNoRecords, nullptr));
     for (const char* s : {"alpha", "beta", "gamma"}) {
       ASSERT_TRUE(log.append(rec(s)));
     }
@@ -3086,8 +3084,8 @@ TEST(RecordLogTest, RewriteCompactsAtomicallyUnderAFault) {
   // A compaction killed mid-write leaves the previous log intact.
   {
     ScopedFault fault("test.rewrite", common::FaultKind::kException, 1);
-    EXPECT_FALSE(ckpt::rewrite_log(path, kTestLog, {rec("only")},
-                                   "test.rewrite"));
+    EXPECT_FALSE(ckpt::RecordLog().rewrite(path, kTestLog, {rec("only")},
+                                           "test.rewrite"));
   }
   EXPECT_TRUE(temp_files(path).empty());
   std::vector<std::vector<std::uint8_t>> records;
@@ -3095,18 +3093,18 @@ TEST(RecordLogTest, RewriteCompactsAtomicallyUnderAFault) {
 
   // A clean compaction replaces the contents wholesale.
   records.clear();
-  ASSERT_TRUE(ckpt::rewrite_log(path, kTestLog, {rec("only")}, nullptr));
+  ASSERT_TRUE(ckpt::RecordLog().rewrite(path, kTestLog, {rec("only")},
+                                        nullptr));
   const auto stats = ckpt::scan_log(path, kTestLog, &records);
   ASSERT_EQ(stats.records, 1u);
   EXPECT_EQ(records[0], rec("only"));
 }
 
-TEST(RecordLogTest, OpenOverADamagedHeaderRecreatesTheFile) {
+TEST(RecordLogTest, RewriteOverADamagedFileReplacesIt) {
   const std::string path = log_file("recreate");
   write_file(path, rec("not a log at all"));
   ckpt::RecordLog log;
-  std::string error;
-  ASSERT_TRUE(log.open(path, kTestLog, &error)) << error;
+  ASSERT_TRUE(log.rewrite(path, kTestLog, kNoRecords, nullptr));
   ASSERT_TRUE(log.append(rec("alpha")));
   std::vector<std::vector<std::uint8_t>> records;
   const auto stats = ckpt::scan_log(path, kTestLog, &records);
@@ -3126,7 +3124,7 @@ TEST(RecordLogTest, RecordOverFourGiBFailsCleanly) {
   const ckpt::RecordParts huge(parts);
 
   ckpt::RecordLog log;
-  ASSERT_TRUE(log.rewrite(path, kTestLog, {}, nullptr));
+  ASSERT_TRUE(log.rewrite(path, kTestLog, kNoRecords, nullptr));
   ASSERT_TRUE(log.append(rec("alpha")));
   const auto before = read_file(path);
   EXPECT_FALSE(log.append(huge));

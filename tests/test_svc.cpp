@@ -1974,8 +1974,8 @@ TEST(JournalTest, VersionMismatchStartsFresh) {
   ASSERT_EQ(ckpt::scan_log(path, ckpt::LogFormat{"QJRNL1\r\n", 1}, &records)
                 .records,
             8u);
-  ASSERT_TRUE(ckpt::rewrite_log(path, ckpt::LogFormat{"QJRNL1\r\n", 2},
-                                records, nullptr));
+  ASSERT_TRUE(ckpt::RecordLog().rewrite(
+      path, ckpt::LogFormat{"QJRNL1\r\n", 2}, records, nullptr));
   const JournalReplay replay = Journal::replay(path);
   EXPECT_TRUE(replay.fresh);
   EXPECT_EQ(replay.note, "format version mismatch");

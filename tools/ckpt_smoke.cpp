@@ -4,11 +4,12 @@
 // checkpoint file exists, reruns to completion and compares the verdict +
 // statistics against an uninterrupted reference run.
 //
-//   ckpt_smoke [--engine mc|game|cora] [--checkpoint PATH] [--trains N]
+//   ckpt_smoke [--engine mc|live|game|cora] [--checkpoint PATH] [--trains N]
 //              [--interval K] [--throttle-us U] [--no-resume]
 //
 //   --engine E         which engine to drive (default mc):
 //                        mc    train-gate mutual-exclusion invariant
+//                        live  train-gate leads-to (Appr --> Cross of train 0)
 //                        game  train-game reachability synthesis (TIGA)
 //                        cora  train-gate min-cost reachability (CORA)
 //   --checkpoint PATH  checkpoint file ("" disables checkpointing)
@@ -20,8 +21,8 @@
 //
 // Output: "resumed=<0|1> load=<status> verdict=<v> stored=<n> explored=<n>
 // transitions=<n> extra=<n>" on stdout; `extra` is engine-specific (winning
-// states for game, optimal cost for cora, 0 for mc). Exit 0 on a definite
-// verdict, 3 on kUnknown, 1 on usage errors.
+// states for game, optimal cost for cora, 0 for mc and live). Exit 0 on a
+// definite verdict, 3 on kUnknown, 1 on usage errors.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -35,6 +36,7 @@
 #include "core/observer.h"
 #include "cora/priced.h"
 #include "game/tiga.h"
+#include "mc/liveness.h"
 #include "mc/reachability.h"
 #include "models/train_game.h"
 #include "models/train_gate.h"
@@ -136,8 +138,10 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (engine != "mc" && engine != "game" && engine != "cora") {
-    std::fprintf(stderr, "ckpt_smoke: --engine must be mc, game or cora\n");
+  if (engine != "mc" && engine != "live" && engine != "game" &&
+      engine != "cora") {
+    std::fprintf(stderr,
+                 "ckpt_smoke: --engine must be mc, live, game or cora\n");
     return 1;
   }
   if (trains < 2) {
@@ -161,6 +165,16 @@ int main(int argc, char** argv) {
     opts.limits.budget = budget;
     opts.checkpoint = checkpoint;
     const auto r = mc::check_invariant(tg.system, mutual_exclusion(tg), opts);
+    line = {r.resume, r.verdict, r.stats, 0};
+  } else if (engine == "live") {
+    auto tg = models::make_train_gate(trains);
+    mc::ReachOptions opts;
+    opts.observer = &throttle;
+    opts.limits.budget = budget;
+    opts.checkpoint = checkpoint;
+    const auto r = mc::check_leads_to(
+        tg.system, mc::loc_pred(tg.system, "Train(0)", "Appr"),
+        mc::loc_pred(tg.system, "Train(0)", "Cross"), opts);
     line = {r.resume, r.verdict, r.stats, 0};
   } else if (engine == "game") {
     // Reachability objectives need train 0 already approaching (from all-Safe

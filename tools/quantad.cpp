@@ -7,7 +7,7 @@
 //   quantad --socket /tmp/quantad.sock [--tcp-port N] [--ckpt-dir DIR]
 //           [--jobs N] [--queue-depth N] [--cache-mem BYTES]
 //           [--inflight-mem BYTES] [--retries N] [--ckpt-ttl SECONDS]
-//           [--state-dir DIR] [--no-journal] [--no-cache-persist] [--debug]
+//           [--state-dir DIR] [--debug]
 //
 // Sizing defaults come from QUANTAD_JOBS / QUANTAD_QUEUE_DEPTH /
 // QUANTAD_CACHE_MEM (strict whole-positive-decimal parsing; anything
@@ -20,9 +20,7 @@
 // --state-dir DIR (QUANTAD_STATE_DIR) makes the daemon durable: a
 // write-ahead job journal and an on-disk cache segment live there, so a
 // restart reloads the result cache, restores the quarantine set and
-// replays incomplete jobs to completion (README "Restarting quantad");
-// --no-journal / --no-cache-persist (QUANTAD_JOURNAL=0 /
-// QUANTAD_CACHE_PERSIST=0) switch the two halves off individually.
+// replays incomplete jobs to completion (README "Restarting quantad").
 // --debug additionally honors the hold_ms/throttle_us request pacing
 // fields and the fault/crash_signal/rlimit_mb crash drills; production
 // daemons reject them as bad requests.
@@ -50,7 +48,7 @@ int usage(const char* argv0) {
       "usage: %s --socket PATH [--tcp-port N] [--ckpt-dir DIR] [--jobs N]\n"
       "          [--queue-depth N] [--cache-mem BYTES] [--inflight-mem BYTES]\n"
       "          [--retries N] [--ckpt-ttl SECS] [--state-dir DIR]\n"
-      "          [--no-journal] [--no-cache-persist] [--debug]\n",
+      "          [--debug]\n",
       argv0);
   return 1;
 }
@@ -71,8 +69,6 @@ bool parse_u64(const char* s, std::uint64_t* out) {
 int main(int argc, char** argv) {
   quanta::svc::ServerConfig cfg;
   cfg.state_dir = quanta::svc::default_state_dir();
-  cfg.journal = quanta::svc::default_journal();
-  cfg.cache_persist = quanta::svc::default_cache_persist();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -125,10 +121,6 @@ int main(int argc, char** argv) {
       const char* s = next();
       if (s == nullptr) return usage(argv[0]);
       cfg.state_dir = s;
-    } else if (arg == "--no-journal") {
-      cfg.journal = false;
-    } else if (arg == "--no-cache-persist") {
-      cfg.cache_persist = false;
     } else if (arg == "--debug") {
       cfg.enable_debug = true;
     } else {
