@@ -7,7 +7,9 @@
 // almost append-only, so a periodic checkpoint only needs what changed since
 // the last save: the appended store entries, the covered/tombstone bits that
 // flipped, the worklist delta and the engine payload suffix. Those ride in a
-// delta record appended to the file that holds the base.
+// delta record appended to the file that holds the base. The store engines
+// (mc reachability and leads-to, TIGA, CORA) write and replay their chains
+// through one driver, StoreChain (src/ckpt/store_chain.h).
 //
 // File layout (little-endian, DESIGN.md "Checkpoint format"): a RecordLog
 // (src/ckpt/record_log.h) with magic "QCKPC1\r\n" and format version
@@ -100,10 +102,10 @@ LoadStatus load_chain(const std::string& path, std::uint64_t fingerprint,
 /// (now unlinked) file. Used when a resume token is claimed to completion.
 void remove_chain(const std::string& path);
 
-/// Append/compact policy shared by the delta-snapshotting providers. One
-/// ChainWriter lives for the duration of an engine run; the engine asks
-/// want_base() before each periodic save and serializes either a full
-/// snapshot or just the changes since the last successful save.
+/// Append/compact policy of a checkpoint chain. One ChainWriter lives for
+/// the duration of a run; its owner — StoreChain for the store engines —
+/// asks want_base() before each save and serializes either a full snapshot
+/// or just the changes since the last successful save.
 class ChainWriter {
  public:
   ChainWriter(std::string path, Provider provider, std::uint64_t fingerprint,

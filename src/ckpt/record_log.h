@@ -79,7 +79,8 @@ LogScanStats visit_log(
 LogScanStats scan_log(const std::string& path, const LogFormat& fmt,
                       std::vector<std::vector<std::uint8_t>>* records);
 
-/// Append handle for one open log. Append failures are sticky: a failed
+/// Append handle for one log, opened by rewrite(): every log is written
+/// whole once and then appended to. Append failures are sticky: a failed
 /// append closes the handle, so no record is ever written behind a
 /// half-written one, and the file keeps its last complete record.
 class RecordLog {

@@ -56,9 +56,10 @@ class StorePayload {
   /// chain order — on top of what the records before it decoded. `states`
   /// is the store size once this record's store section is applied.
   virtual bool decode(io::Reader& r, bool base, std::size_t states) = 0;
-  /// A section of the record that is not the driver's (a save's `extra`);
-  /// ignored unless the engine writes such sections.
-  virtual bool decode_extra(const Section&, std::size_t /*states*/) {
+  /// Reads what a record holds beyond the driver's sections (a save's
+  /// `extra`); nothing unless the engine writes such sections.
+  virtual bool decode_extra(const std::vector<Section>& /*record*/,
+                            std::size_t /*states*/) {
     return true;
   }
   /// A save was written: the next delta's payload starts from here.
@@ -94,10 +95,8 @@ class StoreChain {
     info_ = info;
     if (!opts_.enabled()) return false;
     info->path = opts_.path;
+    // A new writer's first save is a base, which resets the diff positions.
     writer_.emplace(opts_.path, provider, fingerprint, opts_.max_deltas);
-    saved_states_ = 0;
-    saved_journal_ = 0;
-    prev_entries_.clear();
     if (!opts_.resume || !may_resume) return false;
     Chain chain;
     info->load = load_chain(opts_.path, fingerprint, provider, &chain);
@@ -210,12 +209,6 @@ class StoreChain {
   }
 
  private:
-  static bool driver_section(std::uint32_t id) {
-    return id == kSecStore || id == kSecWorklist || id == kSecSearchStats ||
-           id == kSecEnginePayload || id == kSecStoreDelta ||
-           id == kSecWorklistDelta;
-  }
-
   /// Replays the chain into raw (states, covered, entries) accumulators
   /// and the payload, then rebuilds the store and the worklist from them.
   bool restore(const Chain& chain) {
@@ -262,13 +255,8 @@ class StoreChain {
       explored = rc.u64();
       transitions = rc.u64();
       io::Reader rp(sec_payload->payload);
-      if (!rc.ok() || !payload_.decode(rp, base, states.size())) return false;
-      for (const Section& s : secs) {
-        if (!driver_section(s.id) && !payload_.decode_extra(s, states.size())) {
-          return false;
-        }
-      }
-      return true;
+      return rc.ok() && payload_.decode(rp, base, states.size()) &&
+             payload_.decode_extra(secs, states.size());
     };
     if (!replay(chain.base.sections, true)) return false;
     for (const Delta& d : chain.deltas) {

@@ -40,10 +40,11 @@ enum class Visit {
 /// floor (bench/bench_budget_overhead.cpp).
 inline constexpr std::size_t kBudgetPollStride = 64;
 
-/// Engine-supplied snapshot hook (src/ckpt). The sink fires when a resource
-/// bound (state limit or Budget) stops the search, and — when `interval` is
-/// non-zero — every `interval` explored states, so even a SIGKILL loses at
-/// most one interval of work. It always fires at the one consistent point
+/// Snapshot hook; the store engines get theirs from ckpt::StoreChain
+/// (src/ckpt/store_chain.h). The sink fires when a resource bound (state
+/// limit or Budget) stops the search, and — when `interval` is non-zero —
+/// every `interval` explored states, so even a SIGKILL loses at most one
+/// interval of work. It always fires at the one consistent point
 /// of the loop: `pending` has been popped and goal-tested but NOT expanded,
 /// and `stats.states_explored` already counts its visit. A resumable
 /// snapshot must therefore re-queue `pending` as the next state to pop and

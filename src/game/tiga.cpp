@@ -111,7 +111,7 @@ bool TimedGame::decode(ckpt::io::Reader& r, bool, std::size_t states) {
   return r.ok();
 }
 
-ckpt::Section TimedGame::fixpoint_section() const {
+void TimedGame::save_fixpoint() {
   ckpt::io::Writer w;
   w.u32(objective_);
   w.u64(fix_.sweeps);
@@ -122,12 +122,15 @@ ckpt::Section TimedGame::fixpoint_section() const {
     w.u8(a.kind == ActionKind::kMove ? 1 : 0);
     ckpt::write_move(w, a.move);
   }
-  return ckpt::Section{kSecGameFixpoint, w.take()};
+  chain_.save(build_stats_.states_explored, build_stats_.transitions, nullptr,
+              ckpt::Section{kSecGameFixpoint, w.take()});
 }
 
-bool TimedGame::decode_extra(const ckpt::Section& sec, std::size_t states) {
-  if (sec.id != kSecGameFixpoint) return true;
-  ckpt::io::Reader r(sec.payload);
+bool TimedGame::decode_extra(const std::vector<ckpt::Section>& record,
+                             std::size_t states) {
+  const ckpt::Section* sec = ckpt::find_section(record, kSecGameFixpoint);
+  if (sec == nullptr) return true;
+  ckpt::io::Reader r(sec->payload);
   const std::uint32_t obj = r.u32();
   const std::uint64_t sweeps = r.u64();
   const std::uint64_t n = r.u64();
@@ -159,11 +162,6 @@ void TimedGame::reset() {
   nodes_.clear();
   expanded_ = 0;
   fix_ = FixpointState{};
-}
-
-void TimedGame::save_fixpoint() {
-  chain_.save(build_stats_.states_explored, build_stats_.transitions, nullptr,
-              fixpoint_section());
 }
 
 void TimedGame::build_graph(bool resumed) {

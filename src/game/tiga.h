@@ -124,16 +124,16 @@ class TimedGame : ckpt::StorePayload {
   std::uint64_t solve_fingerprint(std::uint32_t objective,
                                   const GamePredicate& pred) const;
   /// Checkpoint payload: the edge tables of the expanded nodes, all of them
-  /// in a base, those expanded since the last save in a delta. During the
-  /// fixpoint every save also carries fixpoint_section(); the last one
-  /// along the chain wins.
+  /// in a base, those expanded since the last save in a delta. A save
+  /// during the fixpoint (save_fixpoint) also carries the fixpoint
+  /// progress; the last one along the chain wins.
   void encode(ckpt::io::Writer& w, bool base,
               std::size_t saved_states) const override;
   bool decode(ckpt::io::Reader& r, bool base, std::size_t states) override;
-  bool decode_extra(const ckpt::Section& sec, std::size_t states) override;
+  bool decode_extra(const std::vector<ckpt::Section>& record,
+                    std::size_t states) override;
   void mark_saved() override;
   void reset() override;
-  ckpt::Section fixpoint_section() const;
   void save_fixpoint();
   void build_graph(bool resumed);
   /// Checkpoint setup + optional resume + (checkpointed) graph build.
