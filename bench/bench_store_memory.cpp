@@ -45,8 +45,9 @@ mc::StatePredicate mutual_exclusion(const models::TrainGate& tg) {
 
 /// Bytes/state of the pre-interning representation: every state owns its
 /// location/variable vectors and zone matrix on the heap (logical_words
-/// counts that payload as if nothing were shared), plus the same per-state
-/// store bookkeeping (key hash, chain link, covered flag, slot share).
+/// counts that payload as if nothing were shared), plus that layout's
+/// per-state store bookkeeping (key hash, chain link, covered flag, chain
+/// length). A fixed baseline: the live store's bookkeeping is in `pooled`.
 double unpooled_bytes_per_state(const core::StoreMetrics& m) {
   if (m.stored == 0) return 0.0;
   const std::size_t payload = m.pool.logical_words * sizeof(std::int32_t);

@@ -3,7 +3,7 @@
 // States are stored once, in insertion order, and addressed by dense int32
 // ids — engines attach per-state payload (parents, successor lists, costs)
 // as parallel vectors indexed by id. Lookup goes through an open-addressed
-// hash table whose slots point at chains of states with equal key hash.
+// hash table with one slot per distinct key hash.
 //
 // Two dedup policies, selected per store at construction:
 //   * exact      — full-state hash/equality (liveness zone graph, digital
@@ -16,6 +16,17 @@
 //                  skip it. This is UPPAAL-style zone-inclusion subsumption,
 //                  available to every engine whose StateTraits support it.
 //
+// The two policies keep their passed lists differently. An exact slot heads
+// a linked chain of the states with its key hash (chains are short: they
+// only form on full-hash collisions). An inclusion slot owns a Group: a flat
+// array of the LIVE states of one key hash in insertion order, each with an
+// inline Traits::summary. Covered states leave the array the moment they are
+// tombstoned, and the walk rejects most incomparable states on the summary
+// alone, so a lookup neither revisits tombstones nor touches the pooled
+// records of states it cannot relate to. Scan order among live states is
+// insertion order, exactly as a chain walk that skips tombstones would see
+// it, so every decision is the same.
+//
 // Pooled payload storage: when the traits opt in (core::PooledTraits — see
 // traits.h), the store does not keep whole S objects. Each interned state is
 // reduced to a compact Traits::Pooled record of store::Ref handles into a
@@ -25,7 +36,7 @@
 // (QUANTA_STORE_MEM / QUANTA_STORE_SPILL, or Options::pool). Key hashes are
 // still computed on the incoming S and comparisons go through the pooled
 // trait overloads, which decide exactly like the unpooled ones — so
-// insertion order, chain membership, chain scan order and the rehash
+// insertion order, chain/group membership, scan order and the rehash
 // trajectory are bit-identical to an unpooled store. state(id) materializes
 // an S by value on demand.
 #pragma once
@@ -35,6 +46,7 @@
 #include <cstdint>
 #include <optional>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -50,7 +62,7 @@ struct StoreMetrics {
   std::size_t covered = 0;    ///< tombstoned (subsumed) states
   std::size_t slots = 0;      ///< hash-table capacity
   std::size_t occupied = 0;   ///< slots in use (= distinct key hashes)
-  std::size_t max_chain = 0;  ///< longest same-hash chain
+  std::size_t max_chain = 0;  ///< most states interned under one key hash
   std::size_t memory_bytes = 0;  ///< StateStore::memory_bytes() at snapshot
   store::PoolMetrics pool{};  ///< payload-pool snapshot (zero when unpooled)
 
@@ -113,38 +125,14 @@ class StateStore {
   Interned intern(S s) {
     common::FaultInjector::site("core.state_store.intern");
     const std::size_t h = key_hash(s);
-    std::size_t slot = probe_slot(h);
+    const std::size_t slot = probe_slot(h);
+    if constexpr (Traits::kSupportsInclusion) {
+      if (opts_.inclusion) return intern_inclusion(std::move(s), h, slot);
+    }
     std::int32_t tail = kEmpty;
-    if (slots_[slot] != kEmpty) {
-      // Walk the chain of states with this key hash, oldest first — the
-      // scan order determines which stored zone subsumes first, so keep it
-      // deterministic and identical to the historical per-engine buckets.
-      for (std::int32_t id = slots_[slot]; id != kEmpty; id = next_[toIdx(id)]) {
-        tail = id;
-        if (opts_.inclusion) {
-          if constexpr (Traits::kSupportsInclusion) {
-            if (covered_[toIdx(id)] ||
-                !stored_same_partition(states_[toIdx(id)], s)) {
-              continue;
-            }
-            switch (stored_compare(states_[toIdx(id)], s)) {
-              case Subsumes::kStored:
-                return {id, false};
-              case Subsumes::kIncoming:
-                if (opts_.tombstone_covered) {
-                  covered_[toIdx(id)] = 1;
-                  ++covered_count_;
-                  covered_journal_.push_back(id);
-                }
-                break;
-              case Subsumes::kNone:
-                break;
-            }
-          }
-        } else {
-          if (stored_equal(states_[toIdx(id)], s)) return {id, false};
-        }
-      }
+    for (std::int32_t id = slots_[slot]; id != kEmpty; id = next_[toIdx(id)]) {
+      tail = id;
+      if (stored_equal(states_[toIdx(id)], s)) return {id, false};
     }
     const std::int32_t id = static_cast<std::int32_t>(states_.size());
     push_state(std::move(s), h);
@@ -185,16 +173,20 @@ class StateStore {
   std::size_t size() const { return states_.size(); }
 
   /// Approximate bytes held by the store: per-state payload plus the
-  /// interning bookkeeping, the hash table, the covered journal, a standing
-  /// allowance for the transient head array a rehash allocates (so a rehash
-  /// mid-intern cannot overshoot a Budget ceiling that was checked against
-  /// this value), and — for pooled stores — the pool's resident arena and
-  /// bookkeeping. Feeds the memory ceiling of common::Budget; maintained
-  /// incrementally so reading it is cheap.
+  /// interning bookkeeping (for inclusion stores one group Entry per stored
+  /// state, covered ones included, and one Group per key hash), the hash
+  /// table, the covered journal, a standing allowance for the transient
+  /// head array a rehash allocates (so a rehash mid-intern cannot overshoot
+  /// a Budget ceiling that was checked against this value), and — for
+  /// pooled stores — the pool's resident arena and bookkeeping. Feeds the
+  /// memory ceiling of common::Budget; maintained incrementally so reading
+  /// it is cheap, and a function of the intern sequence alone, so a
+  /// restored store reports what the original did.
   std::size_t memory_bytes() const {
     std::size_t n = bytes_ + slots_.capacity() * sizeof(std::int32_t) +
                     covered_journal_.capacity() * sizeof(std::int32_t) +
                     occupied_ * sizeof(std::int32_t);
+    if (opts_.inclusion) n += occupied_ * sizeof(Group);
     if constexpr (kPooled) n += pool_.memory_bytes();
     return n;
   }
@@ -206,39 +198,46 @@ class StateStore {
 
   /// Rebuilds a store from snapshot data (src/ckpt): the states in their
   /// original insertion order plus the covered/tombstone bits. The hash
-  /// table is re-derived rather than persisted — chain membership and order
-  /// depend only on (key hash, insertion order), and the rehash trajectory
-  /// only on the sequence of distinct key hashes, so the rebuilt store is
-  /// structurally identical to the one that was snapshotted and every
-  /// subsequent intern() behaves bit-identically to the uninterrupted run.
-  /// Pooled stores re-intern every payload into a fresh pool here; the pool
-  /// layout is a pure function of the intern sequence, so it too matches the
-  /// pool the snapshotted store would have carried.
+  /// table is re-derived rather than persisted — chain/group membership and
+  /// order depend only on (key hash, insertion order), and the rehash
+  /// trajectory only on the sequence of distinct key hashes, so the rebuilt
+  /// store is structurally identical to the one that was snapshotted and
+  /// every subsequent intern() behaves bit-identically to the uninterrupted
+  /// run. Covered states join no group's live array, as they would have
+  /// left it when tombstoned. Pooled stores re-intern every payload into a
+  /// fresh pool here; the pool layout is a pure function of the intern
+  /// sequence, so it too matches the pool the snapshotted store would have
+  /// carried.
   static StateStore restore(Options opts, std::vector<S> states,
                             std::vector<std::uint8_t> covered) {
     assert(states.size() == covered.size());
     StateStore store(opts);
     const std::size_t n = states.size();
     store.states_.reserve(n);
-    store.hashes_.reserve(n);
-    store.next_.reserve(n);
     store.covered_.reserve(n);
-    store.chain_len_.reserve(n);
+    if (!opts.inclusion) {
+      store.hashes_.reserve(n);
+      store.next_.reserve(n);
+      store.chain_len_.reserve(n);
+    }
     for (std::size_t i = 0; i < n; ++i) {
+      const auto id = static_cast<std::int32_t>(i);
       const std::size_t h = store.key_hash(states[i]);
+      const InclusionSummary sum =
+          opts.inclusion ? summary_of(states[i]) : InclusionSummary{};
       store.push_state(std::move(states[i]), h);
-      if (covered[i] != 0) {
-        store.covered_[i] = 1;
-        ++store.covered_count_;
-        store.covered_journal_.push_back(static_cast<std::int32_t>(i));
-      }
       const std::size_t slot = store.probe_slot(h);
-      std::int32_t tail = kEmpty;
-      for (std::int32_t id = store.slots_[slot]; id != kEmpty;
-           id = store.next_[toIdx(id)]) {
-        tail = id;
+      if (covered[i] != 0) store.mark_covered(id);
+      if (opts.inclusion) {
+        store.join_group(id, slot, h, sum, covered[i] == 0);
+        continue;
       }
-      store.link_state(static_cast<std::int32_t>(i), slot, tail);
+      std::int32_t tail = kEmpty;
+      for (std::int32_t c = store.slots_[slot]; c != kEmpty;
+           c = store.next_[toIdx(c)]) {
+        tail = c;
+      }
+      store.link_state(id, slot, tail);
     }
     return store;
   }
@@ -255,19 +254,35 @@ class StateStore {
     return m;
   }
 
-  /// Brute-force recomputation of the longest same-hash chain, walking every
-  /// chain from its head. metrics() reports the incrementally-maintained
-  /// value instead; this exists so tests can pin the two against each other.
+  /// Brute-force recomputation of max_chain: re-hashes every stored state
+  /// and counts the states per key hash. metrics() reports the
+  /// incrementally-maintained value instead; this exists so tests can pin
+  /// the two against each other.
   std::size_t scan_max_chain() const {
+    std::unordered_map<std::size_t, std::size_t> per_hash;
     std::size_t max_chain = 0;
-    for (std::int32_t head : slots_) {
-      if (head == kEmpty) continue;
-      std::size_t chain = 0;
-      for (std::int32_t id = head; id != kEmpty; id = next_[toIdx(id)]) ++chain;
-      if (chain > max_chain) max_chain = chain;
+    for (std::size_t i = 0; i < states_.size(); ++i) {
+      const std::size_t n = ++per_hash[key_hash(state(static_cast<std::int32_t>(i)))];
+      if (n > max_chain) max_chain = n;
     }
     return max_chain;
   }
+
+  /// One live state in an inclusion Group: its id and Traits::summary.
+  struct Entry {
+    std::int32_t id;
+    InclusionSummary summary;
+  };
+  static_assert(sizeof(Entry) == 16);
+
+  /// The passed list of one key hash in an inclusion store: its live states
+  /// in insertion order, and how many states were ever interned under the
+  /// hash (max_chain).
+  struct Group {
+    std::size_t hash;
+    std::vector<Entry> live;
+    std::uint32_t interned = 0;
+  };
 
  private:
   static constexpr std::int32_t kEmpty = -1;
@@ -286,16 +301,25 @@ class StateStore {
 
   /// Bytes one interned record adds to the store: the in-place object, its
   /// traits-reported heap payload (unpooled only — pooled payload is owned
-  /// and counted by the pool), and the per-state bookkeeping columns
-  /// (hashes_, next_, covered_, chain_len_).
-  static std::size_t stored_bytes(const Stored& st) {
-    std::size_t n = sizeof(Stored) + sizeof(std::size_t) +
-                    sizeof(std::int32_t) + sizeof(std::uint8_t) +
-                    sizeof(std::uint32_t);
+  /// and counted by the pool), covered_, and the policy's bookkeeping: one
+  /// group Entry (inclusion) or the hashes_/next_/chain_len_ columns
+  /// (exact).
+  std::size_t stored_bytes(const Stored& st) const {
+    std::size_t n = sizeof(Stored) + sizeof(std::uint8_t);
+    n += opts_.inclusion ? sizeof(Entry)
+                         : sizeof(std::size_t) + sizeof(std::int32_t) +
+                               sizeof(std::uint32_t);
     if constexpr (requires { { Traits::memory_bytes(st) } -> std::convertible_to<std::size_t>; }) {
       n += Traits::memory_bytes(st);
     }
     return n;
+  }
+
+  static InclusionSummary summary_of(const S& s) {
+    if constexpr (requires { { Traits::summary(s) } -> std::same_as<InclusionSummary>; }) {
+      return Traits::summary(s);
+    }
+    return {};
   }
 
   std::size_t key_hash(const S& s) const {
@@ -330,8 +354,56 @@ class StateStore {
     }
   }
 
-  /// Appends the state record and its bookkeeping columns (not yet linked
-  /// into any chain).
+  /// The inclusion lookup: walks the live states of the key hash, oldest
+  /// first — the scan order determines which stored zone subsumes first, so
+  /// keep it deterministic and identical to the historical per-engine
+  /// buckets. A state whose summary is incomparable with the incoming one
+  /// is passed without touching its record; a state the incoming one
+  /// strictly covers is tombstoned and dropped from the array, which is
+  /// compacted in place as the walk goes.
+  Interned intern_inclusion(S&& s, std::size_t h, std::size_t slot) {
+    const InclusionSummary sum = summary_of(s);
+    if (slots_[slot] != kEmpty) {
+      std::vector<Entry>& live = groups_[toIdx(slots_[slot])].live;
+      std::size_t keep = 0;
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        const Entry e = live[i];
+        if (!summaries_incomparable(e.summary, sum) &&
+            stored_same_partition(states_[toIdx(e.id)], s)) {
+          switch (stored_compare(states_[toIdx(e.id)], s)) {
+            case Subsumes::kStored:
+              // Close the gap that dropped entries left before this one.
+              live.erase(live.begin() + static_cast<std::ptrdiff_t>(keep),
+                         live.begin() + static_cast<std::ptrdiff_t>(i));
+              return {e.id, false};
+            case Subsumes::kIncoming:
+              if (opts_.tombstone_covered) {
+                mark_covered(e.id);
+                continue;
+              }
+              break;
+            case Subsumes::kNone:
+              break;
+          }
+        }
+        live[keep++] = e;
+      }
+      live.resize(keep);
+    }
+    const std::int32_t id = static_cast<std::int32_t>(states_.size());
+    push_state(std::move(s), h);
+    join_group(id, slot, h, sum, true);
+    return {id, true};
+  }
+
+  void mark_covered(std::int32_t id) {
+    covered_[toIdx(id)] = 1;
+    ++covered_count_;
+    covered_journal_.push_back(id);
+  }
+
+  /// Appends the state record and its per-state columns (not yet linked
+  /// into any chain or group).
   void push_state(S&& s, std::size_t h) {
     if constexpr (kPooled) {
       states_.push_back(Traits::pool(pool_, s));
@@ -339,16 +411,36 @@ class StateStore {
       states_.push_back(std::move(s));
     }
     bytes_ += stored_bytes(states_.back());
-    hashes_.push_back(h);
-    next_.push_back(kEmpty);
     covered_.push_back(0);
-    chain_len_.push_back(0);
+    if (!opts_.inclusion) {
+      hashes_.push_back(h);
+      next_.push_back(kEmpty);
+      chain_len_.push_back(0);
+    }
   }
 
-  /// Links a freshly pushed state into its chain: appended after `tail`, or
-  /// installed as the head of a new chain. Chain lengths are maintained at
-  /// the head's index — chains only ever grow and heads never change, so
-  /// max_chain_ is a cheap monotone maximum.
+  /// Counts a freshly pushed state into the group of its key hash (opening
+  /// the group if the slot is empty) and, if `live`, appends its entry.
+  void join_group(std::int32_t id, std::size_t slot, std::size_t h,
+                  const InclusionSummary& sum, bool live) {
+    const bool opened = slots_[slot] == kEmpty;
+    if (opened) {
+      slots_[slot] = static_cast<std::int32_t>(groups_.size());
+      groups_.push_back(Group{h, {}, 0});
+    }
+    Group& g = groups_[toIdx(slots_[slot])];
+    if (live) g.live.push_back(Entry{id, sum});
+    if (++g.interned > max_chain_) max_chain_ = g.interned;
+    if (opened) {
+      ++occupied_;
+      if (occupied_ * 2 >= slots_.size()) rehash(slots_.size() * 2);
+    }
+  }
+
+  /// Links a freshly pushed state into its exact chain: appended after
+  /// `tail`, or installed as the head of a new chain. Chain lengths are
+  /// maintained at the head's index — chains only ever grow and heads never
+  /// change, so max_chain_ is a cheap monotone maximum.
   void link_state(std::int32_t id, std::size_t slot, std::int32_t tail) {
     if (tail != kEmpty) {
       next_[toIdx(tail)] = id;
@@ -363,12 +455,19 @@ class StateStore {
     }
   }
 
+  /// The key hash behind an occupied slot: its group's, or its chain
+  /// head's.
+  std::size_t slot_hash(std::int32_t occupant) const {
+    return opts_.inclusion ? groups_[toIdx(occupant)].hash
+                           : hashes_[toIdx(occupant)];
+  }
+
   /// Linear probing; returns the slot holding the chain for `h`, or the
   /// first empty slot of its probe sequence.
   std::size_t probe_slot(std::size_t h) const {
     const std::size_t mask = slots_.size() - 1;
     std::size_t i = h & mask;
-    while (slots_[i] != kEmpty && hashes_[toIdx(slots_[i])] != h) {
+    while (slots_[i] != kEmpty && slot_hash(slots_[i]) != h) {
       i = (i + 1) & mask;
     }
     return i;
@@ -383,7 +482,7 @@ class StateStore {
     slots_.assign(new_slots, kEmpty);
     const std::size_t mask = slots_.size() - 1;
     for (std::int32_t head : heads) {
-      std::size_t i = hashes_[toIdx(head)] & mask;
+      std::size_t i = slot_hash(head) & mask;
       while (slots_[i] != kEmpty) i = (i + 1) & mask;
       slots_[i] = head;
     }
@@ -392,15 +491,20 @@ class StateStore {
   Options opts_;
   store::ZonePool pool_;  ///< payload pool; inert when !kPooled
   std::vector<Stored> states_;
-  std::vector<std::size_t> hashes_;   ///< key hash per state
-  std::vector<std::int32_t> next_;    ///< same-hash chain links
   std::vector<std::uint8_t> covered_;
   std::vector<std::int32_t> covered_journal_;  ///< tombstones in flip order
+  // Exact stores: per-state chain columns.
+  std::vector<std::size_t> hashes_;   ///< key hash per state
+  std::vector<std::int32_t> next_;    ///< same-hash chain links
   std::vector<std::uint32_t> chain_len_;  ///< chain length, kept at head ids
-  std::vector<std::int32_t> slots_;   ///< open-addressed table of chain heads
+  // Inclusion stores: one group per key hash.
+  std::vector<Group> groups_;
+  /// Open-addressed table: chain head ids (exact) or group indices
+  /// (inclusion).
+  std::vector<std::int32_t> slots_;
   std::size_t occupied_ = 0;
   std::size_t covered_count_ = 0;
-  std::size_t max_chain_ = 0;  ///< longest chain ever (chains never shrink)
+  std::size_t max_chain_ = 0;  ///< most states under one key hash, ever
   std::size_t bytes_ = 0;  ///< accumulated per-state bytes (see stored_bytes)
 };
 

@@ -4,7 +4,9 @@
 // core stays independent of every concrete semantics.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 
 namespace quanta::core {
 
@@ -15,6 +17,24 @@ enum class Subsumes {
   kStored,    ///< the stored state covers the incoming one (drop incoming)
   kIncoming,  ///< the incoming state strictly covers the stored one
 };
+
+/// A few bytes that a store of inclusion-subsumed states keeps inline per
+/// live state, so most incomparable pairs are rejected before the stored
+/// record is touched (see StateTraits::summary below).
+using InclusionSummary = std::array<std::int8_t, 12>;
+
+/// True when neither summary is pointwise <= the other. For summaries that
+/// honour the StateTraits::summary contract this proves the two states'
+/// continuous parts incomparable, so compare() would return kNone.
+inline bool summaries_incomparable(const InclusionSummary& a,
+                                   const InclusionSummary& b) {
+  bool lt = false, gt = false;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    lt |= a[k] < b[k];
+    gt |= a[k] > b[k];
+  }
+  return lt && gt;
+}
 
 /// Primary template; never defined. Specializations must provide:
 ///
@@ -30,6 +50,17 @@ enum class Subsumes {
 ///
 /// `compare` is only called on states of the same partition and decides the
 /// set-inclusion relation of their continuous parts (zones).
+///
+/// Inclusion traits may also provide
+///
+///   static InclusionSummary summary(const S&);
+///
+/// which must be monotone in the inclusion order: for two states of one
+/// partition, compare(stored, incoming) == kStored implies
+/// summary(incoming) <= summary(stored) pointwise, and kIncoming implies >=.
+/// The store then skips a stored state whose summary is incomparable with
+/// the incoming one without calling same_partition or compare. Traits
+/// without it get a constant summary, which never skips.
 ///
 /// Pooled payload storage (optional). A specialization may additionally opt
 /// its state type into interned storage (store::ZonePool) by defining

@@ -2,6 +2,13 @@
 // style of PRISM's precomputation engines: the state sets where the
 // max/min reachability probability is exactly 0 or 1. These make value
 // iteration exact at the boundaries and faster in between.
+//
+// Each call builds a reverse-edge index of the MDP (predecessor choices per
+// state, in CSR form) and runs backward worklist algorithms over it, so
+// prob0_max, prob0_min and prob1_min take O(states + choices + branches)
+// time, and prob1_max takes that per round of its outer fixpoint (at most
+// one round per state removed, in practice a handful). The returned sets are
+// the unique fixpoints the definitions name, independent of visit order.
 #pragma once
 
 #include <vector>

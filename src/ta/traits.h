@@ -14,9 +14,11 @@
 // keeping exploration order bit-identical.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/hash.h"
@@ -49,6 +51,29 @@ struct StateTraits<ta::SymState> {
   static Subsumes compare(const ta::SymState& stored,
                           const ta::SymState& incoming) {
     return relation_to_subsumes(incoming.zone.relation(stored.zone));
+  }
+
+  /// Zone row 0 and column 0 without the diagonal (every clock's lower and
+  /// upper bound), for the first kSummaryClocks clocks, each raw bound
+  /// clamped to int8. Clamping is monotone and inclusion compares raw
+  /// bounds entrywise, so if the zone of `a` is inside that of `b`, every
+  /// summary byte of `a` is <= the one of `b`. An empty zone is inside
+  /// every zone and contains none but empty ones, so it gets the minimum
+  /// everywhere: it is then never incomparable with anything.
+  static InclusionSummary summary(const ta::SymState& s) {
+    InclusionSummary out{};
+    const dbm::raw_t* raw = s.zone.raw_data();
+    if (raw[0] < dbm::kLeZero) {
+      out.fill(std::numeric_limits<std::int8_t>::min());
+      return out;
+    }
+    const auto dim = static_cast<std::size_t>(s.zone.dim());
+    const std::size_t clocks = std::min(dim - 1, kSummaryClocks);
+    for (std::size_t c = 1; c <= clocks; ++c) {
+      out[2 * c - 2] = clamp8(raw[c]);
+      out[2 * c - 1] = clamp8(raw[c * dim]);
+    }
+    return out;
   }
 
   /// Heap bytes behind one zone state (discrete vectors + DBM matrix) — the
@@ -178,6 +203,14 @@ struct StateTraits<ta::SymState> {
     }
     if (le && ge) return dbm::Relation::kEqual;
     return le ? dbm::Relation::kSubset : dbm::Relation::kSuperset;
+  }
+  static constexpr std::size_t kSummaryClocks =
+      std::tuple_size_v<InclusionSummary> / 2;
+
+  static std::int8_t clamp8(dbm::raw_t v) {
+    return static_cast<std::int8_t>(
+        std::clamp<dbm::raw_t>(v, std::numeric_limits<std::int8_t>::min(),
+                               std::numeric_limits<std::int8_t>::max()));
   }
   static Subsumes relation_to_subsumes(dbm::Relation r) {
     switch (r) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "graph_analysis_reference.h"
 #include "pta/digital_clocks.h"
 #include "pta/properties.h"
 #include "sta/des.h"
@@ -103,6 +104,40 @@ TEST(BrpDmax, TimeBoundedSuccess) {
            s.clocks[static_cast<std::size_t>(gt)] <= 10;
   });
   EXPECT_LT(tight.value, r.value);
+}
+
+/// The four qualitative precomputations return exactly the sets of the
+/// sweep reference on a digital BRP MDP.
+void expect_precomputations_match_sweeps(const mdp::Mdp& m,
+                                         const mdp::StateSet& goal) {
+  EXPECT_EQ(mdp::prob0_max(m, goal), mdp::reference::prob0_max(m, goal));
+  EXPECT_EQ(mdp::prob0_min(m, goal), mdp::reference::prob0_min(m, goal));
+  EXPECT_EQ(mdp::prob1_max(m, goal), mdp::reference::prob1_max(m, goal));
+  EXPECT_EQ(mdp::prob1_min(m, goal), mdp::reference::prob1_min(m, goal));
+}
+
+TEST_F(BrpMcpta, PrecomputationsMatchSweepFixpoints) {
+  expect_precomputations_match_sweeps(
+      dm_->mdp, dm_->states_where([](const ta::DigitalState& s) {
+        return brp_->no_success(s.locs);
+      }));
+  expect_precomputations_match_sweeps(
+      dm_->mdp, dm_->states_where([](const ta::DigitalState& s) {
+        return brp_->is_done(s.locs);
+      }));
+}
+
+TEST(BrpDmax, PrecomputationsMatchSweepFixpoints) {
+  models::BrpParams params;
+  params.global_clock = true;
+  auto brp = models::make_brp(params);
+  auto dm = pta::build_digital_mdp(brp.system);
+  const int gt = brp.clk_gt;
+  expect_precomputations_match_sweeps(
+      dm.mdp, dm.states_where([&brp, gt](const ta::DigitalState& s) {
+        return brp.is_success(s.locs) &&
+               s.clocks[static_cast<std::size_t>(gt)] <= 64;
+      }));
 }
 
 TEST(BrpMctau, QualitativeColumnOfTableI) {

@@ -1,9 +1,14 @@
 // Tests for the shared exploration core (src/core): StateStore dedup and
-// zone-inclusion subsumption with covered-node tombstoning, Worklist search
+// zone-inclusion subsumption with covered-node tombstoning (also against a
+// linear-scan reference on random zone sequences), Worklist search
 // orders, uniform truncation semantics, and the ExplorationObserver hook.
 #include "core/state_store.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
+#include <unordered_map>
 
 #include "core/observer.h"
 #include "core/worklist.h"
@@ -152,8 +157,8 @@ TEST(StateStore, MetricsLoadFactorMatchesOccupancy) {
 
 TEST(StateStore, IncrementalMaxChainMatchesBruteForceScan) {
   // metrics().max_chain is maintained O(1) at insert time; pin it against
-  // the brute-force walk over every chain, across chain growth, rehashes
-  // and tombstoning.
+  // a brute-force count of the states per key hash, across group growth,
+  // rehashes and tombstoning.
   SymStore store({.inclusion = true, .tombstone_covered = true});
   for (int loc = 0; loc < 700; ++loc) {
     // Varying chain lengths per partition; covering inserts tombstone.
@@ -177,8 +182,9 @@ TEST(StateStore, IncrementalMaxChainMatchesBruteForceScan) {
 
 TEST(StateStore, MemoryBytesAccountsJournalRehashHeadroomAndPool) {
   // Pins the memory accounting formula against the store's public surface:
-  // per-state records + bookkeeping columns, table heads, the covered
-  // journal, the rehash-transient head allowance, and the payload pool.
+  // per-state records + covered column + one group entry each, one group
+  // per key hash, table heads, the covered journal, the rehash-transient
+  // head allowance, and the payload pool.
   // Regression: the journal and the rehash transient used to be uncounted,
   // silently eroding common::Budget memory ceilings on tombstone-heavy runs.
   SymStore store({.inclusion = true, .tombstone_covered = true});
@@ -189,13 +195,13 @@ TEST(StateStore, MemoryBytesAccountsJournalRehashHeadroomAndPool) {
   }
   const auto m = store.metrics();
   ASSERT_GT(m.covered, 300u);
-  const std::size_t per_state =
-      sizeof(SymStore::Stored) + sizeof(std::size_t) + sizeof(std::int32_t) +
-      sizeof(std::uint8_t) + sizeof(std::uint32_t);
+  const std::size_t per_state = sizeof(SymStore::Stored) +
+                                sizeof(std::uint8_t) + sizeof(SymStore::Entry);
   const std::size_t expected =
       store.size() * per_state + m.slots * sizeof(std::int32_t) +
       store.covered_journal().capacity() * sizeof(std::int32_t) +
-      m.occupied * sizeof(std::int32_t) + store.zone_pool().memory_bytes();
+      m.occupied * (sizeof(std::int32_t) + sizeof(SymStore::Group)) +
+      store.zone_pool().memory_bytes();
   EXPECT_EQ(store.memory_bytes(), expected);
   // The journal term specifically must be visible: it alone exceeds any
   // slack a caller could wave away.
@@ -252,6 +258,201 @@ TEST(StateStore, RestoreRebuildsTombstonedStoreStructurallyIdentically) {
   EXPECT_TRUE(fresh_orig.inserted);
   EXPECT_TRUE(fresh_rebuilt.inserted);
   EXPECT_EQ(fresh_rebuilt.id, fresh_orig.id);
+}
+
+/// SymState traits whose partition hash keeps only two bits: distinct
+/// discrete parts collide on one key hash, so one group mixes partitions.
+struct CollidingSymTraits : core::StateTraits<ta::SymState> {
+  static std::size_t partition_hash(const ta::SymState& s) {
+    return core::StateTraits<ta::SymState>::partition_hash(s) & 3;
+  }
+};
+
+/// The store's inclusion semantics written as plainly as possible: every
+/// intern scans all stored states in insertion order, skipping other key
+/// hashes and tombstones, and compares with the unpooled trait overloads.
+/// It also pools what it inserts and tracks the table's growth, so every
+/// StoreMetrics value has an independent expectation.
+template <typename Traits>
+class LinearScanStore {
+ public:
+  using Store = StateStore<ta::SymState, Traits>;
+
+  explicit LinearScanStore(bool tombstone) : tombstone_(tombstone) {}
+
+  typename Store::Interned intern(const ta::SymState& s) {
+    const std::size_t h = Traits::partition_hash(s);
+    for (std::size_t j = 0; j < states_.size(); ++j) {
+      if (hashes_[j] != h || covered_[j] != 0 ||
+          !Traits::same_partition(states_[j], s)) {
+        continue;
+      }
+      switch (Traits::compare(states_[j], s)) {
+        case core::Subsumes::kStored:
+          return {static_cast<std::int32_t>(j), false};
+        case core::Subsumes::kIncoming:
+          if (tombstone_) {
+            covered_[j] = 1;
+            journal_.push_back(static_cast<std::int32_t>(j));
+          }
+          break;
+        case core::Subsumes::kNone:
+          break;
+      }
+    }
+    const std::size_t under_hash = ++per_hash_[h];
+    if (under_hash == 1 && ++occupied_ * 2 >= slots_) slots_ *= 2;
+    max_chain_ = std::max(max_chain_, under_hash);
+    Traits::pool(pool_, s);
+    states_.push_back(s);
+    hashes_.push_back(h);
+    covered_.push_back(0);
+    return {static_cast<std::int32_t>(states_.size() - 1), true};
+  }
+
+  const std::vector<std::int32_t>& covered_journal() const { return journal_; }
+
+  void expect_metrics(const core::StoreMetrics& m) const {
+    EXPECT_EQ(m.stored, states_.size());
+    EXPECT_EQ(m.covered, journal_.size());
+    EXPECT_EQ(m.slots, slots_);
+    EXPECT_EQ(m.occupied, occupied_);
+    EXPECT_EQ(m.max_chain, max_chain_);
+    const std::size_t per_state = sizeof(typename Store::Stored) +
+                                  sizeof(std::uint8_t) +
+                                  sizeof(typename Store::Entry);
+    EXPECT_EQ(m.memory_bytes,
+              states_.size() * per_state + slots_ * sizeof(std::int32_t) +
+                  journal_.capacity() * sizeof(std::int32_t) +
+                  occupied_ * (sizeof(std::int32_t) +
+                               sizeof(typename Store::Group)) +
+                  pool_.memory_bytes());
+    const store::PoolMetrics p = pool_.metrics();
+    EXPECT_EQ(m.pool.records, p.records);
+    EXPECT_EQ(m.pool.lookups, p.lookups);
+    EXPECT_EQ(m.pool.hits, p.hits);
+    EXPECT_EQ(m.pool.payload_words, p.payload_words);
+    EXPECT_EQ(m.pool.logical_words, p.logical_words);
+    EXPECT_EQ(m.pool.resident_bytes, p.resident_bytes);
+  }
+
+ private:
+  bool tombstone_;
+  std::vector<ta::SymState> states_;
+  std::vector<std::size_t> hashes_;
+  std::vector<std::uint8_t> covered_;
+  std::vector<std::int32_t> journal_;
+  std::unordered_map<std::size_t, std::size_t> per_hash_;
+  std::size_t slots_ = 1024;
+  std::size_t occupied_ = 0;
+  std::size_t max_chain_ = 0;
+  store::ZonePool pool_{store::PoolConfig{}};
+};
+
+/// A random zone state of `dim` clocks+1 in one of 16 partitions. Bounds
+/// are mostly small so inclusion is frequent; some exceed the int8 range of
+/// the inline summary, some are strict, some relate two clocks, and about
+/// one state in twelve is empty.
+ta::SymState random_zone_state(std::uint32_t* rng, int dim) {
+  auto next = [rng] { return (*rng = *rng * 1664525u + 1013904223u) >> 8; };
+  ta::SymState s;
+  s.locs = {static_cast<int>(next() % 4), static_cast<int>(next() % 2)};
+  s.vars = {static_cast<std::int32_t>(next() % 2)};
+  s.zone = dbm::Dbm::universal(dim);
+  auto bound = [&] {
+    return static_cast<std::int32_t>(next() % 8 == 0 ? 60 + next() % 50
+                                                     : next() % 7);
+  };
+  for (int c = 1; c < dim; ++c) {
+    const std::int32_t lo = static_cast<std::int32_t>(next() % 3);
+    if (next() % 3 != 0) {
+      const std::int32_t hi = std::max(lo, bound());
+      s.zone.constrain(c, 0, next() % 4 == 0 ? dbm::bound_lt(hi + 1)
+                                             : dbm::bound_le(hi));
+    }
+    if (next() % 3 == 0) s.zone.constrain(0, c, dbm::bound_le(-lo));
+  }
+  if (dim > 2 && next() % 4 == 0) {
+    s.zone.constrain_le(1, 2, static_cast<std::int32_t>(next() % 3));
+  }
+  if (next() % 12 == 0) {
+    s.zone.constrain_le(1, 0, 1);
+    EXPECT_FALSE(s.zone.constrain(0, 1, dbm::bound_le(-3)));
+  }
+  return s;
+}
+
+template <typename Traits>
+void expect_store_matches_linear_scan(int dim, bool tombstone,
+                                      std::uint32_t seed) {
+  SCOPED_TRACE(testing::Message() << "dim " << dim << " tombstone "
+                                  << tombstone << " seed " << seed);
+  using Store = StateStore<ta::SymState, Traits>;
+  const typename Store::Options opts{.inclusion = true,
+                                     .tombstone_covered = tombstone,
+                                     .pool = store::PoolConfig{}};
+  std::uint32_t rng = seed;
+  std::vector<ta::SymState> seq;
+  for (int i = 0; i < 900; ++i) seq.push_back(random_zone_state(&rng, dim));
+  const std::size_t cut = 1 + rng % (seq.size() - 1);
+
+  Store store(opts);
+  LinearScanStore<Traits> ref(tombstone);
+  std::optional<Store> resumed;
+  std::size_t journal_at_cut = 0;
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    if (i == cut) {
+      // Snapshot here and continue a restored copy alongside.
+      std::vector<ta::SymState> states;
+      std::vector<std::uint8_t> covered;
+      for (std::size_t id = 0; id < store.size(); ++id) {
+        states.push_back(store.state(static_cast<std::int32_t>(id)));
+        covered.push_back(store.covered(static_cast<std::int32_t>(id)) ? 1 : 0);
+      }
+      resumed.emplace(Store::restore(opts, std::move(states), std::move(covered)));
+      journal_at_cut = store.covered_journal().size();
+      EXPECT_EQ(resumed->metrics().memory_bytes, store.metrics().memory_bytes);
+    }
+    const auto want = ref.intern(seq[i]);
+    const auto got = store.intern(seq[i]);
+    ASSERT_EQ(got.id, want.id) << "intern " << i;
+    ASSERT_EQ(got.inserted, want.inserted) << "intern " << i;
+    if (resumed) {
+      const auto again = resumed->intern(seq[i]);
+      ASSERT_EQ(again.id, want.id) << "restored, intern " << i;
+      ASSERT_EQ(again.inserted, want.inserted) << "restored, intern " << i;
+    }
+  }
+  EXPECT_EQ(store.covered_journal(), ref.covered_journal());
+  ref.expect_metrics(store.metrics());
+  ref.expect_metrics(resumed->metrics());
+  EXPECT_EQ(store.scan_max_chain(), store.metrics().max_chain);
+  // A restored journal lists the covered ids of its snapshot in index
+  // order; what was tombstoned after the cut comes in flip order.
+  const auto& rj = resumed->covered_journal();
+  const auto& oj = store.covered_journal();
+  ASSERT_EQ(rj.size(), oj.size());
+  std::vector<std::int32_t> prefix(oj.begin(),
+                                   oj.begin() + static_cast<std::ptrdiff_t>(journal_at_cut));
+  std::sort(prefix.begin(), prefix.end());
+  EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), rj.begin()));
+  EXPECT_TRUE(std::equal(oj.begin() + static_cast<std::ptrdiff_t>(journal_at_cut),
+                         oj.end(),
+                         rj.begin() + static_cast<std::ptrdiff_t>(journal_at_cut)));
+}
+
+TEST(StateStore, InclusionGroupsMatchLinearScanReference) {
+  for (const std::uint32_t seed : {1u, 2u, 3u, 4u}) {
+    for (const bool tombstone : {true, false}) {
+      // dim 9 has more clocks than the inline summary covers.
+      for (const int dim : {2, 4, 9}) {
+        expect_store_matches_linear_scan<core::StateTraits<ta::SymState>>(
+            dim, tombstone, seed);
+        expect_store_matches_linear_scan<CollidingSymTraits>(dim, tombstone,
+                                                             seed);
+      }
+    }
+  }
 }
 
 TEST(Worklist, BfsIsFifo) {

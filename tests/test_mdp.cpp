@@ -1,11 +1,13 @@
-// Tests for the MDP core: CSR assembly, qualitative precomputation, value
-// iteration and expected rewards on hand-computable models.
+// Tests for the MDP core: CSR assembly, qualitative precomputation (also
+// against the sweep reference on random MDPs), value iteration and expected
+// rewards on hand-computable models.
 #include "mdp/mdp.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "graph_analysis_reference.h"
 #include "mdp/expected_reward.h"
 #include "mdp/graph_analysis.h"
 #include "mdp/value_iteration.h"
@@ -122,6 +124,49 @@ TEST(GraphAnalysis, Prob1Sets) {
   EXPECT_TRUE(p1max[0]);
   EXPECT_FALSE(p1min[0]);  // the scheduler may escape to 2
   EXPECT_FALSE(p1max[2]);
+}
+
+/// A random MDP over `n` states: every state gets 0-3 choices (freeze()
+/// gives the choiceless ones a self-loop), every choice 1-4 uniform
+/// branches whose targets may repeat and may be the state itself.
+Mdp random_mdp(std::uint32_t* rng, std::int32_t n) {
+  auto next = [rng] { return *rng = *rng * 1664525u + 1013904223u; };
+  Mdp m;
+  for (std::int32_t s = 0; s < n; ++s) {
+    const std::uint32_t choices = (next() >> 8) % 4;
+    for (std::uint32_t c = 0; c < choices; ++c) {
+      const std::uint32_t k = 1 + (next() >> 8) % 4;
+      std::vector<Branch> branches;
+      for (std::uint32_t b = 0; b < k; ++b) {
+        std::int32_t t = static_cast<std::int32_t>((next() >> 8) % static_cast<std::uint32_t>(n));
+        if ((next() >> 8) % 5 == 0) t = s;
+        if (b > 0 && (next() >> 8) % 5 == 0) t = branches.back().target;
+        branches.push_back(Branch{t, 1.0 / static_cast<double>(k)});
+      }
+      m.add_choice(s, std::move(branches));
+    }
+  }
+  m.set_initial(0);
+  m.freeze();
+  return m;
+}
+
+TEST(GraphAnalysis, MatchesSweepFixpointsOnRandomMdps) {
+  std::uint32_t rng = 2024;
+  auto next = [&rng] { return rng = rng * 1664525u + 1013904223u; };
+  for (int round = 0; round < 1500; ++round) {
+    const auto n = static_cast<std::int32_t>(1 + (next() >> 8) % 40);
+    const Mdp m = random_mdp(&rng, n);
+    StateSet goal(static_cast<std::size_t>(m.num_states()));
+    const std::uint32_t density = (next() >> 8) % 6;  // 0: empty, 5: full
+    for (std::size_t s = 0; s < goal.size(); ++s) {
+      goal[s] = density == 5 || (density > 0 && (next() >> 8) % 8 < density);
+    }
+    EXPECT_EQ(prob0_max(m, goal), reference::prob0_max(m, goal)) << "round " << round;
+    EXPECT_EQ(prob0_min(m, goal), reference::prob0_min(m, goal)) << "round " << round;
+    EXPECT_EQ(prob1_max(m, goal), reference::prob1_max(m, goal)) << "round " << round;
+    EXPECT_EQ(prob1_min(m, goal), reference::prob1_min(m, goal)) << "round " << round;
+  }
 }
 
 TEST(BoundedReachability, StepHorizon) {
