@@ -19,8 +19,8 @@
 // The two policies keep their passed lists differently. An exact slot heads
 // a linked chain of the states with its key hash (chains are short: they
 // only form on full-hash collisions). An inclusion slot owns a Group: a flat
-// array of the LIVE states of one key hash in insertion order, each with an
-// inline Traits::summary. Covered states leave the array the moment they are
+// segment, in one array all groups share, of the LIVE states of one key hash
+// in insertion order, each with an inline Traits::summary. Covered states leave the array the moment they are
 // tombstoned, and the walk rejects most incomparable states on the summary
 // alone, so a lookup neither revisits tombstones nor touches the pooled
 // records of states it cannot relate to. Scan order among live states is
@@ -41,9 +41,11 @@
 // an S by value on demand.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <type_traits>
 #include <unordered_map>
@@ -276,11 +278,14 @@ class StateStore {
   static_assert(sizeof(Entry) == 16);
 
   /// The passed list of one key hash in an inclusion store: its live states
-  /// in insertion order, and how many states were ever interned under the
+  /// in insertion order, entries_[begin, begin + live), inside a segment of
+  /// `capacity` entries; and how many states were ever interned under the
   /// hash (max_chain).
   struct Group {
     std::size_t hash;
-    std::vector<Entry> live;
+    std::size_t begin = 0;
+    std::uint32_t live = 0;
+    std::uint32_t capacity = 0;
     std::uint32_t interned = 0;
   };
 
@@ -364,17 +369,18 @@ class StateStore {
   Interned intern_inclusion(S&& s, std::size_t h, std::size_t slot) {
     const InclusionSummary sum = summary_of(s);
     if (slots_[slot] != kEmpty) {
-      std::vector<Entry>& live = groups_[toIdx(slots_[slot])].live;
-      std::size_t keep = 0;
-      for (std::size_t i = 0; i < live.size(); ++i) {
+      Group& g = groups_[toIdx(slots_[slot])];
+      Entry* live = entries_.data() + g.begin;
+      std::uint32_t keep = 0;
+      for (std::uint32_t i = 0; i < g.live; ++i) {
         const Entry e = live[i];
         if (!summaries_incomparable(e.summary, sum) &&
             stored_same_partition(states_[toIdx(e.id)], s)) {
           switch (stored_compare(states_[toIdx(e.id)], s)) {
             case Subsumes::kStored:
               // Close the gap that dropped entries left before this one.
-              live.erase(live.begin() + static_cast<std::ptrdiff_t>(keep),
-                         live.begin() + static_cast<std::ptrdiff_t>(i));
+              std::memmove(live + keep, live + i, (g.live - i) * sizeof(Entry));
+              g.live -= i - keep;
               return {e.id, false};
             case Subsumes::kIncoming:
               if (opts_.tombstone_covered) {
@@ -388,7 +394,7 @@ class StateStore {
         }
         live[keep++] = e;
       }
-      live.resize(keep);
+      g.live = keep;
     }
     const std::int32_t id = static_cast<std::int32_t>(states_.size());
     push_state(std::move(s), h);
@@ -426,15 +432,37 @@ class StateStore {
     const bool opened = slots_[slot] == kEmpty;
     if (opened) {
       slots_[slot] = static_cast<std::int32_t>(groups_.size());
-      groups_.push_back(Group{h, {}, 0});
+      groups_.push_back(Group{.hash = h});
     }
     Group& g = groups_[toIdx(slots_[slot])];
-    if (live) g.live.push_back(Entry{id, sum});
+    if (live) {
+      if (g.live == g.capacity) grow(g);
+      entries_[g.begin + g.live++] = Entry{id, sum};
+    }
     if (++g.interned > max_chain_) max_chain_ = g.interned;
     if (opened) {
       ++occupied_;
       if (occupied_ * 2 >= slots_.size()) rehash(slots_.size() * 2);
     }
+  }
+
+  /// Makes room for one more entry in a full group: its segment doubles,
+  /// in place when it ends entries_, otherwise by moving to the end. A move
+  /// appends twice the slots it abandons, so abandoned slots stay under
+  /// half of entries_ and need no compaction. All groups share this one
+  /// array, so the passed lists cost one allocation, not one per key hash
+  /// (thousands of small ones fragment the heap the engines share).
+  void grow(Group& g) {
+    const std::uint32_t capacity = g.capacity == 0 ? 2 : 2 * g.capacity;
+    if (g.begin + g.capacity == entries_.size()) {
+      entries_.resize(g.begin + capacity);
+    } else {
+      const std::size_t begin = entries_.size();
+      entries_.resize(begin + capacity);
+      std::copy_n(entries_.begin() + g.begin, g.live, entries_.begin() + begin);
+      g.begin = begin;
+    }
+    g.capacity = capacity;
   }
 
   /// Links a freshly pushed state into its exact chain: appended after
@@ -497,8 +525,9 @@ class StateStore {
   std::vector<std::size_t> hashes_;   ///< key hash per state
   std::vector<std::int32_t> next_;    ///< same-hash chain links
   std::vector<std::uint32_t> chain_len_;  ///< chain length, kept at head ids
-  // Inclusion stores: one group per key hash.
+  // Inclusion stores: one group per key hash, their segments in entries_.
   std::vector<Group> groups_;
+  std::vector<Entry> entries_;
   /// Open-addressed table: chain head ids (exact) or group indices
   /// (inclusion).
   std::vector<std::int32_t> slots_;
