@@ -204,6 +204,7 @@ struct StateTraits<ta::SymState> {
     if (le && ge) return dbm::Relation::kEqual;
     return le ? dbm::Relation::kSubset : dbm::Relation::kSuperset;
   }
+
   static constexpr std::size_t kSummaryClocks =
       std::tuple_size_v<InclusionSummary> / 2;
 
