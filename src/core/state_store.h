@@ -205,7 +205,7 @@ class StateStore {
   /// trajectory only on the sequence of distinct key hashes, so the rebuilt
   /// store is structurally identical to the one that was snapshotted and
   /// every subsequent intern() behaves bit-identically to the uninterrupted
-  /// run. Covered states join no group's live array, as they would have
+  /// run. Covered states join no group's live segment, as they would have
   /// left it when tombstoned. Pooled stores re-intern every payload into a
   /// fresh pool here; the pool layout is a pure function of the intern
   /// sequence, so it too matches the pool the snapshotted store would have
