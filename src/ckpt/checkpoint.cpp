@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "ckpt/delta.h"
-#include "common/env.h"
 
 namespace quanta::ckpt {
 
@@ -19,17 +18,6 @@ const char* to_string(LoadStatus s) {
     case LoadStatus::kCorrupt: return "corrupt";
   }
   return "?";
-}
-
-std::uint64_t Options::effective_interval() const {
-  // Strict QUANTA_JOBS-style parsing (common::env_u64): the whole string must
-  // be a positive decimal number — "12abc", "1e3", "-5", "0" and "" all fall
-  // back to the programmatic interval rather than silently disabling or
-  // misreading the cadence.
-  if (const auto v = common::env_u64("QUANTA_CKPT_INTERVAL", kMaxInterval)) {
-    return *v;
-  }
-  return interval;
 }
 
 const Section* find_section(const std::vector<Section>& sections,

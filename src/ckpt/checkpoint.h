@@ -140,9 +140,7 @@ struct Options {
   /// Periodic snapshot cadence in the engine's own progress unit (explored
   /// states for core::explore, sweeps for value iteration, completed runs
   /// for the statistical engines); 0 = snapshot only on stop. Periodic
-  /// snapshots are what make an outright SIGKILL resumable. The
-  /// QUANTA_CKPT_INTERVAL environment variable, when it parses as a whole
-  /// positive decimal, overrides this value (effective_interval()).
+  /// snapshots are what make an outright SIGKILL resumable.
   std::uint64_t interval = 0;
   /// Periodic snapshots of the store-based providers append incremental
   /// delta records to the checkpoint log (src/ckpt/delta.h) instead of
@@ -152,14 +150,6 @@ struct Options {
   std::uint32_t max_deltas = 64;
 
   bool enabled() const { return !path.empty(); }
-
-  /// `interval`, unless QUANTA_CKPT_INTERVAL holds a valid override — the
-  /// same strict rules as QUANTA_JOBS: whole positive decimals only,
-  /// clamped to kMaxInterval; garbage/empty/zero falls back to `interval`.
-  std::uint64_t effective_interval() const;
-
-  /// Upper clamp of the QUANTA_CKPT_INTERVAL override.
-  static constexpr std::uint64_t kMaxInterval = 1'000'000'000'000ull;
 };
 
 /// How checkpointing went for one analysis run; carried by the engine's

@@ -115,11 +115,10 @@ class StoreChain {
   /// The hook core::explore saves through; nullptr when this run writes no
   /// checkpoints.
   const core::CheckpointHook* hook() {
-    const std::uint64_t interval = opts_.effective_interval();
-    if (!writer_.has_value() || (!opts_.save_on_stop && interval == 0)) {
+    if (!writer_.has_value() || (!opts_.save_on_stop && opts_.interval == 0)) {
       return nullptr;
     }
-    hook_.interval = interval;
+    hook_.interval = opts_.interval;
     hook_.sink = [this](const core::SearchStats& s, const Entry& pending) {
       if (s.stop != common::StopReason::kCompleted && !opts_.save_on_stop) {
         return;

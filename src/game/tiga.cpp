@@ -257,7 +257,7 @@ GameResult TimedGame::solve_reachability_impl(const GamePredicate& goal) {
   }
   std::vector<char>& win = fix_.win;
   std::vector<StrategyAction>& act = fix_.act;
-  const std::uint64_t interval = checkpoint_.effective_interval();
+  const std::uint64_t interval = checkpoint_.interval;
   // Least fixpoint of the controllable predecessor (environment preempts).
   // Sweeps run in index order, so the (win, act, sweeps) triple at a sweep
   // boundary determines the rest of the computation — that is exactly what
@@ -346,7 +346,7 @@ GameResult TimedGame::solve_safety_impl(const GamePredicate& safe) {
     }
   }
   std::vector<char>& win = fix_.win;
-  const std::uint64_t interval = checkpoint_.effective_interval();
+  const std::uint64_t interval = checkpoint_.interval;
   // Greatest fixpoint: prune states the controller cannot keep safe. Same
   // sweep-boundary checkpoint discipline as the reachability attractor
   // (the safety strategy is extracted after convergence, so no act array).

@@ -80,7 +80,7 @@ class GraphBuilder : ckpt::StorePayload {
     // Build complete: persist the full graph (empty worklist) so a crash
     // during the violation search resumes straight into it. Skipped when
     // this run itself resumed a complete graph — nothing changed.
-    if (!stats.truncated && opts_.checkpoint.effective_interval() != 0 &&
+    if (!stats.truncated && opts_.checkpoint.interval != 0 &&
         extends) {
       chain_.save(stats.states_explored, stats.transitions, nullptr);
     }

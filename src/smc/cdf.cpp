@@ -3,11 +3,18 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "exec/watchdog.h"
+#include "smc/batch_driver.h"
 #include "smc/validate.h"
-#include "smc/worker_sim.h"
 
 namespace quanta::smc {
+
+namespace {
+
+/// Batch granularity: how stale a budget stop can be, and the unit a
+/// stopped sample keeps whole.
+constexpr std::uint64_t kBatch = 1024;
+
+}  // namespace
 
 HitTimesResult sample_hit_times(const ta::System& sys,
                                 const TimeBoundedReach& prop,
@@ -18,47 +25,19 @@ HitTimesResult sample_hit_times(const ta::System& sys,
   internal::require_positive("smc.sample_hit_times", "runs", runs);
   return common::governed(
       [&] {
-        const common::RngStream streams(seed);
-        internal::WorkerSims sims(sys, ex.workers());
-        exec::CancellationToken cancel;
-        exec::Watchdog watchdog(budget, cancel);
-
-        // Keyed by run index (each slot written by exactly one worker), then
-        // compacted in index order: the series is identical for every worker
-        // count. kSkipped marks runs the executor never reached after a
-        // cancellation — distinct from kMiss, a completed unsatisfied run.
-        constexpr double kMiss = -1.0;
-        constexpr double kSkipped = -2.0;
-        std::vector<double> per_run(runs, kSkipped);
-        ex.for_each(
-            0, runs,
-            [&](std::uint64_t i, exec::Executor::WorkerContext& ctx) {
-              Simulator& sim = sims.at(ctx.worker_id);
-              sim.reseed(streams.seed_for(i));
-              RunResult r = sim.run(prop);
-              ctx.telemetry->sim_steps += r.steps;
-              if (r.satisfied) {
-                ++ctx.telemetry->hits;
-                per_run[static_cast<std::size_t>(i)] = r.hit_time;
-              } else {
-                per_run[static_cast<std::size_t>(i)] = kMiss;
-              }
-            },
-            &cancel, telemetry);
-
         HitTimesResult result;
         result.runs = runs;
-        result.times.reserve(runs);
-        for (double t : per_run) {
-          if (t == kSkipped) continue;
-          ++result.completed;
-          if (t != kMiss) result.times.push_back(t);
-        }
-        if (result.completed == runs) {
-          result.verdict = common::Verdict::kHolds;
-        } else {
-          result.stop = watchdog.fired_reason();
-        }
+        result.stop = internal::run_batches(
+            sys, prop, seed, 0, runs, kBatch, ex, budget, telemetry,
+            "smc.cdf.batch",
+            [&](std::span<const RunResult> batch) {
+              result.completed += batch.size();
+              for (const RunResult& r : batch) {
+                if (r.satisfied) result.times.push_back(r.hit_time);
+              }
+              return internal::BatchStep::kContinue;
+            });
+        if (result.completed == runs) result.verdict = common::Verdict::kHolds;
         return result;
       },
       [runs](common::StopReason r) {

@@ -14,16 +14,17 @@
 namespace quanta::smc {
 
 /// Hit-time series with degradation metadata: the budget-governed variant of
-/// first_hit_times. `times` holds the hit times of the satisfied *completed*
-/// runs in run-index order; runs the budget skipped contribute nothing and
-/// are counted out of `completed`.
+/// first_hit_times. `times` holds the hit times of the satisfied runs among
+/// the first `completed` run indices, in run-index order. Runs are simulated
+/// in batches of 1024 (smc/batch_driver.h); a batch the budget cut short is
+/// dropped, so `completed` is always a whole number of batches (or `runs`).
 struct HitTimesResult {
   std::vector<double> times;
   std::size_t runs = 0;       ///< requested
-  std::size_t completed = 0;  ///< actually simulated
-  /// kHolds = all requested runs were simulated (the series is
-  /// bit-identical for every worker count); kUnknown = the budget cut the
-  /// sample short (the surviving subset depends on scheduling).
+  std::size_t completed = 0;  ///< prefix of run indices kept
+  /// kHolds = all requested runs were simulated; kUnknown = the budget cut
+  /// the sample short. Either way the series is bit-identical for every
+  /// worker count that stops at the same batch boundary.
   common::Verdict verdict = common::Verdict::kUnknown;
   common::StopReason stop = common::StopReason::kCompleted;
 };

@@ -1,14 +1,10 @@
 #include "smc/estimate.h"
 
-#include <algorithm>
-
 #include "ckpt/io.h"
 #include "ckpt/snapshot_ta.h"
-#include "common/fault.h"
 #include "common/stats.h"
-#include "exec/watchdog.h"
+#include "smc/batch_driver.h"
 #include "smc/validate.h"
-#include "smc/worker_sim.h"
 
 namespace quanta::smc {
 
@@ -18,10 +14,10 @@ namespace {
 /// tally (requested runs, completed runs, hits).
 constexpr std::uint32_t kSecSmcTally = 1;
 
-/// Batch granularity of the checkpointing path. Batches bound both how much
-/// work a crash can lose and how stale a budget stop can be (the budget is
-/// polled between batches in addition to the watchdog).
-constexpr std::size_t kCkptBatch = 1024;
+/// Batch granularity. Batches bound both how much work a crash can lose and
+/// how stale a budget stop can be (the driver polls the budget between
+/// batches in addition to the watchdog).
+constexpr std::uint64_t kBatch = 1024;
 
 std::uint64_t estimate_fingerprint(const ta::System& sys,
                                    const TimeBoundedReach& prop,
@@ -38,43 +34,25 @@ std::uint64_t estimate_fingerprint(const ta::System& sys,
   return fp.digest();
 }
 
-void finish_estimate(Estimate* est, double alpha) {
-  if (est->completed == est->runs) {
-    est->verdict = common::Verdict::kHolds;
-    est->stop = common::StopReason::kCompleted;
-  }
-  if (est->completed > 0) {
-    est->p_hat = static_cast<double>(est->hits) /
-                 static_cast<double>(est->completed);
-    auto [lo, hi] = common::clopper_pearson(est->hits, est->completed, alpha);
-    est->ci_low = lo;
-    est->ci_high = hi;
-  }
-}
-
-/// The checkpointing path: simulate in fixed batches of consecutive run
-/// indices so that any stop leaves a prefix-contiguous tally. A batch the
-/// watchdog cancelled mid-air is discarded (re-simulated on resume) —
-/// partial batches would record "which runs finished", which depends on
-/// scheduling and would break bit-reproducibility.
-Estimate estimate_batched(const ta::System& sys, const TimeBoundedReach& prop,
-                          std::size_t runs, double alpha, std::uint64_t seed,
-                          exec::Executor& ex, exec::RunTelemetry* telemetry,
-                          const common::Budget& budget,
-                          const ckpt::Options& checkpoint) {
-  const common::RngStream streams(seed);
-  internal::WorkerSims sims(sys, ex.workers());
-  exec::CancellationToken cancel;
-  exec::Watchdog watchdog(budget, cancel);
-
+/// Simulates the sample through the batch driver; any stop leaves a tally
+/// over the prefix [0, completed) of whole batches. A checkpoint, when
+/// enabled, snapshots that prefix and a resumed call starts after it.
+Estimate estimate_impl(const ta::System& sys, const TimeBoundedReach& prop,
+                       std::size_t runs, double alpha, std::uint64_t seed,
+                       exec::Executor& ex, exec::RunTelemetry* telemetry,
+                       const common::Budget& budget,
+                       const ckpt::Options& checkpoint) {
   Estimate est;
   est.runs = runs;
   est.resume.path = checkpoint.path;
-  const std::uint64_t fp = estimate_fingerprint(sys, prop, runs, alpha, seed);
+  const std::uint64_t fp =
+      checkpoint.enabled()
+          ? estimate_fingerprint(sys, prop, runs, alpha, seed)
+          : 0;
 
   std::uint64_t done = 0;
   std::uint64_t hits = 0;
-  if (checkpoint.resume) {
+  if (checkpoint.enabled() && checkpoint.resume) {
     ckpt::Snapshot snap;
     est.resume.load = ckpt::load(checkpoint.path, fp,
                                  ckpt::Provider::kStatistical, &snap);
@@ -110,58 +88,37 @@ Estimate estimate_batched(const ta::System& sys, const TimeBoundedReach& prop,
     if (ckpt::save(checkpoint.path, snap)) est.resume.saved = true;
   };
 
-  struct Tally {
-    std::uint64_t hits = 0;
-    std::uint64_t completed = 0;
-  };
-  const std::uint64_t interval = checkpoint.effective_interval();
+  const std::uint64_t interval = checkpoint.enabled() ? checkpoint.interval : 0;
   std::uint64_t runs_since_save = 0;
-  while (done < runs) {
-    common::FaultInjector::site("smc.estimate.batch");
-    const common::StopReason boundary = budget.poll(0);
-    if (boundary != common::StopReason::kCompleted) {
-      est.stop = boundary;
-      break;
-    }
-    const std::uint64_t batch = std::min<std::uint64_t>(kCkptBatch, runs - done);
-    Tally t = exec::parallel_reduce(
-        ex, done, done + batch, Tally{},
-        [&](Tally& acc, std::uint64_t i, exec::Executor::WorkerContext& ctx) {
-          Simulator& sim = sims.at(ctx.worker_id);
-          sim.reseed(streams.seed_for(i));
-          RunResult r = sim.run(prop);
-          ++acc.completed;
-          ctx.telemetry->sim_steps += r.steps;
-          if (r.satisfied) {
-            ++acc.hits;
-            ++ctx.telemetry->hits;
+  est.stop = internal::run_batches(
+      sys, prop, seed, done, runs, kBatch, ex, budget, telemetry,
+      "smc.estimate.batch",
+      [&](std::span<const RunResult> batch) {
+        done += batch.size();
+        for (const RunResult& r : batch) hits += r.satisfied ? 1 : 0;
+        if (interval > 0) {
+          runs_since_save += batch.size();
+          if (runs_since_save >= interval) {
+            runs_since_save = 0;
+            save_ckpt();
           }
-        },
-        [](Tally& out, Tally&& in) {
-          out.hits += in.hits;
-          out.completed += in.completed;
-        },
-        &cancel, telemetry);
-    if (t.completed < batch) {
-      // Cancelled mid-batch: drop the partial tally, keep the prefix.
-      est.stop = watchdog.fired_reason();
-      break;
-    }
-    done += batch;
-    hits += t.hits;
-    if (interval > 0) {
-      runs_since_save += batch;
-      if (runs_since_save >= interval) {
-        runs_since_save = 0;
-        save_ckpt();
-      }
-    }
-  }
+        }
+        return internal::BatchStep::kContinue;
+      });
 
   est.completed = done;
   est.hits = hits;
-  if (done < runs && checkpoint.save_on_stop) save_ckpt();
-  finish_estimate(&est, alpha);
+  if (done == runs) {
+    est.verdict = common::Verdict::kHolds;
+  } else if (checkpoint.enabled() && checkpoint.save_on_stop) {
+    save_ckpt();
+  }
+  if (done > 0) {
+    est.p_hat = static_cast<double>(hits) / static_cast<double>(done);
+    auto [lo, hi] = common::clopper_pearson(hits, done, alpha);
+    est.ci_low = lo;
+    est.ci_high = hi;
+  }
   return est;
 }
 
@@ -176,76 +133,16 @@ Estimate estimate_probability_runs(const ta::System& sys,
                                    const ckpt::Options& checkpoint) {
   internal::require_unit_open("smc.estimate_probability_runs", "alpha", alpha);
   internal::require_positive("smc.estimate_probability_runs", "runs", runs);
-  if (checkpoint.enabled()) {
-    return common::governed(
-        [&] {
-          return estimate_batched(sys, prop, runs, alpha, seed, ex, telemetry,
-                                  budget, checkpoint);
-        },
-        [runs, &checkpoint](common::StopReason r) {
-          Estimate est;
-          est.runs = runs;
-          est.stop = r;
-          est.resume.path = checkpoint.path;
-          return est;
-        });
-  }
   return common::governed(
       [&] {
-        const common::RngStream streams(seed);
-        internal::WorkerSims sims(sys, ex.workers());
-        // The watchdog turns the passive budget into cancellation: it fires
-        // this internal token, which the executor polls between runs.
-        exec::CancellationToken cancel;
-        exec::Watchdog watchdog(budget, cancel);
-
-        struct Tally {
-          std::uint64_t hits = 0;
-          std::uint64_t completed = 0;
-        };
-        Tally total = exec::parallel_reduce(
-            ex, 0, runs, Tally{},
-            [&](Tally& acc, std::uint64_t i,
-                exec::Executor::WorkerContext& ctx) {
-              Simulator& sim = sims.at(ctx.worker_id);
-              sim.reseed(streams.seed_for(i));
-              RunResult r = sim.run(prop);
-              ++acc.completed;
-              ctx.telemetry->sim_steps += r.steps;
-              if (r.satisfied) {
-                ++acc.hits;
-                ++ctx.telemetry->hits;
-              }
-            },
-            [](Tally& out, Tally&& in) {
-              out.hits += in.hits;
-              out.completed += in.completed;
-            },
-            &cancel, telemetry);
-
-        Estimate est;
-        est.runs = runs;
-        est.completed = total.completed;
-        est.hits = total.hits;
-        if (est.completed == runs) {
-          est.verdict = common::Verdict::kHolds;
-        } else {
-          est.stop = watchdog.fired_reason();
-        }
-        if (est.completed > 0) {
-          est.p_hat = static_cast<double>(est.hits) /
-                      static_cast<double>(est.completed);
-          auto [lo, hi] =
-              common::clopper_pearson(est.hits, est.completed, alpha);
-          est.ci_low = lo;
-          est.ci_high = hi;
-        }
-        return est;
+        return estimate_impl(sys, prop, runs, alpha, seed, ex, telemetry,
+                             budget, checkpoint);
       },
-      [runs](common::StopReason r) {
+      [runs, &checkpoint](common::StopReason r) {
         Estimate est;
         est.runs = runs;
         est.stop = r;
+        est.resume.path = checkpoint.path;
         return est;
       });
 }

@@ -26,12 +26,10 @@ struct Estimate {
   /// kHolds = the full sample was collected, so p_hat / the CI carry the
   /// requested statistical guarantee. kUnknown = the budget (deadline,
   /// cancellation, fault) cut the sample short; p_hat and the CI are then
-  /// computed over the `completed` runs only, and — unlike a completed
-  /// estimate — WHICH runs completed depends on scheduling, so a partial
-  /// estimate is not bit-reproducible across worker counts. Exception: with
-  /// checkpointing enabled the engine runs in fixed batches and a partial
-  /// estimate covers exactly the run indices [0, completed), which IS
-  /// reproducible (run i is a pure function of the seed and i).
+  /// computed over the `completed` runs only. The sample runs in fixed
+  /// batches and a batch cut short is dropped, so a partial estimate covers
+  /// exactly the run indices [0, completed) of whole batches — the same
+  /// tally at every worker count for a stop at the same batch boundary.
   common::Verdict verdict = common::Verdict::kUnknown;
   common::StopReason stop = common::StopReason::kCompleted;
   /// Checkpoint/resume outcome of this run (see the `checkpoint` parameter).
@@ -40,16 +38,17 @@ struct Estimate {
 
 /// Estimates Pr[<= T](<> goal) with `runs` simulations; the confidence
 /// interval is Clopper-Pearson at level 1 - alpha. Run i draws from
-/// RngStream(seed).rng(i); hits are tallied per worker and merged, so the
-/// result does not depend on `ex.workers()`.
+/// RngStream(seed).rng(i) and the sample is collected in fixed batches of
+/// 1024 runs (smc/batch_driver.h), so the result does not depend on
+/// `ex.workers()`.
 ///
-/// With `checkpoint` enabled (src/ckpt) the sample is collected in fixed
-/// batches; on a budget stop the prefix-contiguous tally (completed runs,
-/// hits) is snapshotted and a later call resumes at the next run index.
-/// Because run i is deterministic given (seed, i), the resumed estimate is
-/// bit-identical to an uninterrupted one. A batch that was cut short mid-air
-/// by the watchdog is discarded (those runs are re-simulated on resume), so
-/// checkpoints only ever describe run prefixes. The checkpoint fingerprint
+/// With `checkpoint` enabled (src/ckpt), on a budget stop the
+/// prefix-contiguous tally (completed runs, hits) is snapshotted and a later
+/// call resumes at the next run index. Because run i is deterministic given
+/// (seed, i), the resumed estimate is bit-identical to an uninterrupted one.
+/// A batch that was cut short mid-air by the watchdog is discarded (those
+/// runs are re-simulated on resume), so checkpoints only ever describe run
+/// prefixes. The checkpoint fingerprint
 /// covers the system, the time bound, runs, alpha, seed and the canonical
 /// AST of the goal predicate (common::Predicate) — goals built from plain
 /// closures canonicalize alike, so wrap those in common::labeled_pred.

@@ -1,16 +1,12 @@
 #include "smc/sprt.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 #include "ckpt/io.h"
 #include "ckpt/snapshot_ta.h"
-#include "common/fault.h"
-#include "exec/watchdog.h"
+#include "smc/batch_driver.h"
 #include "smc/validate.h"
-#include "smc/worker_sim.h"
 
 namespace quanta::smc {
 
@@ -69,18 +65,6 @@ SprtResult sprt_test_impl(const ta::System& sys, const TimeBoundedReach& prop,
   const double inc_hit = std::log(p1 / p0);
   const double inc_miss = std::log((1.0 - p1) / (1.0 - p0));
 
-  const std::size_t batch = opts.batch_size > 0 ? opts.batch_size : 128;
-  const common::RngStream streams(seed);
-  internal::WorkerSims sims(sys, ex.workers());
-  exec::CancellationToken cancel;
-  exec::Watchdog watchdog(budget, cancel);
-
-  // Outcome slots per batch, keyed by run index. kNotRun marks runs the
-  // executor skipped after a budget cancellation — they must not enter the
-  // log-likelihood walk (an unwritten slot read as a miss would silently
-  // push the walk toward rejection).
-  constexpr std::uint8_t kNotRun = 2;
-
   SprtResult result;
   result.resume.path = opts.checkpoint.path;
   double llr = 0.0;
@@ -129,74 +113,49 @@ SprtResult sprt_test_impl(const ta::System& sys, const TimeBoundedReach& prop,
     snap.add_section(kSecSprtWalk, std::move(w));
     if (ckpt::save(opts.checkpoint.path, snap)) result.resume.saved = true;
   };
-  const bool save_on_stop =
-      opts.checkpoint.enabled() && opts.checkpoint.save_on_stop;
   const std::uint64_t interval =
-      opts.checkpoint.enabled() ? opts.checkpoint.effective_interval() : 0;
+      opts.checkpoint.enabled() ? opts.checkpoint.interval : 0;
   std::uint64_t since_save = 0;
 
-  std::vector<std::uint8_t> outcome;
-  for (std::uint64_t base = result.runs; base < opts.max_runs;
-       base += outcome.size()) {
-    // Fault-injection site: a kDeadline fault here forces the watchdog's
-    // next budget poll to fire, interrupting the test at a batch boundary.
-    common::FaultInjector::site("smc.sprt.batch");
-    const std::uint64_t n =
-        std::min<std::uint64_t>(batch, opts.max_runs - base);
-    outcome.assign(static_cast<std::size_t>(n), kNotRun);
-    // Simulate the batch in parallel; outcome[k] is keyed by run index, so
-    // the merged batch is independent of scheduling.
-    ex.for_each(
-        base, base + n,
-        [&](std::uint64_t i, exec::Executor::WorkerContext& ctx) {
-          Simulator& sim = sims.at(ctx.worker_id);
-          sim.reseed(streams.seed_for(i));
-          RunResult r = sim.run(prop);
-          ctx.telemetry->sim_steps += r.steps;
-          if (r.satisfied) ++ctx.telemetry->hits;
-          outcome[static_cast<std::size_t>(i - base)] = r.satisfied ? 1 : 0;
-        },
-        &cancel, telemetry);
-    // Walk the merged batch in run order — exactly the sequential SPRT.
-    for (std::uint64_t k = 0; k < n; ++k) {
-      if (outcome[static_cast<std::size_t>(k)] == kNotRun) {
-        // The budget fired mid-batch; everything from here on was skipped.
-        result.stop = watchdog.fired_reason();
-        if (save_on_stop) save_walk();
-        return result;
-      }
-      ++result.runs;
-      if (outcome[static_cast<std::size_t>(k)]) {
-        ++result.hits;
-        llr += inc_hit;
-      } else {
-        llr += inc_miss;
-      }
-      if (llr >= log_a) {
-        result.verdict = SprtVerdict::kRejected;  // evidence for H1: p < theta
-      } else if (llr <= log_b) {
-        result.verdict = SprtVerdict::kAccepted;  // evidence for H0: p > theta
-      }
-      if (result.verdict != SprtVerdict::kInconclusive) {
-        // Early stop: cancel outstanding work instead of running to the cap.
-        cancel.cancel();
-        return result;
-      }
-      if (interval != 0 && ++since_save >= interval) {
-        since_save = 0;
-        save_walk();
-      }
-    }
-    if (cancel.cancelled()) {
-      // The whole batch completed but the watchdog fired during or after it;
-      // stop before paying for another batch.
-      result.stop = watchdog.fired_reason();
-      if (save_on_stop) save_walk();
-      return result;
-    }
+  const std::uint64_t batch = opts.batch_size > 0 ? opts.batch_size : 128;
+  result.stop = internal::run_batches(
+      sys, prop, seed, result.runs, opts.max_runs, batch, ex, budget,
+      telemetry, "smc.sprt.batch",
+      [&](std::span<const RunResult> runs) {
+        // Walk the merged batch in run order — exactly the sequential SPRT.
+        for (const RunResult& r : runs) {
+          ++result.runs;
+          if (r.satisfied) {
+            ++result.hits;
+            llr += inc_hit;
+          } else {
+            llr += inc_miss;
+          }
+          if (llr >= log_a) {
+            // Evidence for H1: p < theta.
+            result.verdict = SprtVerdict::kRejected;
+          } else if (llr <= log_b) {
+            // Evidence for H0: p > theta.
+            result.verdict = SprtVerdict::kAccepted;
+          }
+          // Early stop: no further batch once a boundary is crossed.
+          if (result.verdict != SprtVerdict::kInconclusive) {
+            return internal::BatchStep::kStop;
+          }
+          if (interval != 0 && ++since_save >= interval) {
+            since_save = 0;
+            save_walk();
+          }
+        }
+        return internal::BatchStep::kContinue;
+      });
+  if (result.verdict != SprtVerdict::kInconclusive) return result;
+  if (result.stop == common::StopReason::kCompleted) {
+    // max_runs exhausted: the test is over (inconclusive), nothing to resume.
+    result.stop = common::StopReason::kStateLimit;
+  } else if (opts.checkpoint.enabled() && opts.checkpoint.save_on_stop) {
+    save_walk();
   }
-  // max_runs exhausted: the test is over (inconclusive), nothing to resume.
-  result.stop = common::StopReason::kStateLimit;
   return result;
 }
 

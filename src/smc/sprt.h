@@ -2,13 +2,14 @@
 // Pr[<=T](<> goal) >= theta, as used by UPPAAL-SMC for hypothesis testing.
 //
 // Parallelisation follows the batched-Wald scheme of multi-core SMC tools
-// (modes): runs are simulated in batches of `batch_size` on the executor,
-// each batch's per-run outcomes are merged in run-index order, and the
-// log-likelihood ratio is walked run by run — so the verdict AND the number
-// of runs consumed are bit-identical to the fully sequential test for every
-// worker count. On a verdict the remaining batches (the outstanding work)
-// are cancelled; runs of the final batch beyond the crossing point were
-// simulated but are not consumed (they only show up in the telemetry).
+// (modes): runs are simulated in batches of `batch_size` on the executor
+// (smc/batch_driver.h), each batch's per-run outcomes are merged in
+// run-index order, and the log-likelihood ratio is walked run by run — so
+// the verdict AND the number of runs consumed are bit-identical to the
+// fully sequential test for every worker count. On a verdict no further
+// batch starts; runs of the final batch beyond the crossing point were
+// simulated but are not consumed (they only show up in the telemetry). A
+// budget stop consumes whole batches only: a batch cut short is dropped.
 #pragma once
 
 #include <cstdint>

@@ -172,7 +172,6 @@ Ref ZonePool::intern(std::span<const std::int32_t> words) {
     const Ref ref = table_[i];
     if (record_equals(records_[ref], h, words)) {
       ++hits_;
-      ++records_[ref].refs;
       return ref;
     }
     i = (i + 1) & mask;
@@ -181,7 +180,6 @@ Ref ZonePool::intern(std::span<const std::int32_t> words) {
   Record r;
   r.hash = h;
   r.len = static_cast<std::uint32_t>(words.size());
-  r.refs = 1;
   if (!words.empty()) {
     // NOTE: arena_alloc may evict older chunks, but never the newest one it
     // just carved this payload from, so the destination stays valid.
@@ -194,16 +192,6 @@ Ref ZonePool::intern(std::span<const std::int32_t> words) {
   table_[i] = ref;
   if (records_.size() * 2 >= table_.size()) grow_table();
   return ref;
-}
-
-std::span<const std::int32_t> ZonePool::data(Ref ref) const {
-  const Record& r = records_[ref];
-  if (r.len == 0) return {};
-  if (r.chunk != kSpilled) {
-    return {chunks_[static_cast<std::size_t>(r.chunk)].get() + r.offset,
-            r.len};
-  }
-  return spill_.read(r.offset, r.len);
 }
 
 std::size_t ZonePool::memory_bytes() const {

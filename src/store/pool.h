@@ -1,4 +1,4 @@
-// store::ZonePool — interned, refcounted, arena-allocated storage for the
+// store::ZonePool — interned, arena-allocated storage for the
 // fixed-width int32 payloads behind exploration states: DBM zone matrices,
 // discrete location/variable vectors, digital clock vectors. Identical
 // payloads are rampant across a zone graph (the same zone reappears in many
@@ -99,23 +99,26 @@ class ZonePool {
   ZonePool& operator=(ZonePool&&) = default;
 
   /// Interns a payload: returns the Ref of the existing record with equal
-  /// content (refcount bumped) or copies the payload into the arena under a
-  /// fresh Ref. Empty payloads are valid and intern like any other.
+  /// content or copies the payload into the arena under a fresh Ref. Empty
+  /// payloads are valid and intern like any other. Records live as long as
+  /// the pool.
   Ref intern(std::span<const std::int32_t> words);
 
   /// The payload behind a Ref, wherever it lives (arena or spill file).
   /// The span is invalidated by the next intern() — evictions triggered by
-  /// an insertion may move the bytes it points at.
-  std::span<const std::int32_t> data(Ref ref) const;
+  /// an insertion may move the bytes it points at. Inline: the zone-row
+  /// traits (ta/traits.h) call it once per row on the subsumption path.
+  std::span<const std::int32_t> data(Ref ref) const {
+    const Record& r = records_[ref];
+    if (r.len == 0) return {};
+    if (r.chunk != kSpilled) {
+      return {chunks_[static_cast<std::size_t>(r.chunk)].get() + r.offset,
+              r.len};
+    }
+    return spill_.read(r.offset, r.len);
+  }
 
   std::uint32_t size(Ref ref) const { return records_[ref].len; }
-  std::uint32_t refcount(Ref ref) const { return records_[ref].refs; }
-
-  void retain(Ref ref) { ++records_[ref].refs; }
-  /// Drops one reference; returns true when the record became dead. Dead
-  /// records keep their Ref and their table entry (an equal payload interned
-  /// later revives them); their storage is reclaimed with the pool.
-  bool release(Ref ref) { return --records_[ref].refs == 0; }
 
   /// RAM held by the pool: resident arena chunks plus record/table/chunk
   /// bookkeeping. Spilled payload is explicitly NOT counted — it lives in
@@ -135,7 +138,6 @@ class ZonePool {
   struct Record {
     std::uint64_t hash = 0;
     std::uint32_t len = 0;   ///< payload words
-    std::uint32_t refs = 0;
     std::int32_t chunk = -1; ///< arena chunk index, or kSpilled
     std::size_t offset = 0;  ///< word offset in chunk / byte offset in spill
   };

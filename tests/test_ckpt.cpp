@@ -1505,7 +1505,7 @@ TEST(CkptDeltaChain, FaultDuringDeltaApplyStartsFresh) {
                 "fresh after apply fault");
 }
 
-// ---- QUANTA_CKPT_INTERVAL --------------------------------------------------
+// ---- environment helpers ----------------------------------------------------
 
 /// Scoped environment override; restores the previous value on destruction.
 struct ScopedEnv {
@@ -1531,68 +1531,6 @@ struct ScopedEnv {
   std::string saved_;
   bool had_ = false;
 };
-
-TEST(CkptInterval, EnvOverrideParsesStrictly) {
-  // Mirrors the QUANTA_JOBS rules: the whole string must be a positive
-  // decimal; anything else falls back to the programmatic interval.
-  ckpt::Options opts;
-  opts.interval = 7;
-
-  {
-    ScopedEnv env("QUANTA_CKPT_INTERVAL", nullptr);
-    EXPECT_EQ(opts.effective_interval(), 7u) << "unset";
-  }
-  for (const char* valid : {"1", "3", "250"}) {
-    ScopedEnv env("QUANTA_CKPT_INTERVAL", valid);
-    EXPECT_EQ(opts.effective_interval(),
-              static_cast<std::uint64_t>(std::atoll(valid)))
-        << valid;
-  }
-  for (const char* garbage :
-       {"", "abc", "12abc", "1e3", "0", "-5", "0x10", "  ",
-        "18446744073709551616" /* 2^64: overflow */}) {
-    ScopedEnv env("QUANTA_CKPT_INTERVAL", garbage);
-    EXPECT_EQ(opts.effective_interval(), 7u) << "\"" << garbage << "\"";
-  }
-  {
-    // In range but above the clamp: pinned to kMaxInterval, not rejected.
-    ScopedEnv env("QUANTA_CKPT_INTERVAL", "999999999999999");
-    EXPECT_EQ(opts.effective_interval(), ckpt::Options::kMaxInterval);
-  }
-  {
-    ScopedEnv env("QUANTA_CKPT_INTERVAL", "1000000000000");
-    EXPECT_EQ(opts.effective_interval(), ckpt::Options::kMaxInterval);
-  }
-}
-
-TEST(CkptInterval, EnvOverrideDrivesPeriodicSnapshots) {
-  // End to end: interval 0 + save_on_stop off writes nothing — unless the
-  // environment supplies the cadence.
-  auto tg = models::make_train_gate(3);
-  const auto safe = mutual_exclusion(tg);
-  const auto reference = mc::check_invariant(tg.system, safe);
-
-  const std::string path = ckpt_path("env_interval");
-  mc::ReachOptions opts;
-  opts.checkpoint.path = path;
-  opts.checkpoint.interval = 0;
-  opts.checkpoint.save_on_stop = false;
-  opts.limits.max_states = reference.stats.states_stored / 2;
-  {
-    ScopedEnv env("QUANTA_CKPT_INTERVAL", "not-a-number");
-    EXPECT_FALSE(mc::check_invariant(tg.system, safe, opts).resume.saved);
-  }
-  {
-    ScopedEnv env("QUANTA_CKPT_INTERVAL", "40");
-    ASSERT_TRUE(mc::check_invariant(tg.system, safe, opts).resume.saved);
-  }
-  mc::ReachOptions full;
-  full.checkpoint.path = path;
-  const auto resumed = mc::check_invariant(tg.system, safe, full);
-  EXPECT_TRUE(resumed.resume.resumed);
-  EXPECT_TRUE(resumed.holds());
-  expect_same_stats(resumed.stats, reference.stats, "env-driven periodic");
-}
 
 // ---- provider 4: leads-to liveness -----------------------------------------
 

@@ -487,9 +487,10 @@ TEST(ExecWatchdog, WatchdogDoesNotResetTargetAcrossRuns) {
 }
 
 TEST(ExecWatchdog, PreTrippedBudgetRunsNothing) {
-  // A budget that is already tripped on entry must stop every unbatched SMC
-  // entry point before its first run, however the watchdog thread happens
-  // to be scheduled: the watchdog polls once before the executor starts.
+  // A budget that is already tripped on entry must stop every SMC entry
+  // point before its first run, however the watchdog thread happens to be
+  // scheduled: the batch driver polls the budget before each batch, and the
+  // watchdog polls once before the executor starts.
   auto tg = models::make_train_gate(2);
   auto prop = train_crosses(tg, 0, 30.0);
   exec::Executor ex(2);
@@ -522,6 +523,70 @@ TEST(ExecWatchdog, PreTrippedBudgetRunsNothing) {
       ASSERT_EQ(test.stop, c.stop) << "sprt, repeat " << i;
     }
   }
+}
+
+// A stopped run keeps a prefix of whole batches, so its numbers do not
+// depend on the worker count. A kDeadline fault at the third visit of an
+// engine's batch site stops it at a fixed boundary, after two batches.
+TEST(SmcDriver, StoppedResultsMatchAcrossWorkerCounts) {
+  struct Disarm {
+    ~Disarm() { common::FaultInjector::instance().disarm(); }
+  } disarm;
+  const auto stop_at_third_batch = [](const char* site) {
+    common::FaultInjector::instance().arm(site, common::FaultKind::kDeadline,
+                                          3);
+  };
+  const auto budget = common::Budget::deadline_after(std::chrono::hours(1));
+  auto tg = models::make_train_gate(2);
+  const auto cross = train_crosses(tg, 0, 30.0);
+  // SPRT parameters that cannot decide within a few hundred runs: theta at
+  // the true probability (1 - e^-1) and boundaries ~20.7 wide.
+  ta::System expo = make_exponential(0.5);
+  const auto done = done_within(expo, 2.0);
+  smc::SprtOptions opts;
+  opts.alpha = 1e-9;
+  opts.beta = 1e-9;
+  opts.indifference = 0.005;
+  opts.max_runs = 100'000;
+  opts.batch_size = 64;
+
+  smc::Estimate est_ref;
+  smc::HitTimesResult times_ref;
+  smc::SprtResult sprt_ref;
+  for (unsigned workers : {1u, 2u, 4u}) {
+    exec::Executor ex(workers);
+    stop_at_third_batch("smc.estimate.batch");
+    const auto est = smc::estimate_probability_runs(tg.system, cross, 5000,
+                                                    0.05, 7, ex, nullptr,
+                                                    budget);
+    EXPECT_EQ(est.stop, common::StopReason::kTimeLimit) << workers;
+    EXPECT_EQ(est.completed, 2048u) << workers;
+    stop_at_third_batch("smc.cdf.batch");
+    const auto times =
+        smc::sample_hit_times(tg.system, cross, 5000, 7, ex, budget);
+    EXPECT_EQ(times.stop, common::StopReason::kTimeLimit) << workers;
+    EXPECT_EQ(times.completed, 2048u) << workers;
+    stop_at_third_batch("smc.sprt.batch");
+    const auto sprt =
+        smc::sprt_test(expo, done, 0.632, opts, 7, ex, nullptr, budget);
+    EXPECT_EQ(sprt.stop, common::StopReason::kTimeLimit) << workers;
+    EXPECT_EQ(sprt.runs, 128u) << workers;
+    if (workers == 1) {
+      est_ref = est;
+      times_ref = times;
+      sprt_ref = sprt;
+      continue;
+    }
+    EXPECT_EQ(est.hits, est_ref.hits) << workers;
+    EXPECT_EQ(est.p_hat, est_ref.p_hat) << workers;
+    EXPECT_EQ(times.completed, times_ref.completed) << workers;
+    EXPECT_EQ(times.times, times_ref.times) << workers;
+    EXPECT_EQ(sprt.runs, sprt_ref.runs) << workers;
+    EXPECT_EQ(sprt.hits, sprt_ref.hits) << workers;
+    EXPECT_EQ(sprt.verdict, sprt_ref.verdict) << workers;
+  }
+  EXPECT_EQ(sprt_ref.verdict, smc::SprtVerdict::kInconclusive);
+  EXPECT_FALSE(times_ref.times.empty());
 }
 
 // Regression: a cancelled estimate must not poison the next estimate on the

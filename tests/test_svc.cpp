@@ -28,7 +28,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -572,6 +574,229 @@ TEST(Request, ResponseSerializationIsDeterministic) {
   EXPECT_NE(to_wire(hit).to_json(), a);
   hit.cached = false;
   EXPECT_EQ(to_wire(hit).to_json(), a);
+}
+
+// ---------------------------------------------------------------------------
+// Wire parser fuzzing: seeded mutations of valid request and response frames
+// — truncation, bit flips, splices, duplicate keys and oversized or malformed
+// numbers — fed to WireMap::parse_json, parse_request and parse_response.
+// Every input must give a clean error or a value that re-serializes and
+// parses back to itself; never a crash, a hang or an amplified allocation.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr int kWireFuzzCases = 20000;
+
+using Fields = std::vector<std::pair<std::string, std::string>>;
+
+/// Valid request frames: defaults, every field set, and escapes in values.
+std::vector<std::string> request_frames() {
+  Request full;
+  full.engine = "smc";
+  full.model = "train-gate-4";
+  full.query = "cross";
+  full.priority = Priority::kHigh;
+  full.deadline_ms = 2500;
+  full.memory_mb = 64;
+  full.runs = 4000;
+  full.seed = 18446744073709551615ull;
+  full.bound = 0.1;
+  full.ckpt_interval = 1000;
+  full.resume = "ckpt-7f\"3a\n";
+  full.use_cache = false;
+  full.use_quarantine = false;
+  full.want_ticket = true;
+  full.ticket = 42;
+  full.hold_ms = 5;
+  full.throttle_us = 7;
+  full.fault = "svc.job.run=exception:1";
+  full.crash_signal = 11;
+  full.rlimit_mb = 512;
+  Request plain;
+  plain.engine = "mc";
+  plain.model = "train-gate-2";
+  plain.query = "mutex";
+  return {to_wire(full).to_json(), to_wire(plain).to_json(),
+          R"({"engine":"svc","query":"ping"})"};
+}
+
+/// Valid response frames: a rich answer, a budget stop with a resume token
+/// and an error with control characters in its text.
+std::vector<std::string> response_frames() {
+  Response ok;
+  ok.status = Status::kOk;
+  ok.verdict = common::Verdict::kHolds;
+  ok.stored = 253;
+  ok.explored = 250;
+  ok.transitions = 390;
+  ok.extra = -3;
+  ok.has_value = true;
+  ok.value = 0.1;
+  ok.ticket = 9;
+  Response stopped = ok;
+  stopped.verdict = common::Verdict::kUnknown;
+  stopped.stop = common::StopReason::kTimeLimit;
+  stopped.has_value = false;
+  stopped.resume = "tok-12";
+  stopped.cached = true;
+  Response bad;
+  bad.status = Status::kBadRequest;
+  bad.error = "field 'runs' must be >= 1\t\x01\"";
+  return {to_wire(ok).to_json(), to_wire(stopped).to_json(),
+          to_wire(bad).to_json()};
+}
+
+/// JSON text of `fields`, with field `bare` (if any) written unquoted as a
+/// hand-written client would.
+std::string encode_fields(const Fields& fields, std::size_t bare) {
+  std::string out = "{";
+  for (std::size_t k = 0; k < fields.size(); ++k) {
+    if (k > 0) out += ',';
+    WireMap one;
+    one.set(fields[k].first, fields[k].second);
+    std::string pair = one.to_json();
+    if (k == bare) {
+      pair = pair.substr(0, pair.find(':') + 1) + fields[k].second + "}";
+    }
+    out += pair.substr(1, pair.size() - 2);
+  }
+  return out + "}";
+}
+
+/// Case `i` of the mutation schedule over `frames`.
+std::string mutate_frame(const std::vector<std::string>& frames,
+                         std::mt19937_64& rng, int i) {
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const std::string& pristine = frames[pick(frames.size())];
+  std::string b = pristine;
+  switch (i % 5) {
+    case 0:  // truncated anywhere
+      b.resize(pick(b.size()));
+      break;
+    case 1: {  // one to four bit flips
+      const std::size_t flips = 1 + pick(4);
+      for (std::size_t f = 0; f < flips; ++f) {
+        b[pick(b.size())] ^= static_cast<char>(1u << pick(8));
+      }
+      break;
+    }
+    case 2: {  // the head of one frame, the tail of another
+      const std::string& other = frames[pick(frames.size())];
+      b.resize(pick(b.size() + 1));
+      b += other.substr(pick(other.size() + 1));
+      break;
+    }
+    case 3: {  // a field repeated with another field's value
+      Fields fields = WireMap::parse_json(pristine, nullptr)->fields();
+      const auto& key = fields[pick(fields.size())].first;
+      const auto& value = fields[pick(fields.size())].second;
+      fields.insert(fields.begin() + static_cast<std::ptrdiff_t>(
+                                         pick(fields.size() + 1)),
+                    {key, value});
+      b = encode_fields(fields, std::string::npos);
+      break;
+    }
+    default: {  // an oversized or malformed number, quoted or bare
+      static const char* const kNumbers[] = {
+          "18446744073709551615", "18446744073709551616",
+          "99999999999999999999999999999999999999999999999999999999999999",
+          "-1", "-0", "+7", " 7", "7 ", "0x10", "1e309", "-1e309", "1e-320",
+          "4.9406564584124654e-324", "nan", "-nan", "inf", "-inf", "1.5.2",
+          "00012", "", "9223372036854775808", "-9223372036854775809"};
+      Fields fields = WireMap::parse_json(pristine, nullptr)->fields();
+      const std::size_t at = pick(fields.size());
+      fields[at].second = kNumbers[pick(std::size(kNumbers))];
+      b = encode_fields(fields, pick(2) == 0 ? at : std::string::npos);
+      break;
+    }
+  }
+  return b;
+}
+
+/// Equal doubles, bit for bit; any two NaNs count as equal (the text "nan"
+/// carries no payload).
+bool same_double(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+struct WireFuzzTally {
+  std::size_t maps = 0;
+  std::size_t requests = 0;
+  std::size_t responses = 0;
+};
+
+/// Feeds one input through all three parsers and checks the invariant.
+void check_wire_input(const std::string& text, int i, WireFuzzTally* tally) {
+  std::string error;
+  const auto m = WireMap::parse_json(text, &error);
+  if (!m) {
+    EXPECT_FALSE(error.empty()) << "case " << i;
+    return;
+  }
+  ++tally->maps;
+  // Parsing never grows the input: escapes only shrink.
+  std::size_t parsed_bytes = 0;
+  for (const auto& [k, v] : m->fields()) parsed_bytes += k.size() + v.size();
+  EXPECT_LE(parsed_bytes, text.size()) << "case " << i;
+  const auto again = WireMap::parse_json(m->to_json(), &error);
+  ASSERT_TRUE(again.has_value()) << "case " << i << ": " << error;
+  EXPECT_EQ(again->fields(), m->fields()) << "case " << i;
+
+  error.clear();
+  if (const auto req = parse_request(*m, &error)) {
+    ++tally->requests;
+    const std::string bytes = to_wire(*req).to_json();
+    const auto back =
+        parse_request(*WireMap::parse_json(bytes, nullptr), &error);
+    ASSERT_TRUE(back.has_value()) << "case " << i << ": " << error;
+    EXPECT_EQ(to_wire(*back).to_json(), bytes) << "case " << i;
+    EXPECT_TRUE(same_double(back->bound, req->bound)) << "case " << i;
+  } else {
+    EXPECT_FALSE(error.empty()) << "case " << i;
+  }
+  error.clear();
+  if (const auto resp = parse_response(*m, &error)) {
+    ++tally->responses;
+    const std::string bytes = to_wire(*resp).to_json();
+    const auto back =
+        parse_response(*WireMap::parse_json(bytes, nullptr), &error);
+    ASSERT_TRUE(back.has_value()) << "case " << i << ": " << error;
+    EXPECT_EQ(to_wire(*back).to_json(), bytes) << "case " << i;
+    EXPECT_TRUE(same_double(back->value, resp->value)) << "case " << i;
+  } else {
+    EXPECT_FALSE(error.empty()) << "case " << i;
+  }
+}
+
+}  // namespace
+
+TEST(WireFuzz, MutatedRequestFramesParseCleanlyOrRoundTrip) {
+  const auto frames = request_frames();
+  std::mt19937_64 rng(0x5EC0E57ull);
+  WireFuzzTally tally;
+  for (int i = 0; i < kWireFuzzCases; ++i) {
+    check_wire_input(mutate_frame(frames, rng, i), i, &tally);
+    if (HasFatalFailure()) return;
+  }
+  // The schedule reaches every parser with accepted inputs, not just errors.
+  EXPECT_GT(tally.maps, 0u);
+  EXPECT_GT(tally.requests, 0u);
+}
+
+TEST(WireFuzz, MutatedResponseFramesParseCleanlyOrRoundTrip) {
+  const auto frames = response_frames();
+  std::mt19937_64 rng(0x2E5B0115Eull);
+  WireFuzzTally tally;
+  for (int i = 0; i < kWireFuzzCases; ++i) {
+    check_wire_input(mutate_frame(frames, rng, i), i, &tally);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(tally.maps, 0u);
+  EXPECT_GT(tally.responses, 0u);
 }
 
 // ---------------------------------------------------------------------------
