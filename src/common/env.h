@@ -1,5 +1,5 @@
-// Strict environment-number parsing, shared by every numeric knob of the
-// toolkit (QUANTA_JOBS, the QUANTAD_* daemon knobs).
+// Strict environment-number parsing for the toolkit's numeric environment
+// knobs (QUANTA_JOBS).
 // One rule everywhere: the whole value must be a positive decimal number —
 // empty strings, non-numeric text, zero, anything with a minus sign,
 // trailing garbage ("4x") and out-of-range values are rejected as a whole,

@@ -15,8 +15,13 @@ using ta::Move;
 using ta::Process;
 using ta::SyncKind;
 
-Simulator::Simulator(const ta::System& sys, std::uint64_t seed, Options opts)
-    : sem_(sys), opts_(opts), rng_(seed) {}
+namespace {
+/// Discrete events per run before it is abandoned as stuck (unsatisfied).
+constexpr std::size_t kMaxSteps = 1'000'000;
+}  // namespace
+
+Simulator::Simulator(const ta::System& sys, std::uint64_t seed)
+    : sem_(sys), rng_(seed) {}
 
 bool Simulator::compute_bid(const ConcreteState& s, int process, Bid* bid) {
   const ta::System& sys = sem_.system();
@@ -108,23 +113,8 @@ bool Simulator::fire_process(ConcreteState& s, int process) {
       choices[static_cast<std::size_t>(rng_.uniform_int(0, static_cast<int>(choices.size()) - 1))];
   const Move& m = chosen.variants[static_cast<std::size_t>(
       rng_.uniform_int(0, static_cast<int>(chosen.variants.size()) - 1))];
-  execute_sampled(s, m);
+  sem_.execute_sampled(s, m, rng_);
   return true;
-}
-
-void Simulator::execute_sampled(ConcreteState& s, const Move& m) {
-  std::vector<int> branch_choice(m.participants.size(), -1);
-  for (std::size_t k = 0; k < m.participants.size(); ++k) {
-    const auto& [p, e] = m.participants[k];
-    const Edge& edge =
-        sem_.system().process(p).edges.at(static_cast<std::size_t>(e));
-    if (!edge.probabilistic()) continue;
-    std::vector<double> weights;
-    weights.reserve(edge.branches.size());
-    for (const auto& b : edge.branches) weights.push_back(b.weight);
-    branch_choice[k] = static_cast<int>(rng_.weighted_choice(weights));
-  }
-  sem_.execute(s, m, branch_choice);
 }
 
 bool Simulator::fire_immediate(ConcreteState& s) {
@@ -132,7 +122,7 @@ bool Simulator::fire_immediate(ConcreteState& s) {
   if (moves.empty()) return false;
   const Move& m = moves[static_cast<std::size_t>(
       rng_.uniform_int(0, static_cast<int>(moves.size()) - 1))];
-  execute_sampled(s, m);
+  sem_.execute_sampled(s, m, rng_);
   return true;
 }
 
@@ -146,7 +136,7 @@ RunResult Simulator::run(const TimeBoundedReach& prop) {
   double t = 0.0;
   if (observer_) observer_(s, t);
 
-  while (result.steps < opts_.max_steps) {
+  while (result.steps < kMaxSteps) {
     common::FaultInjector::site("smc.simulator.step");
     if (prop.goal(s)) {
       result.satisfied = true;

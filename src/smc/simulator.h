@@ -35,13 +35,7 @@ struct RunResult {
 
 class Simulator {
  public:
-  struct Options {
-    std::size_t max_steps = 1'000'000;
-  };
-
-  Simulator(const ta::System& sys, std::uint64_t seed)
-      : Simulator(sys, seed, Options{}) {}
-  Simulator(const ta::System& sys, std::uint64_t seed, Options opts);
+  Simulator(const ta::System& sys, std::uint64_t seed);
 
   /// Simulates one run up to the property's time bound.
   RunResult run(const TimeBoundedReach& prop);
@@ -76,11 +70,7 @@ class Simulator {
   /// Fires one move from a zero-delay (committed/urgent) configuration.
   bool fire_immediate(ta::ConcreteState& s);
 
-  /// Executes a move, sampling probabilistic branches by weight.
-  void execute_sampled(ta::ConcreteState& s, const ta::Move& m);
-
   ta::ConcreteSemantics sem_;
-  Options opts_;
   common::Rng rng_;
   Observer observer_;
 };

@@ -7,7 +7,12 @@ namespace quanta::sta {
 
 namespace {
 constexpr double kTimeEps = 1e-9;
-}
+/// Discrete steps per run before it stops where it is.
+constexpr std::size_t kMaxSteps = 1'000'000;
+/// Model-time cap: an ALAP scheduler facing an unbounded window (no
+/// invariant, no upper guard) would otherwise delay by infinity.
+constexpr double kTimeLimit = 1e18;
+}  // namespace
 
 const char* to_string(SchedulerPolicy p) {
   switch (p) {
@@ -50,21 +55,6 @@ std::vector<DesSimulator::MoveWindow> DesSimulator::move_windows(
   return windows;
 }
 
-void DesSimulator::fire(ta::ConcreteState& s, const ta::Move& m) {
-  std::vector<int> branch_choice(m.participants.size(), -1);
-  for (std::size_t k = 0; k < m.participants.size(); ++k) {
-    const auto& [p, e] = m.participants[k];
-    const ta::Edge& edge =
-        sem_.system().process(p).edges.at(static_cast<std::size_t>(e));
-    if (!edge.probabilistic()) continue;
-    std::vector<double> weights;
-    weights.reserve(edge.branches.size());
-    for (const auto& b : edge.branches) weights.push_back(b.weight);
-    branch_choice[k] = static_cast<int>(rng_.weighted_choice(weights));
-  }
-  sem_.execute(s, m, branch_choice);
-}
-
 DesRun DesSimulator::run(const DesPredicate& terminal,
                          const std::vector<DesPredicate>& watch,
                          const std::vector<DesPredicate>& monitors) {
@@ -83,7 +73,7 @@ DesRun DesSimulator::run(const DesPredicate& terminal,
     }
   };
 
-  for (std::size_t step = 0; step < opts_.max_steps; ++step) {
+  for (std::size_t step = 0; step < kMaxSteps; ++step) {
     observe();
     if (terminal && terminal(s)) {
       result.terminated = true;
@@ -94,8 +84,10 @@ DesRun DesSimulator::run(const DesPredicate& terminal,
     if (sem_.symbolic().delay_forbidden(s.locs, s.vars)) {
       auto moves = sem_.enabled_moves_now(s);
       if (moves.empty()) break;  // timelock
-      fire(s, moves[static_cast<std::size_t>(rng_.uniform_int(
-                  0, static_cast<int>(moves.size()) - 1))]);
+      sem_.execute_sampled(s,
+                           moves[static_cast<std::size_t>(rng_.uniform_int(
+                               0, static_cast<int>(moves.size()) - 1))],
+                           rng_);
       continue;
     }
 
@@ -122,8 +114,8 @@ DesRun DesSimulator::run(const DesPredicate& terminal,
       }
     }
     d = std::max(0.0, d);
-    if (t + d > opts_.time_limit) {
-      result.end_time = opts_.time_limit;
+    if (t + d > kTimeLimit) {
+      result.end_time = kTimeLimit;
       return result;
     }
     sem_.delay(s, d);
@@ -131,8 +123,10 @@ DesRun DesSimulator::run(const DesPredicate& terminal,
 
     auto moves = sem_.enabled_moves_now(s);
     if (moves.empty()) break;  // numeric corner: treat as stalled
-    fire(s, moves[static_cast<std::size_t>(
-                rng_.uniform_int(0, static_cast<int>(moves.size()) - 1))]);
+    sem_.execute_sampled(s,
+                         moves[static_cast<std::size_t>(rng_.uniform_int(
+                             0, static_cast<int>(moves.size()) - 1))],
+                         rng_);
   }
   observe();
   result.end_time = t;

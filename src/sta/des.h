@@ -25,8 +25,6 @@ const char* to_string(SchedulerPolicy p);
 
 struct DesOptions {
   SchedulerPolicy policy = SchedulerPolicy::kAlap;
-  std::size_t max_steps = 1'000'000;
-  double time_limit = 1e18;
 };
 
 using DesPredicate = std::function<bool(const ta::ConcreteState&)>;
@@ -62,8 +60,6 @@ class DesSimulator {
   /// Enabled-move windows [earliest, latest] relative to now, already
   /// clamped to the global invariant bound.
   std::vector<MoveWindow> move_windows(const ta::ConcreteState& s) const;
-
-  void fire(ta::ConcreteState& s, const ta::Move& m);
 
   ta::ConcreteSemantics sem_;
   DesOptions opts_;

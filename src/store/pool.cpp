@@ -9,7 +9,9 @@ namespace quanta::store {
 
 namespace {
 constexpr std::size_t kInitialTable = std::size_t{1} << 10;
-}
+/// Sparse capacity reserved for the spill mapping.
+constexpr std::size_t kSpillCapBytes = std::size_t{1} << 37;  // 128 GiB
+}  // namespace
 
 bool parse_memory_bytes(const char* text, std::size_t* out) {
   if (text == nullptr || *text == '\0') return false;
@@ -51,20 +53,18 @@ PoolConfig pool_config_from_env() {
 
 ZonePool::ZonePool(PoolConfig cfg) : cfg_(std::move(cfg)) {
   table_.assign(kInitialTable, kNullRef);
-  chunk_capacity_ = cfg_.chunk_words;
-  if (chunk_capacity_ == 0) {
-    chunk_capacity_ = kChunkWords;
-    if (!cfg_.spill_path.empty() &&
-        cfg_.resident_limit != std::numeric_limits<std::size_t>::max()) {
-      // Aim for >= 4 chunks under the ceiling so FIFO eviction has cold,
-      // non-newest chunks to work with even when the ceiling is tiny.
-      chunk_capacity_ = std::clamp(
-          cfg_.resident_limit / sizeof(std::int32_t) / 4, kMinChunkWords,
-          kChunkWords);
-    }
+  if (!cfg_.spill_path.empty() &&
+      cfg_.resident_limit != std::numeric_limits<std::size_t>::max()) {
+    // Aim for >= 4 chunks under the ceiling so FIFO eviction has cold,
+    // non-newest chunks to work with even when the ceiling is tiny (only
+    // full, non-newest chunks are eviction candidates: a ceiling below one
+    // chunk would otherwise never spill anything).
+    chunk_capacity_ = std::clamp(
+        cfg_.resident_limit / sizeof(std::int32_t) / 4, kMinChunkWords,
+        kChunkWords);
   }
   if (!cfg_.spill_path.empty()) {
-    spill_enabled_ = spill_.open(cfg_.spill_path, cfg_.spill_cap_bytes);
+    spill_enabled_ = spill_.open(cfg_.spill_path, kSpillCapBytes);
     if (!spill_enabled_) ++spill_failures_;
   }
 }

@@ -48,14 +48,6 @@ struct PoolConfig {
   std::size_t resident_limit = std::numeric_limits<std::size_t>::max();
   /// Spill file path; empty disables the spill tier entirely.
   std::string spill_path;
-  /// Sparse capacity reserved for the spill mapping.
-  std::size_t spill_cap_bytes = std::size_t{1} << 37;  // 128 GiB, sparse
-  /// Arena chunk size in int32 words; 0 derives it automatically: 64 Ki
-  /// words (256 KiB) normally, scaled down under a tight resident_limit so
-  /// the ceiling still yields several evictable chunks (only full, non-newest
-  /// chunks are eviction candidates — a ceiling below one chunk would
-  /// otherwise never spill anything).
-  std::size_t chunk_words = 0;
 };
 
 /// QUANTA_STORE_MEM / QUANTA_STORE_SPILL environment knobs, parsed with the

@@ -1,6 +1,7 @@
 #include "svc/request.h"
 
 #include <cstring>
+#include <utility>
 
 namespace quanta::svc {
 
@@ -99,12 +100,13 @@ std::optional<Request> parse_request(const WireMap& m, std::string* error) {
   if (!read_u64(m, "runs", &r.runs, &err)) return fail(err);
   if (!read_u64(m, "seed", &r.seed, &err)) return fail(err);
   if (!read_u64(m, "ckpt_interval", &r.ckpt_interval, &err)) return fail(err);
-  if (!read_u64(m, "hold_ms", &r.hold_ms, &err)) return fail(err);
-  if (!read_u64(m, "throttle_us", &r.throttle_us, &err)) return fail(err);
-  if (!read_u64(m, "crash_signal", &r.crash_signal, &err)) return fail(err);
-  if (!read_u64(m, "rlimit_mb", &r.rlimit_mb, &err)) return fail(err);
+  Request::Debug& debug = r.debug;
+  if (!read_u64(m, "hold_ms", &debug.hold_ms, &err)) return fail(err);
+  if (!read_u64(m, "throttle_us", &debug.throttle_us, &err)) return fail(err);
+  if (!read_u64(m, "crash_signal", &debug.crash_signal, &err)) return fail(err);
+  if (!read_u64(m, "rlimit_mb", &debug.rlimit_mb, &err)) return fail(err);
   if (!read_u64(m, "ticket", &r.ticket, &err)) return fail(err);
-  if (const std::string* s = m.get("fault")) r.fault = *s;
+  if (const std::string* s = m.get("fault")) debug.fault = *s;
   if (m.get("bound") != nullptr) {
     const auto b = m.get_f64("bound");
     if (!b || !(*b > 0.0)) return fail("field 'bound' must be a positive number");
@@ -133,7 +135,9 @@ std::optional<Request> parse_request(const WireMap& m, std::string* error) {
     }
   }
   if (r.runs < 1) return fail("field 'runs' must be >= 1");
-  if (r.crash_signal > 64) return fail("field 'crash_signal' must be <= 64");
+  if (debug.crash_signal > 64) {
+    return fail("field 'crash_signal' must be <= 64");
+  }
   return r;
 }
 
@@ -154,25 +158,19 @@ WireMap to_wire(const Request& r) {
   if (!r.use_quarantine) m.set("quarantine", "0");
   if (r.want_ticket) m.set("want_ticket", "1");
   if (r.ticket != 0) m.set_u64("ticket", r.ticket);
-  if (r.hold_ms != 0) m.set_u64("hold_ms", r.hold_ms);
-  if (r.throttle_us != 0) m.set_u64("throttle_us", r.throttle_us);
-  if (!r.fault.empty()) m.set("fault", r.fault);
-  if (r.crash_signal != 0) m.set_u64("crash_signal", r.crash_signal);
-  if (r.rlimit_mb != 0) m.set_u64("rlimit_mb", r.rlimit_mb);
+  const Request::Debug& debug = r.debug;
+  if (debug.hold_ms != 0) m.set_u64("hold_ms", debug.hold_ms);
+  if (debug.throttle_us != 0) m.set_u64("throttle_us", debug.throttle_us);
+  if (!debug.fault.empty()) m.set("fault", debug.fault);
+  if (debug.crash_signal != 0) m.set_u64("crash_signal", debug.crash_signal);
+  if (debug.rlimit_mb != 0) m.set_u64("rlimit_mb", debug.rlimit_mb);
   return m;
 }
 
-bool has_debug_knobs(const Request& r) {
-  return r.hold_ms != 0 || r.throttle_us != 0 || !r.fault.empty() ||
-         r.crash_signal != 0 || r.rlimit_mb != 0;
-}
-
-Request without_debug_knobs(Request r) {
-  r.hold_ms = 0;
-  r.throttle_us = 0;
-  r.fault.clear();
-  r.crash_signal = 0;
-  r.rlimit_mb = 0;
+Response make_error(Status status, std::string why) {
+  Response r;
+  r.status = status;
+  r.error = std::move(why);
   return r;
 }
 

@@ -55,10 +55,24 @@ inline constexpr int kLaneCount = 3;
 ///   crash_signal        debug-only: worker raises this signal at job start
 ///   rlimit_mb           debug-only: worker sets RLIMIT_AS to this many MiB
 ///                       before running the job (OOM drills)
-/// A daemon without --debug rejects all five debug knobs, and the job
-/// journal never records them (see without_debug_knobs).
+/// A daemon without --debug rejects a request with any debug knob set, and
+/// the job journal never records them (it clears Request::debug).
 /// (*) not required for engine "svc" builtins ("stats", "ping").
 struct Request {
+  /// The five debug-only knobs; all zero/empty unless the request sets one.
+  struct Debug {
+    std::uint64_t hold_ms = 0;
+    std::uint64_t throttle_us = 0;
+    std::string fault;
+    std::uint64_t crash_signal = 0;
+    std::uint64_t rlimit_mb = 0;
+
+    bool empty() const {
+      return hold_ms == 0 && throttle_us == 0 && fault.empty() &&
+             crash_signal == 0 && rlimit_mb == 0;
+    }
+  };
+
   std::string engine;
   std::string model;
   std::string query;
@@ -74,24 +88,13 @@ struct Request {
   bool use_quarantine = true;
   bool want_ticket = false;
   std::uint64_t ticket = 0;
-  std::uint64_t hold_ms = 0;
-  std::uint64_t throttle_us = 0;
-  std::string fault;
-  std::uint64_t crash_signal = 0;
-  std::uint64_t rlimit_mb = 0;
+  Debug debug;
 };
 
 /// Validates field values (unknown keys are ignored — forward compatible;
 /// malformed values of known keys are rejected, never half-parsed).
 std::optional<Request> parse_request(const WireMap& m, std::string* error);
 WireMap to_wire(const Request& r);
-
-/// True when any of the five debug-only fields (hold_ms, throttle_us,
-/// fault, crash_signal, rlimit_mb) is set.
-bool has_debug_knobs(const Request& r);
-/// `r` with all five debug-only fields cleared: the form the job journal
-/// records, so a replay always runs the job calm, on any daemon.
-Request without_debug_knobs(Request r);
 
 /// One analysis response. `verdict`/`stop` use the common vocabulary;
 /// stats are the engine-specific mapping documented in svc/registry.h.
@@ -110,6 +113,9 @@ struct Response {
   std::string resume;  ///< resume token when a checkpoint was saved
   std::uint64_t ticket = 0;  ///< journal ticket, only when asked for
 };
+
+/// A response carrying only `status` and the reason `why`.
+Response make_error(Status status, std::string why);
 
 /// Deterministic field order; cache hits re-serialize the stored Response
 /// with only `cached` flipped, so byte-level diffs ignore exactly one field.

@@ -7,8 +7,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
@@ -18,18 +20,44 @@
 
 #include "ckpt/delta.h"
 #include "common/fault.h"
-#include "svc/config.h"
 #include "svc/wire.h"
 
 namespace quanta::svc {
 
 namespace {
 
-Response make_error(Status status, std::string why) {
-  Response r;
-  r.status = status;
-  r.error = std::move(why);
-  return r;
+/// Memory charge of a job whose request carries no memory budget.
+constexpr std::size_t kDefaultJobCharge = 256ull << 20;
+
+/// Upper bounds of the ServerConfig sizing fields (see server.h).
+constexpr unsigned kMaxJobs = 1024;
+constexpr std::size_t kMaxQueueDepth = std::size_t{1} << 20;
+constexpr std::size_t kMaxCacheBytes = std::size_t{1} << 40;
+constexpr unsigned kMaxRetries = 1000;
+constexpr std::uint64_t kMaxCkptTtlS = std::uint64_t{1} << 30;
+
+/// Empty when every sizing field of `cfg` is in range, else the reason.
+std::string check_sizing(const ServerConfig& cfg) {
+  struct Bound {
+    const char* field;
+    std::uint64_t value, lo, hi;
+  };
+  const Bound bounds[] = {
+      {"jobs", cfg.jobs, 0, kMaxJobs},
+      {"queue_depth", cfg.queue_depth, 1, kMaxQueueDepth},
+      {"cache_bytes", cfg.cache_bytes, 1, kMaxCacheBytes},
+      {"inflight_bytes", cfg.inflight_bytes, 1, UINT64_MAX},
+      {"retries", cfg.retries, 0, kMaxRetries},
+      {"ckpt_ttl_s", cfg.ckpt_ttl_s, 1, kMaxCkptTtlS},
+  };
+  for (const Bound& b : bounds) {
+    if (b.value < b.lo || b.value > b.hi) {
+      return std::string(b.field) + " = " + std::to_string(b.value) +
+             " is out of range [" + std::to_string(b.lo) + ", " +
+             std::to_string(b.hi) + "]";
+    }
+  }
+  return "";
 }
 
 /// The deterministic poison-list answer: every quarantine hit (live or
@@ -72,13 +100,7 @@ std::size_t gc_checkpoints(const std::string& dir, std::uint64_t ttl_s) {
   return removed;
 }
 
-Server::Server(ServerConfig cfg) : cfg_(std::move(cfg)) {
-  if (cfg_.jobs == 0) cfg_.jobs = default_daemon_jobs();
-  if (cfg_.queue_depth == 0) cfg_.queue_depth = default_queue_depth();
-  if (cfg_.cache_bytes == 0) cfg_.cache_bytes = default_cache_bytes();
-  if (cfg_.retries < 0) cfg_.retries = static_cast<int>(default_retries());
-  if (cfg_.ckpt_ttl_s == 0) cfg_.ckpt_ttl_s = default_ckpt_ttl_s();
-}
+Server::Server(ServerConfig cfg) : cfg_(std::move(cfg)) {}
 
 Server::~Server() { stop(); }
 
@@ -154,6 +176,13 @@ bool Server::start(std::string* error) {
              "in a supervised worker process";
     return false;
   }
+  if (std::string why = check_sizing(cfg_); !why.empty()) {
+    *error = std::move(why);
+    return false;
+  }
+  if (cfg_.jobs == 0) {
+    cfg_.jobs = std::max(1u, std::thread::hardware_concurrency());
+  }
   if (!cfg_.ckpt_dir.empty()) {
     if (::mkdir(cfg_.ckpt_dir.c_str(), 0755) != 0 && errno != EEXIST) {
       *error = "mkdir " + cfg_.ckpt_dir + ": " + std::strerror(errno);
@@ -177,7 +206,7 @@ bool Server::start(std::string* error) {
   }
   SupervisorConfig scfg;
   scfg.workers = cfg_.jobs;
-  scfg.retries = static_cast<unsigned>(cfg_.retries);
+  scfg.retries = cfg_.retries;
   // Journaling hooks: poison-list transitions and worker deaths go to the
   // write-ahead journal, so a restart reconstructs the quarantine set.
   // Both no-op until setup_durable_state() opens the journal.
@@ -589,7 +618,7 @@ Response Server::run_analysis(const Request& req) {
   std::string error;
   const auto prepared = prepare_job(req, &error);
   if (!prepared) return make_error(Status::kBadRequest, error);
-  if (!cfg_.enable_debug && has_debug_knobs(req)) {
+  if (!cfg_.enable_debug && !req.debug.empty()) {
     return make_error(Status::kBadRequest,
                       "hold_ms/throttle_us/fault/crash_signal/rlimit_mb "
                       "require a --debug daemon");
@@ -636,8 +665,9 @@ Response Server::run_analysis(const Request& req) {
     std::lock_guard<std::mutex> jlock(journal_mu_);
     tickets_pending_.insert(ticket);
     if (journal_ != nullptr) {
-      journal_->admit(ticket, prepared->fingerprint,
-                      to_wire(without_debug_knobs(req)).to_json());
+      Request calm = req;
+      calm.debug = {};
+      journal_->admit(ticket, prepared->fingerprint, to_wire(calm).to_json());
     }
   }
 
@@ -652,7 +682,7 @@ Response Server::run_analysis(const Request& req) {
   JobQueue::Job job;
   job.cancel = &cancel;
   job.mem_charge =
-      req.memory_mb != 0 ? (req.memory_mb << 20) : cfg_.default_job_charge;
+      req.memory_mb != 0 ? (req.memory_mb << 20) : kDefaultJobCharge;
   job.run = [this, &req, &prepared, &budget, &checkpoint, &done, ticket] {
     {
       // Start record at actual execution (it may land after this session's
@@ -751,9 +781,9 @@ Response Server::execute_job(const Request& req, std::uint64_t fingerprint,
                              const ckpt::Options& checkpoint) {
   // Debug hold: park the runner (cancellation-responsive) so tests can fill
   // the queue behind a deterministically busy worker.
-  if (req.hold_ms != 0) {
+  if (req.debug.hold_ms != 0) {
     const auto until = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(req.hold_ms);
+                       std::chrono::milliseconds(req.debug.hold_ms);
     while (std::chrono::steady_clock::now() < until &&
            budget.poll() == common::StopReason::kCompleted) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));

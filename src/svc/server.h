@@ -61,20 +61,24 @@ struct ServerConfig {
   std::string socket_path;
   /// 127.0.0.1 TCP listener; -1 = off, 0 = ephemeral (see Server::tcp_port).
   int tcp_port = -1;
-  unsigned jobs = 0;             ///< job runners; 0 = QUANTAD_JOBS default
-  std::size_t queue_depth = 0;   ///< queued jobs; 0 = QUANTAD_QUEUE_DEPTH
-  std::size_t cache_bytes = 0;   ///< cache budget; 0 = QUANTAD_CACHE_MEM
+  /// Job runners (and worker processes, one each); 0 = one per hardware
+  /// thread, at least 1. At most 1024.
+  unsigned jobs = 0;
+  /// Admitted jobs waiting for a runner before load-shedding rejects with
+  /// kOverload. 1 to 2^20.
+  std::size_t queue_depth = 64;
+  /// Result-cache byte budget. 1 B to 1 TiB.
+  std::size_t cache_bytes = 64ull << 20;
   /// Admission ceiling on the summed memory charges of queued + running
-  /// jobs; a job is charged its memory budget, or `default_job_charge`
-  /// when the request carries none.
+  /// jobs; a job is charged its memory budget, or 256 MiB when the request
+  /// carries none. At least 1.
   std::size_t inflight_bytes = 4ull << 30;
-  std::size_t default_job_charge = 256ull << 20;
   /// Directory for resume-token checkpoints (created if missing); empty
   /// disables checkpointing and resume tokens.
   std::string ckpt_dir;
-  /// Honor the five debug request fields: hold_ms / throttle_us pacing and
-  /// the fault / crash_signal / rlimit_mb crash drills (tests, CI smoke and
-  /// benches only — a production daemon rejects them).
+  /// Honor Request::debug: hold_ms / throttle_us pacing and the fault /
+  /// crash_signal / rlimit_mb crash drills (tests, CI smoke and benches
+  /// only — a production daemon rejects them).
   bool enable_debug = false;
   /// Compatibility only. Every job runs in a prefork pool of sandboxed
   /// worker processes (one per runner), so a crashing engine fails one
@@ -82,13 +86,14 @@ struct ServerConfig {
   /// stays because perfbench/src/svc_load.cpp assigns it; delete it with
   /// the next change to perfbench.
   bool isolate = true;
-  /// Crash re-dispatches per job before its fingerprint is quarantined;
-  /// -1 = QUANTAD_RETRIES default.
-  int retries = -1;
+  /// Crash re-dispatches per job before its fingerprint is quarantined
+  /// (a query crashing retries+1 times in one submission is poisoned).
+  /// At most 1000.
+  unsigned retries = 2;
   /// Unclaimed resume-checkpoint chains older than this many seconds are
-  /// garbage collected (age = the chain's newest file); 0 = QUANTAD_CKPT_TTL
-  /// default. Claimed chains are removed as soon as their job completes.
-  std::uint64_t ckpt_ttl_s = 0;
+  /// garbage collected (age = the chain's newest file). 1 s to 2^30 s.
+  /// Claimed chains are removed as soon as their job completes.
+  std::uint64_t ckpt_ttl_s = 24 * 60 * 60;
   /// Durable-state directory (created if missing): the write-ahead job
   /// journal (restarts replay incomplete jobs and restore the quarantine
   /// set and --ticket answers) and the cache segment (restarts reload the
@@ -114,7 +119,9 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Binds listeners and starts acceptor/runner threads. False (with a
-  /// reason in *error) on any setup failure; the server is then inert.
+  /// reason in *error) on any setup failure; the server is then inert. A
+  /// ServerConfig value outside its documented range fails here before
+  /// anything is bound, forked or started.
   bool start(std::string* error);
   /// Graceful shutdown as documented above. Idempotent.
   void stop();

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <thread>
 #include <utility>
 
@@ -18,6 +19,15 @@
 namespace quanta::svc {
 
 namespace {
+
+/// Respawn backoff after consecutive crashes of one slot: base * 2^(n-1),
+/// capped.
+constexpr std::chrono::milliseconds kBackoffBase{5};
+constexpr std::chrono::milliseconds kBackoffMax{250};
+/// Hang backstop: a worker silent past job deadline + grace is killed and
+/// the death handled like any other crash. Jobs without a deadline are
+/// never killed (cancellation still reaches them).
+constexpr std::chrono::milliseconds kKillGrace{30000};
 
 /// Human description of a waitpid status for crash-response error fields.
 std::string describe_exit(int status) {
@@ -106,8 +116,8 @@ bool Supervisor::ensure_worker(Slot* slot) {
     // broken toolchain) must not turn the pool into a fork storm.
     const unsigned shift =
         slot->consecutive_crashes < 10 ? slot->consecutive_crashes - 1 : 9;
-    auto delay = cfg_.backoff_base * (1u << shift);
-    if (delay > cfg_.backoff_max) delay = cfg_.backoff_max;
+    auto delay = kBackoffBase * (1u << shift);
+    if (delay > kBackoffMax) delay = kBackoffMax;
     std::this_thread::sleep_for(delay);
   }
   return spawn(slot);
@@ -192,8 +202,7 @@ Supervisor::DispatchOutcome Supervisor::dispatch(Slot* slot,
 
   const bool has_deadline = deadline_ms != 0;
   const auto grace_at = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(deadline_ms) +
-                        cfg_.kill_grace;
+                        std::chrono::milliseconds(deadline_ms) + kKillGrace;
   std::string detail;
   for (;;) {
     // A frame already buffered by the reader would never wake poll().

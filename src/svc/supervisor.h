@@ -30,7 +30,6 @@
 #include <sys/types.h>
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -49,12 +48,6 @@ namespace quanta::svc {
 struct SupervisorConfig {
   unsigned workers = 1;  ///< pool size; the server uses its runner count
   unsigned retries = 2;  ///< crash re-dispatches per job before quarantine
-  std::chrono::milliseconds backoff_base{5};
-  std::chrono::milliseconds backoff_max{250};
-  /// Hang backstop: a worker silent past job deadline + grace is killed
-  /// and the death handled like any other crash. Jobs without a deadline
-  /// are never killed (cancellation still reaches them).
-  std::chrono::milliseconds kill_grace{30000};
   /// Journaling hooks (both optional, both invoked outside mu_ so they may
   /// take their own locks). quarantine_changed fires on every poison-list
   /// transition (`added` true = quarantined, false = cleared by a bypass);

@@ -107,22 +107,15 @@ class Throttle final : public core::ExplorationObserver {
   std::uint64_t us_;
 };
 
-Response error_response(Status status, std::string why) {
-  Response r;
-  r.status = status;
-  r.error = std::move(why);
-  return r;
-}
-
 WireMap run_one_job(const std::string& payload) {
   std::string error;
   const auto map = WireMap::parse_json(payload, &error);
   if (!map) {
     return to_wire(
-        error_response(Status::kError, "worker: malformed job frame: " + error));
+        make_error(Status::kError, "worker: malformed job frame: " + error));
   }
   const auto req = parse_request(*map, &error);
-  if (!req) return to_wire(error_response(Status::kError, "worker: " + error));
+  if (!req) return to_wire(make_error(Status::kError, "worker: " + error));
 
   ckpt::Options checkpoint;
   if (const std::string* p = map->get("ckpt_path")) checkpoint.path = *p;
@@ -133,25 +126,25 @@ WireMap run_one_job(const std::string& payload) {
   // Crash drills, gated by --debug on the server side. The signal
   // disposition is reset first so the death is by the real signal even
   // when a sanitizer installed its own handler.
-  if (req->crash_signal != 0) {
-    const int sig = static_cast<int>(req->crash_signal);
+  if (req->debug.crash_signal != 0) {
+    const int sig = static_cast<int>(req->debug.crash_signal);
     std::signal(sig, SIG_DFL);
     std::raise(sig);
   }
-  const bool fault_armed = !req->fault.empty();
+  const bool fault_armed = !req->debug.fault.empty();
   if (fault_armed) {
-    common::FaultInjector::instance().arm_from_spec(req->fault);
+    common::FaultInjector::instance().arm_from_spec(req->debug.fault);
   }
 
   const auto prepared = prepare_job(*req, &error);
-  if (!prepared) return to_wire(error_response(Status::kBadRequest, error));
+  if (!prepared) return to_wire(make_error(Status::kBadRequest, error));
 
   const common::Budget budget = job_budget(*req, nullptr);
-  RlimitGuard rlimit(req->rlimit_mb, req->memory_mb);
+  RlimitGuard rlimit(req->debug.rlimit_mb, req->memory_mb);
 
-  Throttle throttle(req->throttle_us);
+  Throttle throttle(req->debug.throttle_us);
   core::ExplorationObserver* observer =
-      req->throttle_us != 0 ? &throttle : nullptr;
+      req->debug.throttle_us != 0 ? &throttle : nullptr;
   const std::string token = fingerprint_token(prepared->fingerprint);
   const Response resp = common::governed(
       [&] {

@@ -135,6 +135,22 @@ void ConcreteSemantics::execute(ConcreteState& s, const Move& m,
   }
 }
 
+void ConcreteSemantics::execute_sampled(ConcreteState& s, const Move& m,
+                                        common::Rng& rng) const {
+  const System& sys = system();
+  std::vector<int> branch_choice(m.participants.size(), -1);
+  for (std::size_t k = 0; k < m.participants.size(); ++k) {
+    const auto& [p, e] = m.participants[k];
+    const Edge& edge = sys.process(p).edges.at(static_cast<std::size_t>(e));
+    if (!edge.probabilistic()) continue;
+    std::vector<double> weights;
+    weights.reserve(edge.branches.size());
+    for (const auto& b : edge.branches) weights.push_back(b.weight);
+    branch_choice[k] = static_cast<int>(rng.weighted_choice(weights));
+  }
+  execute(s, m, branch_choice);
+}
+
 std::vector<Move> ConcreteSemantics::enabled_moves_now(
     const ConcreteState& s) const {
   std::vector<Move> result;

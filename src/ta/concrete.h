@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "common/rng.h"
 #include "ta/model.h"
 #include "ta/symbolic.h"
 
@@ -54,6 +55,11 @@ class ConcreteSemantics {
   /// edge (-1 / missing entries mean the edge is Dirac).
   void execute(ConcreteState& s, const Move& m,
                std::span<const int> branch_choice = {}) const;
+  /// Executes `m`, drawing each probabilistic participant's branch by
+  /// weight from `rng` (one weighted_choice per such participant, in
+  /// participant order).
+  void execute_sampled(ConcreteState& s, const Move& m,
+                       common::Rng& rng) const;
 
   /// Moves whose data guards, committed filter and clock guards are all
   /// satisfied right now.

@@ -1,5 +1,5 @@
-// Tests for the analysis service (src/svc): wire protocol, strict QUANTAD_*
-// env parsing, result cache, job-queue admission control, the registry
+// Tests for the analysis service (src/svc): wire protocol, strict env
+// parsing, ServerConfig defaults and bounds, result cache, job-queue admission control, the registry
 // catalogue, and end-to-end daemon behaviour over real sockets — cold
 // queries matching direct library runs, cache hits being bit-identical and
 // engine-free, budget-tripped jobs resuming bit-identically via their
@@ -52,7 +52,6 @@
 #include "mc/reachability.h"
 #include "models/train_gate.h"
 #include "svc/client.h"
-#include "svc/config.h"
 #include "svc/job_queue.h"
 #include "svc/journal.h"
 #include "svc/registry.h"
@@ -108,7 +107,7 @@ struct DisarmGuard {
 };
 
 // ---------------------------------------------------------------------------
-// Strict env parsing (common::env_u64 and the QUANTAD_* defaults)
+// Strict env parsing (common::env_u64, behind QUANTA_JOBS)
 // ---------------------------------------------------------------------------
 
 TEST(EnvU64, AcceptsWholePositiveDecimalsOnly) {
@@ -132,60 +131,6 @@ TEST(EnvU64, GarbageIsAbsent) {
 TEST(EnvU64, ClampsToCeiling) {
   ScopedEnv e("QUANTA_TEST_ENV", "99999");
   EXPECT_EQ(common::env_u64("QUANTA_TEST_ENV", 1024), 1024u);
-}
-
-TEST(QuantadEnv, JobsDefaultAndOverride) {
-  {
-    ScopedEnv e("QUANTAD_JOBS", nullptr);
-    EXPECT_GE(default_daemon_jobs(), 1u);
-  }
-  {
-    ScopedEnv e("QUANTAD_JOBS", "3");
-    EXPECT_EQ(default_daemon_jobs(), 3u);
-  }
-  {
-    ScopedEnv e("QUANTAD_JOBS", "garbage");
-    EXPECT_GE(default_daemon_jobs(), 1u);  // falls back to the default
-  }
-  {
-    ScopedEnv e("QUANTAD_JOBS", "1000000");
-    EXPECT_EQ(default_daemon_jobs(), 1024u);  // documented clamp
-  }
-}
-
-TEST(QuantadEnv, QueueDepthDefaultAndOverride) {
-  {
-    ScopedEnv e("QUANTAD_QUEUE_DEPTH", nullptr);
-    EXPECT_EQ(default_queue_depth(), kDefaultQueueDepth);
-  }
-  {
-    ScopedEnv e("QUANTAD_QUEUE_DEPTH", "128");
-    EXPECT_EQ(default_queue_depth(), 128u);
-  }
-  for (const char* bad : {"0", "-1", "12abc", "1e3"}) {
-    ScopedEnv e("QUANTAD_QUEUE_DEPTH", bad);
-    EXPECT_EQ(default_queue_depth(), kDefaultQueueDepth)
-        << "value '" << bad << "' should fall back to the default";
-  }
-  {
-    ScopedEnv e("QUANTAD_QUEUE_DEPTH", "99999999999");
-    EXPECT_EQ(default_queue_depth(), kMaxQueueDepth);
-  }
-}
-
-TEST(QuantadEnv, CacheMemDefaultAndOverride) {
-  {
-    ScopedEnv e("QUANTAD_CACHE_MEM", nullptr);
-    EXPECT_EQ(default_cache_bytes(), kDefaultCacheBytes);
-  }
-  {
-    ScopedEnv e("QUANTAD_CACHE_MEM", "1048576");
-    EXPECT_EQ(default_cache_bytes(), 1048576u);
-  }
-  {
-    ScopedEnv e("QUANTAD_CACHE_MEM", "64M");  // no unit suffixes: bytes only
-    EXPECT_EQ(default_cache_bytes(), kDefaultCacheBytes);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -576,6 +521,52 @@ TEST(Request, ResponseSerializationIsDeterministic) {
   EXPECT_EQ(to_wire(hit).to_json(), a);
 }
 
+TEST(Request, DebugKnobsWireBytesArePinned) {
+  // Every field set, the five debug knobs included: the knobs keep their
+  // flat wire keys and their place at the end of the map.
+  Request full;
+  full.engine = "smc";
+  full.model = "train-gate-4";
+  full.query = "cross";
+  full.priority = Priority::kHigh;
+  full.deadline_ms = 2500;
+  full.memory_mb = 64;
+  full.runs = 4000;
+  full.seed = 18446744073709551615ull;
+  full.bound = 0.1;
+  full.ckpt_interval = 1000;
+  full.resume = "ckpt-7f\"3a\n";
+  full.use_cache = false;
+  full.use_quarantine = false;
+  full.want_ticket = true;
+  full.ticket = 42;
+  full.debug.hold_ms = 5;
+  full.debug.throttle_us = 7;
+  full.debug.fault = "svc.job.run=exception:1";
+  full.debug.crash_signal = 11;
+  full.debug.rlimit_mb = 512;
+  const std::string pinned =
+      R"({"engine":"smc","model":"train-gate-4","query":"cross",)"
+      R"("priority":"high","deadline_ms":"2500","memory_mb":"64",)"
+      R"("runs":"4000","seed":"18446744073709551615",)"
+      R"("bound":"0.10000000000000001","ckpt_interval":"1000",)"
+      R"("resume":"ckpt-7f\"3a\n","cache":"0","quarantine":"0",)"
+      R"("want_ticket":"1","ticket":"42","hold_ms":"5","throttle_us":"7",)"
+      R"("fault":"svc.job.run=exception:1","crash_signal":"11",)"
+      R"("rlimit_mb":"512"})";
+  EXPECT_EQ(to_wire(full).to_json(), pinned);
+  std::string error;
+  const auto parsed = parse_request(*WireMap::parse_json(pinned, &error),
+                                    &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_FALSE(parsed->debug.empty());
+  EXPECT_EQ(to_wire(*parsed).to_json(), pinned);
+  Request calm = *parsed;
+  calm.debug = {};
+  EXPECT_TRUE(calm.debug.empty());
+  EXPECT_EQ(to_wire(calm).to_json().find("hold_ms"), std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Wire parser fuzzing: seeded mutations of valid request and response frames
 // — truncation, bit flips, splices, duplicate keys and oversized or malformed
@@ -608,11 +599,11 @@ std::vector<std::string> request_frames() {
   full.use_quarantine = false;
   full.want_ticket = true;
   full.ticket = 42;
-  full.hold_ms = 5;
-  full.throttle_us = 7;
-  full.fault = "svc.job.run=exception:1";
-  full.crash_signal = 11;
-  full.rlimit_mb = 512;
+  full.debug.hold_ms = 5;
+  full.debug.throttle_us = 7;
+  full.debug.fault = "svc.job.run=exception:1";
+  full.debug.crash_signal = 11;
+  full.debug.rlimit_mb = 512;
   Request plain;
   plain.engine = "mc";
   plain.model = "train-gate-2";
@@ -1065,7 +1056,7 @@ TEST(Registry, CacheKeyCoversStatisticalParameters) {
   // Budgets and debug pacing are not inputs to the result: same key.
   Request c = a;
   c.deadline_ms = 5;
-  c.hold_ms = 100;
+  c.debug.hold_ms = 100;
   const auto jc = prepare_job(c, &error);
   ASSERT_TRUE(jc);
   EXPECT_EQ(ja->cache_key, jc->cache_key);
@@ -1248,7 +1239,7 @@ TEST_F(ServerTest, BudgetTrippedJobResumesBitIdentically) {
   // 200-state checkpoint cadence: guaranteed to trip with a snapshot saved.
   Request tripped = r;
   tripped.deadline_ms = 300;
-  tripped.throttle_us = 200;
+  tripped.debug.throttle_us = 200;
   tripped.ckpt_interval = 200;
   const Response partial = query(c, tripped);
   ASSERT_EQ(partial.status, Status::kOk);
@@ -1277,7 +1268,7 @@ TEST_F(ServerTest, DebugPacingRejectedOnProductionDaemons) {
   start();  // enable_debug defaults to false
   Client c = connect();
   Request r = analysis_request("mc", "train-gate-2", "mutex");
-  r.hold_ms = 50;
+  r.debug.hold_ms = 50;
   EXPECT_EQ(query(c, r).status, Status::kBadRequest);
 }
 
@@ -1290,7 +1281,7 @@ TEST_F(ServerTest, OverloadRejectionIsDeterministic) {
 
   Request hold = analysis_request("mc", "train-gate-2", "mutex");
   hold.use_cache = false;
-  hold.hold_ms = 60000;  // parked until shutdown cancels it
+  hold.debug.hold_ms = 60000;  // parked until shutdown cancels it
 
   // Occupy the single worker, then the single queue slot; each step waits
   // on daemon stats so the third request's rejection is deterministic.
@@ -1331,7 +1322,7 @@ TEST_F(ServerTest, ShutdownWithJobsInFlightDeliversResponses) {
   Client c = connect();
   Request hold = analysis_request("mc", "train-gate-2", "mutex");
   hold.use_cache = false;
-  hold.hold_ms = 60000;
+  hold.debug.hold_ms = 60000;
   Response resp;
   std::string error;
   bool transported = false;
@@ -1451,7 +1442,7 @@ TEST_F(ServerTest, SvcFaultMatrixEnvSpecDegradesGracefully) {
     Client c = connect();
     Request r = analysis_request("mc", "train-gate-2", "mutex");
     r.use_cache = false;
-    r.fault = kEnvFaultSpec;
+    r.debug.fault = kEnvFaultSpec;
     const Response resp = query(c, r);
     EXPECT_EQ(resp.status, Status::kOk) << resp.error;
     // Whatever the spec did to the worker, the daemon must still serve.
@@ -1659,36 +1650,6 @@ TEST(ClientRetry, RidesOutADaemonThatStartsLate) {
 }
 
 // ---------------------------------------------------------------------------
-// QUANTAD_RETRIES / QUANTAD_CKPT_TTL env knobs
-// ---------------------------------------------------------------------------
-
-TEST(QuantadEnv, RetriesDefaultAndOverride) {
-  {
-    ScopedEnv e("QUANTAD_RETRIES", nullptr);
-    EXPECT_EQ(default_retries(), kDefaultRetries);
-  }
-  {
-    ScopedEnv e("QUANTAD_RETRIES", "7");
-    EXPECT_EQ(default_retries(), 7u);
-  }
-  {
-    ScopedEnv e("QUANTAD_RETRIES", "garbage");
-    EXPECT_EQ(default_retries(), kDefaultRetries);
-  }
-}
-
-TEST(QuantadEnv, CkptTtlDefaultAndOverride) {
-  {
-    ScopedEnv e("QUANTAD_CKPT_TTL", nullptr);
-    EXPECT_EQ(default_ckpt_ttl_s(), kDefaultCkptTtlS);
-  }
-  {
-    ScopedEnv e("QUANTAD_CKPT_TTL", "3600");
-    EXPECT_EQ(default_ckpt_ttl_s(), 3600u);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Checkpoint GC: TTL expiry of orphans, survival of live chains
 // ---------------------------------------------------------------------------
 
@@ -1782,7 +1743,7 @@ TEST_F(ServerTest, StartupSweepExpiresOrphansAndCompletionRemovesChain) {
   Request r = analysis_request("mc", "train-gate-4", "mutex");
   r.use_cache = false;
   r.deadline_ms = 300;
-  r.throttle_us = 200;
+  r.debug.throttle_us = 200;
   r.ckpt_interval = 200;
   const Response partial = query(c, r);
   ASSERT_EQ(partial.status, Status::kOk);
@@ -1856,6 +1817,75 @@ TEST_F(ServerTest, StartRefusesInProcessExecution) {
   EXPECT_NE(error.find("isolate"), std::string::npos) << error;
 }
 
+// ---------------------------------------------------------------------------
+// ServerConfig: real defaults, one channel (no environment), range checks
+// ---------------------------------------------------------------------------
+
+class ServerConfigTest : public ServerTest {};
+
+TEST_F(ServerConfigTest, DefaultsAreTheDocumentedValues) {
+  const ServerConfig cfg{};
+  EXPECT_EQ(cfg.jobs, 0u);  // one runner per hardware thread
+  EXPECT_EQ(cfg.queue_depth, 64u);
+  EXPECT_EQ(cfg.cache_bytes, std::size_t{64} << 20);
+  EXPECT_EQ(cfg.retries, 2u);
+  EXPECT_EQ(cfg.ckpt_ttl_s, 86400u);
+  EXPECT_TRUE(cfg.state_dir.empty());
+}
+
+TEST_F(ServerConfigTest, EnvironmentIsIgnored) {
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  if (hw == 1) GTEST_SKIP() << "QUANTAD_JOBS=1 matches the default here";
+  ScopedEnv jobs("QUANTAD_JOBS", "1");
+  ScopedEnv state("QUANTAD_STATE_DIR", (dir_ + "/state").c_str());
+  start();  // cfg.jobs stays 0: one runner per hardware thread
+  EXPECT_EQ(server_->stats().supervisor.spawned, hw);
+  EXPECT_FALSE(server_->stats().journaling);
+}
+
+TEST_F(ServerConfigTest, OutOfRangeSizingFailsBeforeFork) {
+  struct Case {
+    const char* field;
+    void (*set)(ServerConfig*);
+  };
+  const Case cases[] = {
+      {"jobs", [](ServerConfig* c) { c->jobs = 1025; }},
+      {"queue_depth", [](ServerConfig* c) { c->queue_depth = 0; }},
+      {"queue_depth",
+       [](ServerConfig* c) { c->queue_depth = (std::size_t{1} << 20) + 1; }},
+      {"cache_bytes", [](ServerConfig* c) { c->cache_bytes = 0; }},
+      {"cache_bytes",
+       [](ServerConfig* c) { c->cache_bytes = (std::size_t{1} << 40) + 1; }},
+      {"inflight_bytes", [](ServerConfig* c) { c->inflight_bytes = 0; }},
+      {"retries", [](ServerConfig* c) { c->retries = 1001; }},
+      {"ckpt_ttl_s", [](ServerConfig* c) { c->ckpt_ttl_s = 0; }},
+      {"ckpt_ttl_s",
+       [](ServerConfig* c) { c->ckpt_ttl_s = (std::uint64_t{1} << 30) + 1; }},
+  };
+  for (const Case& tc : cases) {
+    ServerConfig cfg;
+    cfg.socket_path = dir_ + "/d.sock";
+    tc.set(&cfg);
+    Server server(cfg);
+    std::string error;
+    EXPECT_FALSE(server.start(&error)) << tc.field;
+    EXPECT_NE(error.find(tc.field), std::string::npos) << error;
+    EXPECT_EQ(server.stats().supervisor.spawned, 0u) << tc.field;
+    struct stat st{};
+    EXPECT_NE(::stat(cfg.socket_path.c_str(), &st), 0)
+        << tc.field << ": the listener was bound";
+  }
+  // The bounds themselves are in range.
+  ServerConfig edge;
+  edge.jobs = 1;
+  edge.queue_depth = std::size_t{1} << 20;
+  edge.cache_bytes = std::size_t{1} << 40;
+  edge.retries = 1000;
+  edge.ckpt_ttl_s = std::uint64_t{1} << 30;
+  start(edge);
+  EXPECT_EQ(server_->stats().supervisor.spawned, 1u);
+}
+
 TEST_F(ServerTest, WorkerPoolReusesProcessesAcrossJobs) {
   ServerConfig cfg = drill_config(2);
   cfg.jobs = 1;
@@ -1879,7 +1909,7 @@ TEST_F(ServerTest, WorkerSegfaultIsContainedAndQuarantined) {
 
   Request crash = analysis_request("mc", "train-gate-2", "mutex");
   crash.use_cache = false;
-  crash.fault = "svc.worker.job=crash";  // SIGSEGV at the job site
+  crash.debug.fault = "svc.worker.job=crash";  // SIGSEGV at the job site
   const Response resp = query(c, crash);
   ASSERT_EQ(resp.status, Status::kOk);
   EXPECT_EQ(resp.verdict, common::Verdict::kUnknown);
@@ -1921,7 +1951,7 @@ TEST_F(ServerTest, CrashSignalMatrixDecodesAbortAndKill) {
   for (const auto& tc : cases) {
     Request r = analysis_request("mc", tc.model, "mutex");
     r.use_cache = false;
-    r.crash_signal = tc.sig;
+    r.debug.crash_signal = tc.sig;
     const Response resp = query(c, r);
     ASSERT_EQ(resp.status, Status::kOk);
     EXPECT_EQ(resp.stop, common::StopReason::kFault);
@@ -1944,7 +1974,7 @@ TEST_F(ServerTest, WorkerOomUnderRlimitIsContained) {
   Client c = connect();
   Request r = analysis_request("mc", "train-gate-4", "mutex");
   r.use_cache = false;
-  r.rlimit_mb = 1;  // an address-space cap the engine cannot live under
+  r.debug.rlimit_mb = 1;  // an address-space cap the engine cannot live under
   const Response resp = query(c, r);
   ASSERT_EQ(resp.status, Status::kOk);
   EXPECT_EQ(resp.stop, common::StopReason::kFault);
@@ -1971,7 +2001,7 @@ TEST_F(ServerTest, ConcurrentJobsUnaffectedByASiblingCrash) {
   // Run the same healthy query (throttled so it is genuinely in flight
   // while its sibling dies) concurrently with a crashing one.
   Request slow = healthy;
-  slow.throttle_us = 100;
+  slow.debug.throttle_us = 100;
   Response concurrent;
   std::thread t([&] {
     Client c = connect();
@@ -1983,7 +2013,7 @@ TEST_F(ServerTest, ConcurrentJobsUnaffectedByASiblingCrash) {
   Client crash_client = connect();
   Request crash = analysis_request("mc", "train-gate-2", "mutex");
   crash.use_cache = false;
-  crash.fault = "svc.worker.job=crash";
+  crash.debug.fault = "svc.worker.job=crash";
   const Response crashed = query(crash_client, crash);
   EXPECT_EQ(crashed.stop, common::StopReason::kFault);
   t.join();
@@ -2013,7 +2043,7 @@ TEST_F(ServerTest, CrashedJobRetriesResumeAndConvergeBitIdentically) {
   // crash containment is a transport property, not an analysis change.
   Request drill = r;
   drill.ckpt_interval = 500;
-  drill.fault = "ckpt.delta.write=crash:3";
+  drill.debug.fault = "ckpt.delta.write=crash:3";
   const Response converged = query(c, drill);
   ASSERT_EQ(converged.status, Status::kOk) << converged.error;
   ASSERT_EQ(converged.stop, common::StopReason::kCompleted) << converged.error;
@@ -2034,7 +2064,7 @@ TEST_F(ServerTest, QuarantineBypassRunClearsThePoisonEntry) {
   Client c = connect();
   Request crash = analysis_request("mc", "train-gate-2", "mutex");
   crash.use_cache = false;
-  crash.fault = "svc.worker.job=crash";
+  crash.debug.fault = "svc.worker.job=crash";
   ASSERT_EQ(query(c, crash).stop, common::StopReason::kFault);
   ASSERT_EQ(server_->stats().supervisor.quarantined, 1u);
 
@@ -2643,7 +2673,7 @@ TEST_F(ServerTest, CancelledJobReplaysToCompletionAfterRestart) {
   cfg.jobs = 1;
   start(cfg);
   Request held = r;
-  held.hold_ms = 60000;
+  held.debug.hold_ms = 60000;
   held.want_ticket = true;
   Response parked;
   std::string error;
@@ -2685,7 +2715,7 @@ TEST_F(ServerTest, QuarantinePersistsAcrossRestartAndSoDoesItsClearance) {
   start(cfg);
   Request crash = analysis_request("mc", "train-gate-2", "mutex");
   crash.use_cache = false;
-  crash.fault = "svc.worker.job=crash";
+  crash.debug.fault = "svc.worker.job=crash";
   {
     Client c = connect();
     ASSERT_EQ(query(c, crash).stop, common::StopReason::kFault);
@@ -2728,8 +2758,8 @@ TEST_F(ServerTest, ReplayRunsAJournaledDrillCalmOnAProductionDaemon) {
   Request r = analysis_request("mc", "train-gate-3", "mutex");
   r.use_cache = false;
   Request held = r;
-  held.hold_ms = 60000;
-  held.crash_signal = 11;
+  held.debug.hold_ms = 60000;
+  held.debug.crash_signal = 11;
   held.want_ticket = true;
   Response reference, parked;
   std::string error;
@@ -2774,11 +2804,11 @@ TEST_F(ServerTest, ReplayedBypassRunClearsThePoisonEntryDurably) {
   start(cfg);
   Request crash = analysis_request("mc", "train-gate-2", "mutex");
   crash.use_cache = false;
-  crash.fault = "svc.worker.job=crash";
+  crash.debug.fault = "svc.worker.job=crash";
   Request bypass = analysis_request("mc", "train-gate-2", "mutex");
   bypass.use_cache = false;
   bypass.use_quarantine = false;
-  bypass.hold_ms = 60000;
+  bypass.debug.hold_ms = 60000;
   bypass.want_ticket = true;
   Response parked;
   std::string error;
@@ -2853,9 +2883,9 @@ TEST_F(ServerTest, CrashDrillsRequireDebugAndIsolation) {
   Client c = connect();
   for (int knob = 0; knob < 3; ++knob) {
     Request r = analysis_request("mc", "train-gate-2", "mutex");
-    if (knob == 0) r.crash_signal = 9;
-    if (knob == 1) r.fault = "svc.worker.job=crash";
-    if (knob == 2) r.rlimit_mb = 1;
+    if (knob == 0) r.debug.crash_signal = 9;
+    if (knob == 1) r.debug.fault = "svc.worker.job=crash";
+    if (knob == 2) r.debug.rlimit_mb = 1;
     EXPECT_EQ(query(c, r).status, Status::kBadRequest) << "knob " << knob;
   }
   EXPECT_EQ(server_->stats().supervisor.crashes, 0u);

@@ -185,11 +185,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--fault") {
       const char* s = next();
       if (s == nullptr) return usage(argv[0]);
-      req.fault = s;
+      req.debug.fault = s;
     } else if (arg == "--crash-signal") {
-      if (!next_u64(&req.crash_signal)) return usage(argv[0]);
+      if (!next_u64(&req.debug.crash_signal)) return usage(argv[0]);
     } else if (arg == "--rlimit-mb") {
-      if (!next_u64(&req.rlimit_mb)) return usage(argv[0]);
+      if (!next_u64(&req.debug.rlimit_mb)) return usage(argv[0]);
     } else if (arg == "--timeout-ms" || arg == "--timeout") {
       if (!next_u64(&policy.timeout_ms)) return usage(argv[0]);
     } else if (arg == "--retries") {
@@ -197,9 +197,9 @@ int main(int argc, char** argv) {
       if (!next_u64(&v) || v > 1000) return usage(argv[0]);
       policy.retries = static_cast<unsigned>(v);
     } else if (arg == "--hold-ms") {
-      if (!next_u64(&req.hold_ms)) return usage(argv[0]);
+      if (!next_u64(&req.debug.hold_ms)) return usage(argv[0]);
     } else if (arg == "--throttle-us") {
-      if (!next_u64(&req.throttle_us)) return usage(argv[0]);
+      if (!next_u64(&req.debug.throttle_us)) return usage(argv[0]);
     } else {
       return usage(argv[0]);
     }

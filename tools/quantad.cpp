@@ -9,31 +9,34 @@
 //           [--inflight-mem BYTES] [--retries N] [--ckpt-ttl SECONDS]
 //           [--state-dir DIR] [--debug]
 //
-// Sizing defaults come from QUANTAD_JOBS / QUANTAD_QUEUE_DEPTH /
-// QUANTAD_CACHE_MEM (strict whole-positive-decimal parsing; anything
-// else falls back to the built-in defaults — see src/svc/config.h).
+// The flags are the only way to set the daemon's sizing; it reads no
+// environment variable of its own. Defaults and bounds (src/svc/server.h):
+// --jobs one per hardware thread, at most 1024; --queue-depth 64, at most
+// 2^20; --cache-mem 64 MiB, at most 1 TiB; --retries 2, at most 1000;
+// --ckpt-ttl 86400 s, at most 2^30 s. A value out of range is reported
+// and the daemon exits 1 before it binds or forks anything.
 // Jobs run in sandboxed worker processes: a crashing engine fails one
 // job, never the daemon; crashed jobs are retried --retries times
-// (QUANTAD_RETRIES) resuming from their last checkpoint, then
-// quarantined. Unclaimed resume checkpoints expire after --ckpt-ttl
-// seconds (QUANTAD_CKPT_TTL).
-// --state-dir DIR (QUANTAD_STATE_DIR) makes the daemon durable: a
-// write-ahead job journal and an on-disk cache segment live there, so a
-// restart reloads the result cache, restores the quarantine set and
-// replays incomplete jobs to completion (README "Restarting quantad").
+// resuming from their last checkpoint, then quarantined. Unclaimed resume
+// checkpoints expire after --ckpt-ttl seconds.
+// --state-dir DIR makes the daemon durable: a write-ahead job journal and
+// an on-disk cache segment live there, so a restart reloads the result
+// cache, restores the quarantine set and replays incomplete jobs to
+// completion (README "Restarting quantad").
 // --debug additionally honors the hold_ms/throttle_us request pacing
 // fields and the fault/crash_signal/rlimit_mb crash drills; production
 // daemons reject them as bad requests.
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include <unistd.h>
 
-#include "svc/config.h"
 #include "svc/server.h"
 
 namespace {
@@ -64,11 +67,17 @@ bool parse_u64(const char* s, std::uint64_t* out) {
   return true;
 }
 
+/// Narrows a flag value to an unsigned field, keeping a too-large value
+/// too large so Server::start reports it instead of a wrapped one.
+unsigned saturate(std::uint64_t v) {
+  return static_cast<unsigned>(
+      std::min<std::uint64_t>(v, std::numeric_limits<unsigned>::max()));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   quanta::svc::ServerConfig cfg;
-  cfg.state_dir = quanta::svc::default_state_dir();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -90,7 +99,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--jobs") {
       const char* s = next();
       if (s == nullptr || !parse_u64(s, &v) || v == 0) return usage(argv[0]);
-      cfg.jobs = static_cast<unsigned>(v);
+      cfg.jobs = saturate(v);
     } else if (arg == "--queue-depth") {
       const char* s = next();
       if (s == nullptr || !parse_u64(s, &v) || v == 0) return usage(argv[0]);
@@ -105,17 +114,11 @@ int main(int argc, char** argv) {
       cfg.inflight_bytes = v;
     } else if (arg == "--retries") {
       const char* s = next();
-      if (s == nullptr || !parse_u64(s, &v) ||
-          v > quanta::svc::kMaxRetries) {
-        return usage(argv[0]);
-      }
-      cfg.retries = static_cast<int>(v);
+      if (s == nullptr || !parse_u64(s, &v)) return usage(argv[0]);
+      cfg.retries = saturate(v);
     } else if (arg == "--ckpt-ttl") {
       const char* s = next();
-      if (s == nullptr || !parse_u64(s, &v) || v == 0 ||
-          v > quanta::svc::kMaxCkptTtlS) {
-        return usage(argv[0]);
-      }
+      if (s == nullptr || !parse_u64(s, &v) || v == 0) return usage(argv[0]);
       cfg.ckpt_ttl_s = v;
     } else if (arg == "--state-dir") {
       const char* s = next();
