@@ -18,7 +18,6 @@
 #include <string>
 
 #include "bench_util.h"
-#include "core/observer.h"
 #include "mc/reachability.h"
 #include "models/train_gate.h"
 #include "store/pool.h"
@@ -27,21 +26,6 @@
 using namespace quanta;
 
 namespace {
-
-mc::StatePredicate mutual_exclusion(const models::TrainGate& tg) {
-  std::vector<int> cross;
-  for (int t : tg.trains) {
-    cross.push_back(tg.system.process(t).location_index("Cross"));
-  }
-  auto trains = tg.trains;
-  return [trains, cross](const ta::SymState& s) {
-    int n = 0;
-    for (std::size_t i = 0; i < trains.size(); ++i) {
-      if (s.locs[static_cast<std::size_t>(trains[i])] == cross[i]) ++n;
-    }
-    return n <= 1;
-  };
-}
 
 /// Bytes/state of the pre-interning representation: every state owns its
 /// location/variable vectors and zone matrix on the heap (logical_words
@@ -66,17 +50,14 @@ int run_sweep(int max_n) {
                       "time [s]"});
   for (int n = 4; n <= max_n; ++n) {
     auto tg = models::make_train_gate(n);
-    core::StatsObserver obs;
-    mc::ReachOptions opts;
-    opts.observer = &obs;
     bench::Stopwatch sw;
-    const auto r = mc::check_invariant(tg.system, mutual_exclusion(tg), opts);
+    const auto r = mc::check_invariant(tg.system, models::train_gate_mutex(tg));
     const double secs = sw.seconds();
     if (!r.holds()) {
       std::printf("  N=%d: UNEXPECTED verdict (not holds)\n", n);
       return 1;
     }
-    const auto& m = obs.store_metrics();
+    const core::StoreMetrics& m = r.stats.store;
     const double pooled =
         static_cast<double>(m.memory_bytes) / static_cast<double>(m.stored);
     const double unpooled = unpooled_bytes_per_state(m);
@@ -113,20 +94,25 @@ int run_governed(int n, std::size_t mem_bytes, const std::string& spill) {
     ::setenv("QUANTA_STORE_MEM", std::to_string(mem_bytes / 16).c_str(), 1);
   }
   auto tg = models::make_train_gate(n);
-  core::StatsObserver obs;
   mc::ReachOptions opts;
-  opts.observer = &obs;
   opts.limits.budget = common::Budget{}.with_memory_limit(mem_bytes);
   bench::Stopwatch sw;
-  const auto r = mc::check_invariant(tg.system, mutual_exclusion(tg), opts);
+  const auto r =
+      mc::check_invariant(tg.system, models::train_gate_mutex(tg), opts);
   const double secs = sw.seconds();
-  const auto& m = obs.store_metrics();
+  const core::StoreMetrics& m = r.stats.store;
   std::printf("  verdict: %s  states: %zu  time: %.1fs\n",
               r.verdict == common::Verdict::kHolds      ? "holds"
               : r.verdict == common::Verdict::kViolated ? "VIOLATED"
                                                         : "UNKNOWN",
               m.stored, secs);
-  std::printf("  %s\n", obs.summary().c_str());
+  std::printf("  %zu covered, %zu explored, table %zu/%zu slots (max chain "
+              "%zu), pool %zu payloads (%.0f%% shared, %.1f MiB resident, "
+              "%.1f MiB spilled)\n",
+              m.covered, r.stats.states_explored, m.occupied, m.slots,
+              m.max_chain, m.pool.records, 100.0 * m.pool.hit_rate(),
+              static_cast<double>(m.pool.resident_bytes) / (1024.0 * 1024.0),
+              static_cast<double>(m.pool.spilled_bytes) / (1024.0 * 1024.0));
   if (r.verdict == common::Verdict::kUnknown) {
     std::printf("  FAIL: governed run did not reach a definite verdict\n");
     return 1;

@@ -9,25 +9,6 @@
 
 using namespace quanta;
 
-namespace {
-
-mc::StatePredicate mutual_exclusion(const models::TrainGate& tg) {
-  std::vector<int> cross;
-  for (int t : tg.trains) {
-    cross.push_back(tg.system.process(t).location_index("Cross"));
-  }
-  auto trains = tg.trains;
-  return [trains, cross](const ta::SymState& s) {
-    int n = 0;
-    for (std::size_t i = 0; i < trains.size(); ++i) {
-      if (s.locs[static_cast<std::size_t>(trains[i])] == cross[i]) ++n;
-    }
-    return n <= 1;
-  };
-}
-
-}  // namespace
-
 int main() {
   bench::section("E1: UPPAAL-style verification of the train-gate (Fig. 1)");
 
@@ -37,7 +18,7 @@ int main() {
     auto tg = models::make_train_gate(n);
     bench::Stopwatch sw;
 
-    auto safety = mc::check_invariant(tg.system, mutual_exclusion(tg));
+    auto safety = mc::check_invariant(tg.system, models::train_gate_mutex(tg));
 
     // Liveness explores the full zone graph without subsumption and deadlock
     // checking subtracts zone federations per state; both are kept to the

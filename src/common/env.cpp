@@ -6,18 +6,23 @@
 
 namespace quanta::common {
 
-std::optional<std::uint64_t> env_u64(const char* name, std::uint64_t clamp) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return std::nullopt;
+std::optional<std::uint64_t> parse_u64(const char* s) {
+  if (s == nullptr) return std::nullopt;
   char* endp = nullptr;
   errno = 0;
-  const unsigned long long v = std::strtoull(env, &endp, 10);
+  const unsigned long long v = std::strtoull(s, &endp, 10);
   // strtoull silently wraps negative input; refuse any minus sign.
-  if (errno != 0 || endp == env || *endp != '\0' || v < 1 ||
-      std::strchr(env, '-') != nullptr) {
+  if (errno != 0 || endp == s || *endp != '\0' ||
+      std::strchr(s, '-') != nullptr) {
     return std::nullopt;
   }
-  return v > clamp ? clamp : static_cast<std::uint64_t>(v);
+  return static_cast<std::uint64_t>(v);
+}
+
+std::optional<std::uint64_t> env_u64(const char* name, std::uint64_t clamp) {
+  const auto v = parse_u64(std::getenv(name));
+  if (!v || *v < 1) return std::nullopt;
+  return *v > clamp ? clamp : *v;
 }
 
 }  // namespace quanta::common

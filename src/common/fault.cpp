@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "common/env.h"
 #include "common/error.h"
 
 namespace quanta::common {
@@ -38,11 +39,9 @@ bool FaultInjector::arm_from_spec(const std::string& spec) {
   std::string rest = spec.substr(eq + 1);
   std::uint64_t after = 1;
   if (const std::size_t colon = rest.find(':'); colon != std::string::npos) {
-    char* endp = nullptr;
-    const std::string count = rest.substr(colon + 1);
-    const unsigned long long v = std::strtoull(count.c_str(), &endp, 10);
-    if (endp == count.c_str() || *endp != '\0' || v == 0) return false;
-    after = v;
+    const auto count = parse_u64(rest.c_str() + colon + 1);
+    if (!count || *count == 0) return false;
+    after = *count;
     rest = rest.substr(0, colon);
   }
   FaultKind kind;

@@ -150,7 +150,7 @@ class PricedSearch : ckpt::StorePayload {
           }
           return taken;
         },
-        opts_.observer, chain_.hook());
+        chain_.hook());
     chain_.add_baseline(result.stats);
     if (goal_node < 0 && !result.stats.truncated) {
       result.verdict = common::Verdict::kViolated;
@@ -238,9 +238,6 @@ class PricedSearch : ckpt::StorePayload {
     if (inserted) {
       info_.push_back(NodeInfo{kInfCost, -1, {}});
       dirty_flag_.push_back(0);
-      if (opts_.observer != nullptr) {
-        opts_.observer->on_state_stored(id, store_.size());
-      }
     }
     return id;
   }

@@ -12,7 +12,6 @@
 #include "ckpt/checkpoint.h"
 #include "common/pred.h"
 #include "common/verdict.h"
-#include "core/observer.h"
 #include "core/search.h"
 #include "ta/digital.h"
 
@@ -82,9 +81,6 @@ struct MinCostOptions {
   /// the system, every price rate and edge cost, record_trace and the goal
   /// predicate's canonical AST.
   ckpt::Options checkpoint;
-  /// Instrumentation for the underlying search (also drives the throttling
-  /// observers of tools/ckpt_smoke).
-  core::ExplorationObserver* observer = nullptr;
 };
 
 /// Minimum accumulated cost over all runs reaching `goal`.

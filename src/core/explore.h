@@ -16,12 +16,15 @@
 // clock read) is amortized to every kBudgetPollStride expansions — except
 // the very first, which polls immediately so an already-expired deadline is
 // detected deterministically even on tiny models.
+// A paced search (SearchLimits::pace > 0) sleeps `pace` after each
+// counted visit; an unpaced one never sleeps. On return, stats.store holds
+// the store's occupancy snapshot.
 #pragma once
 
 #include <functional>
+#include <thread>
 #include <utility>
 
-#include "core/observer.h"
 #include "core/search.h"
 #include "core/state_store.h"
 #include "core/worklist.h"
@@ -58,11 +61,11 @@ struct CheckpointHook {
 template <typename Store, typename VisitFn, typename ExpandFn>
 SearchStats explore(Store& store, Worklist& work, const SearchLimits& limits,
                     VisitFn&& visit, ExpandFn&& expand,
-                    ExplorationObserver* observer = nullptr,
                     const CheckpointHook* checkpoint = nullptr) {
   SearchStats stats;
   const common::Budget& budget = limits.budget;
   const bool governed = budget.active();
+  const bool paced = limits.pace.count() > 0;
   const bool snapshotting = checkpoint != nullptr && checkpoint->sink;
   std::size_t poll_in = 1;  // first expansion polls; then every stride
   std::size_t snap_in = snapshotting ? checkpoint->interval : 0;
@@ -72,7 +75,7 @@ SearchStats explore(Store& store, Worklist& work, const SearchLimits& limits,
     const Visit verdict = visit(entry);
     if (verdict == Visit::kSkip) continue;
     ++stats.states_explored;
-    if (observer != nullptr) observer->on_state_explored(entry.id);
+    if (paced) std::this_thread::sleep_for(limits.pace);
     if (verdict == Visit::kStop) break;
     if (limits.reached(store.size())) {
       stats.stop_for(common::StopReason::kStateLimit);
@@ -95,7 +98,7 @@ SearchStats explore(Store& store, Worklist& work, const SearchLimits& limits,
     stats.transitions += expand(entry);
   }
   stats.states_stored = store.size();
-  if (observer != nullptr) observer->on_search_done(stats, store.metrics());
+  stats.store = store.metrics();
   return stats;
 }
 

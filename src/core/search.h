@@ -6,6 +6,7 @@
 // common::StopReason in its stats — never a definite verdict.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <limits>
 #include <stdexcept>
@@ -14,6 +15,7 @@
 #include "common/budget.h"
 #include "common/error.h"
 #include "common/verdict.h"
+#include "store/pool.h"
 
 namespace quanta::core {
 
@@ -30,6 +32,11 @@ struct SearchLimits {
   /// Deadline / memory ceiling / cancel token; polled amortized by
   /// core::explore so the hot loop stays flat when the budget is inactive.
   common::Budget budget;
+
+  /// Debug pacing: core::explore sleeps this long after visiting each
+  /// state, stretching a search so deadlines and kill signals land mid-run
+  /// (crash drills, tools/ckpt_smoke). Zero — the default — is off.
+  std::chrono::microseconds pace{0};
 
   /// The uniform truncation rule: the search stops (truncated) when the
   /// number of *stored* states reaches the limit, checked after the popped
@@ -49,6 +56,22 @@ struct SearchLimits {
   }
 };
 
+/// Occupancy snapshot of a StateStore (StateStore::metrics()).
+struct StoreMetrics {
+  std::size_t stored = 0;     ///< interned states, including covered ones
+  std::size_t covered = 0;    ///< tombstoned (subsumed) states
+  std::size_t slots = 0;      ///< hash-table capacity
+  std::size_t occupied = 0;   ///< slots in use (= distinct key hashes)
+  std::size_t max_chain = 0;  ///< most states interned under one key hash
+  std::size_t memory_bytes = 0;  ///< StateStore::memory_bytes() at snapshot
+  store::PoolMetrics pool{};  ///< payload-pool snapshot (zero when unpooled)
+
+  double load_factor() const {
+    return slots == 0 ? 0.0
+                      : static_cast<double>(occupied) / static_cast<double>(slots);
+  }
+};
+
 /// Counters every engine reports identically.
 struct SearchStats {
   std::size_t states_stored = 0;    ///< interned states (incl. covered ones)
@@ -59,6 +82,8 @@ struct SearchStats {
   /// engine verdict is only ever derived from a kCompleted search (or from
   /// a witness found before any bound was hit).
   common::StopReason stop = common::StopReason::kCompleted;
+  /// The store's occupancy when the search ended (filled by core::explore).
+  StoreMetrics store;
 
   /// Marks the search as stopped by a resource bound.
   void stop_for(common::StopReason reason) {

@@ -53,26 +53,11 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "core/search.h"
 #include "core/traits.h"
 #include "store/pool.h"
 
 namespace quanta::core {
-
-/// Occupancy snapshot of a store, for instrumentation (ExplorationObserver).
-struct StoreMetrics {
-  std::size_t stored = 0;     ///< interned states, including covered ones
-  std::size_t covered = 0;    ///< tombstoned (subsumed) states
-  std::size_t slots = 0;      ///< hash-table capacity
-  std::size_t occupied = 0;   ///< slots in use (= distinct key hashes)
-  std::size_t max_chain = 0;  ///< most states interned under one key hash
-  std::size_t memory_bytes = 0;  ///< StateStore::memory_bytes() at snapshot
-  store::PoolMetrics pool{};  ///< payload-pool snapshot (zero when unpooled)
-
-  double load_factor() const {
-    return slots == 0 ? 0.0
-                      : static_cast<double>(occupied) / static_cast<double>(slots);
-  }
-};
 
 namespace detail {
 /// Lazily resolves the in-store record type: Traits::Pooled when the traits

@@ -1,8 +1,9 @@
 // Run-level telemetry of the parallel statistical runtime — the simulation
-// counterpart of core::StatsObserver. Every Executor job fills one
-// WorkerTelemetry slot per worker (no sharing, no atomics on the hot path);
-// the slots are merged into a RunTelemetry that engines accumulate across
-// phases (e.g. all batches of one SPRT test) and benches print.
+// counterpart of the symbolic engines' core::SearchStats. Every Executor
+// job fills one WorkerTelemetry slot per worker (no sharing, no atomics on
+// the hot path); the slots are merged into a RunTelemetry that engines
+// accumulate across phases (e.g. all batches of one SPRT test) and benches
+// print.
 #pragma once
 
 #include <cstdint>

@@ -35,12 +35,10 @@ std::optional<StrategyAction> Strategy::action(const ta::DigitalState& s) const 
 }
 
 TimedGame::TimedGame(const ta::System& sys, core::SearchLimits limits,
-                     ckpt::Options checkpoint,
-                     core::ExplorationObserver* observer)
+                     ckpt::Options checkpoint)
     : sem_(sys),
       limits_(std::move(limits)),
-      checkpoint_(std::move(checkpoint)),
-      observer_(observer) {
+      checkpoint_(std::move(checkpoint)) {
   limits_.validate("game.tiga");
 }
 
@@ -172,7 +170,6 @@ void TimedGame::build_graph(bool resumed) {
     if (inserted) {
       nodes_.emplace_back();
       work_.push(id);
-      if (observer_ != nullptr) observer_->on_state_stored(id, store_.size());
     }
     return id;
   };
@@ -202,7 +199,7 @@ void TimedGame::build_graph(bool resumed) {
         ++expanded_;
         return taken;
       },
-      observer_, chain_.hook());
+      chain_.hook());
   chain_.add_baseline(build_stats_);
   built_ = true;
 }

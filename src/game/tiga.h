@@ -22,7 +22,6 @@
 #include "ckpt/store_chain.h"
 #include "common/pred.h"
 #include "common/verdict.h"
-#include "core/observer.h"
 #include "core/search.h"
 #include "core/state_store.h"
 #include "core/worklist.h"
@@ -91,8 +90,7 @@ class TimedGame : ckpt::StorePayload {
   /// also polled once per fixpoint sweep, so a deadline interrupts the
   /// solving phase too (stop reason in GameResult::stats).
   explicit TimedGame(const ta::System& sys, core::SearchLimits limits = {},
-                     ckpt::Options checkpoint = {},
-                     core::ExplorationObserver* observer = nullptr);
+                     ckpt::Options checkpoint = {});
 
   /// Controller objective: eventually reach `goal`, whatever the
   /// environment does.
@@ -147,7 +145,6 @@ class TimedGame : ckpt::StorePayload {
   ta::DigitalSemantics sem_;
   core::SearchLimits limits_;
   ckpt::Options checkpoint_;
-  core::ExplorationObserver* observer_ = nullptr;
   core::SearchStats build_stats_;
   core::StateStore<ta::DigitalState> store_;
   core::Worklist work_{core::SearchOrder::kBfs};

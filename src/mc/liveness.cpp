@@ -75,7 +75,7 @@ class GraphBuilder : ckpt::StorePayload {
           expand_journal_.push_back(e.id);
           return taken;
         },
-        opts_.observer, chain_.hook());
+        chain_.hook());
     chain_.add_baseline(stats);
     // Build complete: persist the full graph (empty worklist) so a crash
     // during the violation search resumes straight into it. Skipped when
@@ -93,9 +93,6 @@ class GraphBuilder : ckpt::StorePayload {
     if (inserted) {
       g_.succ.emplace_back();
       work_.push(id);
-      if (opts_.observer != nullptr) {
-        opts_.observer->on_state_stored(id, g_.store.size());
-      }
     }
     return id;
   }

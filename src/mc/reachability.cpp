@@ -78,7 +78,7 @@ class Explorer : ckpt::StorePayload {
           }
           return taken;
         },
-        opts_.observer, chain_.hook());
+        chain_.hook());
     chain_.add_baseline(stats);
     return goal_node;
   }
@@ -142,9 +142,6 @@ class Explorer : ckpt::StorePayload {
     parents_.push_back(parent);
     moves_.push_back(opts_.record_trace ? std::move(move) : ta::Move{});
     waiting_.push(id);
-    if (opts_.observer != nullptr) {
-      opts_.observer->on_state_stored(id, store_.size());
-    }
   }
 
   ta::SymbolicSemantics sem_;

@@ -11,7 +11,6 @@
 #include "ckpt/checkpoint.h"
 #include "common/pred.h"
 #include "common/verdict.h"
-#include "core/observer.h"
 #include "core/search.h"
 #include "ta/symbolic.h"
 
@@ -54,8 +53,6 @@ struct ReachOptions {
   /// witness traces and stored-state counts may differ.
   core::SearchOrder order = core::SearchOrder::kBfs;
   core::SearchLimits limits;
-  /// Optional instrumentation hook (not owned; may be nullptr).
-  core::ExplorationObserver* observer = nullptr;
   /// Crash-safe checkpoint/resume policy (src/ckpt): with a path set, the
   /// search resumes from a validated snapshot chain at that path, snapshots
   /// when a resource bound stops it (and every `interval` explored states,

@@ -129,4 +129,22 @@ TrainGate make_train_gate(int num_trains) {
   return tg;
 }
 
+common::Predicate<ta::SymState> train_gate_mutex(const TrainGate& tg) {
+  std::vector<int> cross_loc;
+  for (int t : tg.trains) {
+    cross_loc.push_back(tg.system.process(t).location_index("Cross"));
+  }
+  return common::labeled_pred<ta::SymState>(
+      "train-gate-mutex",
+      [trains = tg.trains, cross_loc](const ta::SymState& s) {
+        int crossing = 0;
+        for (std::size_t i = 0; i < trains.size(); ++i) {
+          if (s.locs[static_cast<std::size_t>(trains[i])] == cross_loc[i]) {
+            ++crossing;
+          }
+        }
+        return crossing <= 1;
+      });
+}
+
 }  // namespace quanta::models

@@ -7,7 +7,9 @@
 
 #include <vector>
 
+#include "common/pred.h"
 #include "ta/model.h"
+#include "ta/symbolic.h"
 
 namespace quanta::models {
 
@@ -32,5 +34,11 @@ struct TrainGate {
 /// Builds the Fig. 1 model for `num_trains` trains. The SMC exit rate of
 /// train i's Safe location is 1 + i, as in the paper's Fig. 4 experiment.
 TrainGate make_train_gate(int num_trains);
+
+/// The paper's safety property A[] (at most one train on the bridge), as a
+/// predicate labeled "train-gate-mutex". The label keeps the closure
+/// fingerprint-distinguishable, so the daemon, the smoke driver and direct
+/// library runs of this property share checkpoint fingerprints.
+common::Predicate<ta::SymState> train_gate_mutex(const TrainGate& tg);
 
 }  // namespace quanta::models

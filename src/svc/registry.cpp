@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdio>
 #include <utility>
-#include <vector>
 
 #include "common/pred.h"
 #include "cora/priced.h"
@@ -37,26 +36,9 @@ std::optional<ModelName> parse_model(const std::string& name) {
   return ModelName{name.substr(0, dash), size};
 }
 
-/// The paper's mutual-exclusion property, labeled exactly as the ckpt_smoke
-/// driver labels it so service and CLI runs share checkpoint fingerprints.
-mc::StatePredicate mutual_exclusion(const models::TrainGate& tg) {
-  std::vector<int> cross_loc;
-  for (int i = 0; i < tg.num_trains; ++i) {
-    cross_loc.push_back(
-        tg.system.process(tg.trains[static_cast<std::size_t>(i)])
-            .location_index("Cross"));
-  }
-  auto trains = tg.trains;
-  return common::labeled_pred<ta::SymState>(
-      "train-gate-mutex", [trains, cross_loc](const ta::SymState& s) {
-        int crossing = 0;
-        for (std::size_t i = 0; i < trains.size(); ++i) {
-          if (s.locs[static_cast<std::size_t>(trains[i])] == cross_loc[i]) {
-            ++crossing;
-          }
-        }
-        return crossing <= 1;
-      });
+/// The search pacing a run's debug knobs ask for (none without knobs).
+std::chrono::microseconds pace_of(const Request::Debug* debug) {
+  return std::chrono::microseconds(debug != nullptr ? debug->throttle_us : 0);
 }
 
 JobResult from_search(common::Verdict verdict, const core::SearchStats& stats,
@@ -115,16 +97,16 @@ std::optional<PreparedJob> prepare_job(const Request& r, std::string* error) {
     const bool invariant = (r.query == "mutex");
     job.run = [n, invariant](const common::Budget& budget,
                              const ckpt::Options& checkpoint,
-                             core::ExplorationObserver* observer) {
+                             const Request::Debug* debug) {
       auto tg = models::make_train_gate(n);
       mc::ReachOptions opts;
       opts.record_trace = false;
-      opts.observer = observer;
       opts.limits.budget = budget;
+      opts.limits.pace = pace_of(debug);
       opts.checkpoint = checkpoint;
       if (invariant) {
         const auto res =
-            mc::check_invariant(tg.system, mutual_exclusion(tg), opts);
+            mc::check_invariant(tg.system, models::train_gate_mutex(tg), opts);
         return from_search(res.verdict, res.stats, 0, res.resume);
       }
       const int cross =
@@ -145,7 +127,7 @@ std::optional<PreparedJob> prepare_job(const Request& r, std::string* error) {
     const double time_bound = r.bound;
     job.run = [n, runs, seed, time_bound](const common::Budget& budget,
                                           const ckpt::Options& checkpoint,
-                                          core::ExplorationObserver*) {
+                                          const Request::Debug*) {
       auto tg = models::make_train_gate(n);
       const int cross =
           tg.system.process(tg.trains[0]).location_index("Cross");
@@ -170,7 +152,7 @@ std::optional<PreparedJob> prepare_job(const Request& r, std::string* error) {
     if (r.query != "reach-cross") return fail("game queries: reach-cross");
     job.run = [n](const common::Budget& budget,
                   const ckpt::Options& checkpoint,
-                  core::ExplorationObserver* observer) {
+                  const Request::Debug* debug) {
       // Reachability objectives need train 0 already approaching — from
       // all-Safe the environment may simply never send a train.
       auto tg = models::make_train_game(
@@ -179,7 +161,8 @@ std::optional<PreparedJob> prepare_job(const Request& r, std::string* error) {
           common::loc_index_pred<ta::DigitalState>(tg.trains[0], tg.l_cross);
       core::SearchLimits limits;
       limits.budget = budget;
-      game::TimedGame g(tg.system, limits, checkpoint, observer);
+      limits.pace = pace_of(debug);
+      game::TimedGame g(tg.system, limits, checkpoint);
       const auto res = g.solve_reachability(goal);
       return from_search(res.verdict, res.stats,
                          static_cast<std::int64_t>(res.winning_states),
@@ -189,7 +172,7 @@ std::optional<PreparedJob> prepare_job(const Request& r, std::string* error) {
     if (r.query != "mincost-cross") return fail("cora queries: mincost-cross");
     job.run = [n](const common::Budget& budget,
                   const ckpt::Options& checkpoint,
-                  core::ExplorationObserver* observer) {
+                  const Request::Debug* debug) {
       auto tg = models::make_train_gate(n);
       cora::PriceModel prices(tg.system);
       for (int t : tg.trains) {
@@ -203,8 +186,8 @@ std::optional<PreparedJob> prepare_job(const Request& r, std::string* error) {
           common::loc_index_pred<ta::DigitalState>(tg.trains[0], cross);
       cora::MinCostOptions opts;
       opts.limits.budget = budget;
+      opts.limits.pace = pace_of(debug);
       opts.checkpoint = checkpoint;
-      opts.observer = observer;
       const auto res = cora::min_cost_reachability(tg.system, prices, goal, opts);
       return from_search(res.verdict, res.stats, res.cost, res.resume);
     };

@@ -36,7 +36,6 @@
 #include "ckpt/checkpoint.h"
 #include "common/budget.h"
 #include "common/verdict.h"
-#include "core/observer.h"
 #include "svc/request.h"
 
 namespace quanta::svc {
@@ -60,13 +59,15 @@ struct PreparedJob {
   std::string cache_key;
   /// FNV-1a digest of cache_key (ckpt::Fingerprint).
   std::uint64_t fingerprint = 0;
-  /// Executes the analysis under the given budget/checkpoint policy. The
-  /// observer (may be nullptr) reaches the symbolic engines only — the
-  /// statistical runtime has no per-state hook. Model construction happens
-  /// inside the call, so a cache hit never builds a model.
+  /// Executes the analysis under the given budget/checkpoint policy.
+  /// `debug` holds the debug knobs this run honours (nullptr = none); of
+  /// them only throttle_us acts here, pacing the symbolic engines through
+  /// SearchLimits::pace — the statistical runtime is never paced. Model
+  /// construction happens inside the call, so a cache hit never builds a
+  /// model.
   std::function<JobResult(const common::Budget& budget,
                           const ckpt::Options& checkpoint,
-                          core::ExplorationObserver* observer)>
+                          const Request::Debug* debug)>
       run;
 };
 

@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/env.h"
+
 namespace quanta::svc {
 
 void WireMap::set(std::string key, std::string value) {
@@ -38,15 +40,10 @@ const std::string* WireMap::get(const std::string& key) const {
 
 std::optional<std::uint64_t> WireMap::get_u64(const std::string& key) const {
   const std::string* s = this->get(key);
-  if (s == nullptr || s->empty()) return std::nullopt;
-  char* endp = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s->c_str(), &endp, 10);
-  if (errno != 0 || endp == s->c_str() || *endp != '\0' ||
-      s->find('-') != std::string::npos) {
-    return std::nullopt;
-  }
-  return v;
+  // A decoded value may hold a NUL (\u0000) that parse_u64 stops at; a
+  // minus sign anywhere in the value still rejects it.
+  if (s == nullptr || s->find('-') != std::string::npos) return std::nullopt;
+  return common::parse_u64(s->c_str());
 }
 
 std::optional<std::int64_t> WireMap::get_i64(const std::string& key) const {

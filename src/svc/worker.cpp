@@ -3,15 +3,12 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <new>
-#include <thread>
 
 #include "common/budget.h"
 #include "common/fault.h"
-#include "core/observer.h"
 #include "svc/registry.h"
 
 // Sanitizer shadow memory reserves terabytes of address space; a job-sized
@@ -93,20 +90,6 @@ class RlimitGuard {
   std::new_handler old_handler_ = nullptr;
 };
 
-/// Debug pacing (request field throttle_us) for the CI smoke and the
-/// budget-trip tests: stretches a symbolic search so deadlines and SIGKILLs
-/// land mid-run (the service twin of tools/ckpt_smoke's Throttle).
-class Throttle final : public core::ExplorationObserver {
- public:
-  explicit Throttle(std::uint64_t us) : us_(us) {}
-  void on_state_explored(std::int32_t) override {
-    if (us_ > 0) std::this_thread::sleep_for(std::chrono::microseconds(us_));
-  }
-
- private:
-  std::uint64_t us_;
-};
-
 WireMap run_one_job(const std::string& payload) {
   std::string error;
   const auto map = WireMap::parse_json(payload, &error);
@@ -142,15 +125,12 @@ WireMap run_one_job(const std::string& payload) {
   const common::Budget budget = job_budget(*req, nullptr);
   RlimitGuard rlimit(req->debug.rlimit_mb, req->memory_mb);
 
-  Throttle throttle(req->debug.throttle_us);
-  core::ExplorationObserver* observer =
-      req->debug.throttle_us != 0 ? &throttle : nullptr;
   const std::string token = fingerprint_token(prepared->fingerprint);
   const Response resp = common::governed(
       [&] {
         common::FaultInjector::site("svc.worker.job");
-        return response_from_result(prepared->run(budget, checkpoint, observer),
-                                    token);
+        return response_from_result(
+            prepared->run(budget, checkpoint, &req->debug), token);
       },
       stopped_response);
   // A per-job fault spec must not leak its remaining countdown into the

@@ -590,29 +590,6 @@ TEST(CkptFormat, RemoveChainClearsOnlyTempsOfExitedWriters) {
 
 // ---- provider 1: symbolic reachability (core::explore snapshot) -----------
 
-mc::StatePredicate mutual_exclusion(const models::TrainGate& tg) {
-  std::vector<int> cross_loc;
-  for (int i = 0; i < tg.num_trains; ++i) {
-    cross_loc.push_back(
-        tg.system.process(tg.trains[static_cast<std::size_t>(i)])
-            .location_index("Cross"));
-  }
-  auto trains = tg.trains;
-  // labeled_pred: the closure stays fingerprint-distinguishable from other
-  // opaque queries sharing a checkpoint path (canonical "opaque[...]").
-  return common::labeled_pred<ta::SymState>(
-      "train-gate-mutex", [trains, cross_loc](const ta::SymState& s) {
-        int crossing = 0;
-        for (std::size_t i = 0; i < trains.size(); ++i) {
-          if (s.locs[static_cast<std::size_t>(trains[i])] ==
-              static_cast<int>(cross_loc[i])) {
-            ++crossing;
-          }
-        }
-        return crossing <= 1;
-      });
-}
-
 void expect_same_stats(const mc::SearchStats& got, const mc::SearchStats& want,
                        const char* what) {
   EXPECT_EQ(got.states_stored, want.states_stored) << what;
@@ -622,7 +599,7 @@ void expect_same_stats(const mc::SearchStats& got, const mc::SearchStats& want,
 
 TEST(CkptReachability, InterruptAnywhereThenResumeIsBitIdentical) {
   auto tg = models::make_train_gate(3);
-  const auto safe = mutual_exclusion(tg);
+  const auto safe = models::train_gate_mutex(tg);
 
   for (core::SearchOrder order : {core::SearchOrder::kBfs,
                                   core::SearchOrder::kDfs}) {
@@ -668,7 +645,7 @@ TEST(CkptReachability, InterruptAnywhereThenResumeIsBitIdentical) {
 
 TEST(CkptReachability, StateLimitStopIsResumable) {
   auto tg = models::make_train_gate(3);
-  const auto safe = mutual_exclusion(tg);
+  const auto safe = models::train_gate_mutex(tg);
   const auto reference = mc::check_invariant(tg.system, safe);
   ASSERT_TRUE(reference.holds());
 
@@ -720,7 +697,7 @@ TEST(CkptReachability, PeriodicSnapshotsSurviveAnUnsavedStop) {
   // save_on_stop off: only the periodic snapshots exist — the SIGKILL story,
   // where the stop itself never gets to write anything.
   auto tg = models::make_train_gate(3);
-  const auto safe = mutual_exclusion(tg);
+  const auto safe = models::train_gate_mutex(tg);
   const auto reference = mc::check_invariant(tg.system, safe);
 
   const std::string path = ckpt_path("mc_periodic");
@@ -743,7 +720,7 @@ TEST(CkptReachability, PeriodicSnapshotsSurviveAnUnsavedStop) {
 
 TEST(CkptReachability, CorruptCheckpointDegradesToFreshStart) {
   auto tg = models::make_train_gate(3);
-  const auto safe = mutual_exclusion(tg);
+  const auto safe = models::train_gate_mutex(tg);
   const auto reference = mc::check_invariant(tg.system, safe);
 
   const std::string path = ckpt_path("mc_corrupt");
@@ -837,18 +814,18 @@ TEST(CkptReachability, DifferentModelRefusesTheSnapshot) {
   opts.checkpoint.path = path;
   opts.limits.max_states = 40;
   ASSERT_TRUE(
-      mc::check_invariant(tg3.system, mutual_exclusion(tg3), opts).resume.saved);
+      mc::check_invariant(tg3.system, models::train_gate_mutex(tg3), opts).resume.saved);
 
   mc::ReachOptions full;
   full.checkpoint.path = path;
-  const auto r = mc::check_invariant(tg2.system, mutual_exclusion(tg2), full);
+  const auto r = mc::check_invariant(tg2.system, models::train_gate_mutex(tg2), full);
   EXPECT_EQ(r.resume.load, ckpt::LoadStatus::kBadFingerprint);
   EXPECT_TRUE(r.holds());
 }
 
 TEST(CkptReachability, FailedSnapshotWriteNeverAffectsTheVerdict) {
   auto tg = models::make_train_gate(3);
-  const auto safe = mutual_exclusion(tg);
+  const auto safe = models::train_gate_mutex(tg);
   const std::string path = ckpt_path("mc_failed_write");
 
   mc::ReachOptions opts;
@@ -1204,7 +1181,7 @@ void expect_resume(const models::TrainGate& tg, const mc::StatePredicate& safe,
 
 TEST(CkptDeltaChain, PeriodicDeltasResumeBitIdentically) {
   auto tg = models::make_train_gate(3);
-  const auto safe = mutual_exclusion(tg);
+  const auto safe = models::train_gate_mutex(tg);
   const std::string path = ckpt_path("chain_resume");
   const auto reference = build_delta_chain(tg, safe, path);
   expect_resume(tg, safe, path, reference, ckpt::LoadStatus::kOk,
@@ -1215,7 +1192,7 @@ TEST(CkptDeltaChain, FullSnapshotModeWritesNoDeltas) {
   // max_deltas = 0: every periodic snapshot rewrites the base, the legacy
   // (pre-delta) behaviour.
   auto tg = models::make_train_gate(3);
-  const auto safe = mutual_exclusion(tg);
+  const auto safe = models::train_gate_mutex(tg);
   const auto reference = mc::check_invariant(tg.system, safe);
 
   const std::string path = ckpt_path("chain_fullmode");
@@ -1232,7 +1209,7 @@ TEST(CkptDeltaChain, FullSnapshotModeWritesNoDeltas) {
 
 TEST(CkptDeltaChain, MissingBaseFileStartsFresh) {
   auto tg = models::make_train_gate(3);
-  const auto safe = mutual_exclusion(tg);
+  const auto safe = models::train_gate_mutex(tg);
   const std::string path = ckpt_path("chain_nobase");
   const auto reference = build_delta_chain(tg, safe, path);
 
@@ -1253,7 +1230,7 @@ TEST(CkptDeltaChain, MissingBaseFileStartsFresh) {
 
 TEST(CkptDeltaChain, DeltaAgainstMismatchedBaseStartsFresh) {
   auto tg = models::make_train_gate(3);
-  const auto safe = mutual_exclusion(tg);
+  const auto safe = models::train_gate_mutex(tg);
   const std::string path = ckpt_path("chain_badparent");
   const auto reference = build_delta_chain(tg, safe, path);
 
@@ -1283,7 +1260,7 @@ TEST(CkptDeltaChain, DeltaAgainstMismatchedBaseStartsFresh) {
 
 TEST(CkptDeltaChain, BitFlipInsideADeltaStartsFresh) {
   auto tg = models::make_train_gate(3);
-  const auto safe = mutual_exclusion(tg);
+  const auto safe = models::train_gate_mutex(tg);
   const std::string path = ckpt_path("chain_bitflip");
   const auto reference = build_delta_chain(tg, safe, path);
 
@@ -1329,7 +1306,7 @@ TEST(CkptDeltaChain, KilledDeltaWriteEndsTheChainAtThePreviousLink) {
   // at the end of the log and closes it; the next periodic save writes a
   // fresh base, so the run keeps checkpointing and resumes bit-identically.
   auto tg = models::make_train_gate(3);
-  const auto safe = mutual_exclusion(tg);
+  const auto safe = models::train_gate_mutex(tg);
   const auto reference = mc::check_invariant(tg.system, safe);
 
   const std::string path = ckpt_path("chain_torn_write");
@@ -1417,7 +1394,7 @@ TEST(CkptDeltaChain, ResumedRunStartsAFreshChainWithABase) {
   // new base renamed over the old chain, so every writer appends only to a
   // file it created itself.
   auto tg = models::make_train_gate(3);
-  const auto safe = mutual_exclusion(tg);
+  const auto safe = models::train_gate_mutex(tg);
   const std::string path = ckpt_path("chain_rebase");
   const auto reference = build_delta_chain(tg, safe, path);
   const auto before = read_file(path);
@@ -1451,7 +1428,7 @@ TEST(CkptDeltaChain, OldLayoutOrOtherVersionIsRefusedAndTheRunStartsFresh) {
   // of another format version is refused as kBadVersion. Either way the
   // run starts fresh.
   auto tg = models::make_train_gate(3);
-  const auto safe = mutual_exclusion(tg);
+  const auto safe = models::train_gate_mutex(tg);
   const std::string path = ckpt_path("old_layout");
   const auto reference = build_delta_chain(tg, safe, path);
   const auto pristine = read_file(path);
@@ -1494,7 +1471,7 @@ TEST(CkptDeltaChain, OldLayoutOrOtherVersionIsRefusedAndTheRunStartsFresh) {
 
 TEST(CkptDeltaChain, FaultDuringDeltaApplyStartsFresh) {
   auto tg = models::make_train_gate(3);
-  const auto safe = mutual_exclusion(tg);
+  const auto safe = models::train_gate_mutex(tg);
   const std::string path = ckpt_path("chain_apply_fault");
   const auto reference = build_delta_chain(tg, safe, path);
 
@@ -2058,7 +2035,7 @@ std::string spill_file_path(const std::string& name) {
 
 TEST(CkptPooledStore, SpillingInterruptResumeIsBitIdentical) {
   auto tg = models::make_train_gate(3);
-  const auto safe = mutual_exclusion(tg);
+  const auto safe = models::train_gate_mutex(tg);
   // Reference: default pool config, everything resident.
   const auto reference = mc::check_invariant(tg.system, safe);
   ASSERT_TRUE(reference.holds());
@@ -2082,10 +2059,7 @@ TEST(CkptPooledStore, SpillingInterruptResumeIsBitIdentical) {
     ASSERT_EQ(interrupted.verdict, common::Verdict::kUnknown) << "k=" << k;
     ASSERT_TRUE(interrupted.resume.saved) << "k=" << k;
 
-    core::StatsObserver obs;
-    mc::ReachOptions full = opts;
-    full.observer = &obs;
-    const auto resumed = mc::check_invariant(tg.system, safe, full);
+    const auto resumed = mc::check_invariant(tg.system, safe, opts);
     EXPECT_EQ(resumed.resume.load, ckpt::LoadStatus::kOk) << "k=" << k;
     EXPECT_TRUE(resumed.resume.resumed) << "k=" << k;
     EXPECT_TRUE(resumed.holds()) << "k=" << k;
@@ -2093,7 +2067,7 @@ TEST(CkptPooledStore, SpillingInterruptResumeIsBitIdentical) {
 
     // The run must actually have exercised the tiers under test: payloads
     // shared through the pool AND cold chunks pushed out to the spill file.
-    const store::PoolMetrics& pm = obs.store_metrics().pool;
+    const store::PoolMetrics& pm = resumed.stats.store.pool;
     EXPECT_GT(pm.hits, 0u) << "k=" << k;
     EXPECT_GT(pm.spilled_records, 0u) << "k=" << k;
     EXPECT_EQ(pm.spill_failures, 0u) << "k=" << k;
@@ -2111,7 +2085,7 @@ TEST(CkptPooledStore, TruncatedSpillFileCannotPoisonResume) {
   // stronger than the required "degrade to fresh start" — and in no case a
   // crash or a wrong verdict.
   auto tg = models::make_train_gate(3);
-  const auto safe = mutual_exclusion(tg);
+  const auto safe = models::train_gate_mutex(tg);
   const auto reference = mc::check_invariant(tg.system, safe);
   ASSERT_TRUE(reference.holds());
 
@@ -2122,15 +2096,13 @@ TEST(CkptPooledStore, TruncatedSpillFileCannotPoisonResume) {
   ScopedEnv sp("QUANTA_STORE_SPILL", spill.c_str());
 
   const std::string path = ckpt_path("pooled_trunc");
-  core::StatsObserver obs;
   mc::ReachOptions opts;
   opts.checkpoint.path = path;
-  opts.observer = &obs;
   opts.limits.max_states = reference.stats.states_stored / 2;
   const auto interrupted = mc::check_invariant(tg.system, safe, opts);
   ASSERT_EQ(interrupted.verdict, common::Verdict::kUnknown);
   ASSERT_TRUE(interrupted.resume.saved);
-  ASSERT_GT(obs.store_metrics().pool.spilled_records, 0u)
+  ASSERT_GT(interrupted.stats.store.pool.spilled_records, 0u)
       << "interrupted run never spilled";
 
   // Damage the spill file the way a crash mid-append would: cut it off at
@@ -2160,7 +2132,7 @@ TEST(CkptPooledStore, UnopenableSpillPathDegradesToResidentStorage) {
   // still completes with the right verdict — the tier fails closed, the
   // search does not.
   auto tg = models::make_train_gate(3);
-  const auto safe = mutual_exclusion(tg);
+  const auto safe = models::train_gate_mutex(tg);
   const auto reference = mc::check_invariant(tg.system, safe);
   ASSERT_TRUE(reference.holds());
 
@@ -2168,14 +2140,11 @@ TEST(CkptPooledStore, UnopenableSpillPathDegradesToResidentStorage) {
   ScopedEnv sp("QUANTA_STORE_SPILL",
                (::testing::TempDir() + "no_such_dir/quanta.qspl").c_str());
 
-  core::StatsObserver obs;
-  mc::ReachOptions opts;
-  opts.observer = &obs;
-  const auto r = mc::check_invariant(tg.system, safe, opts);
+  const auto r = mc::check_invariant(tg.system, safe);
   EXPECT_TRUE(r.holds());
   expect_same_stats(r.stats, reference.stats, "resident-only degradation");
-  EXPECT_GT(obs.store_metrics().pool.spill_failures, 0u);
-  EXPECT_EQ(obs.store_metrics().pool.spilled_records, 0u);
+  EXPECT_GT(r.stats.store.pool.spill_failures, 0u);
+  EXPECT_EQ(r.stats.store.pool.spilled_records, 0u);
 }
 
 // ---- store encoding: pooled records vs the materializing reference --------
@@ -2373,7 +2342,7 @@ TEST(CkptStoreEncoding, EngineChainsMatchTheMaterializingReference) {
   {
     auto tg = models::make_train_gate(3);
     const std::string path = ckpt_path("enc_reach");
-    build_delta_chain(tg, mutual_exclusion(tg), path);
+    build_delta_chain(tg, models::train_gate_mutex(tg), path);
     expect_chain_store_bytes_match<ta::SymState>(
         path, ckpt::Provider::kExplore, ckpt::read_sym_state,
         reference_sym_state, "reachability");
@@ -2465,7 +2434,7 @@ TEST(CkptChainBytes, EngineChainFilesMatchPinnedHashes) {
     opts.limits.budget = common::Budget::deadline_after(std::chrono::hours(1));
     ScopedFault fault("core.state_store.intern", common::FaultKind::kDeadline,
                       300);
-    EXPECT_TRUE(mc::check_invariant(tg.system, mutual_exclusion(tg), opts)
+    EXPECT_TRUE(mc::check_invariant(tg.system, models::train_gate_mutex(tg), opts)
                     .resume.saved)
         << name;
     EXPECT_TRUE(has_deltas(path)) << name;
@@ -2580,7 +2549,7 @@ class ChainFuzzer {
  public:
   explicit ChainFuzzer(const std::string& name)
       : tg_(models::make_train_gate(3)),
-        safe_(mutual_exclusion(tg_)),
+        safe_(models::train_gate_mutex(tg_)),
         path_(ckpt_path(name)) {
     reference_ = build_delta_chain(tg_, safe_, path_);
     pristine_file_ = read_file(path_);

@@ -1,7 +1,8 @@
 // Tests for the shared exploration core (src/core): StateStore dedup and
 // zone-inclusion subsumption with covered-node tombstoning (also against a
 // linear-scan reference on random zone sequences), Worklist search
-// orders, uniform truncation semantics, and the ExplorationObserver hook.
+// orders, uniform truncation semantics, and the store metrics every search
+// returns in SearchStats.
 #include "core/state_store.h"
 
 #include <gtest/gtest.h>
@@ -10,9 +11,12 @@
 #include <optional>
 #include <unordered_map>
 
-#include "core/observer.h"
 #include "core/worklist.h"
+#include "cora/priced.h"
+#include "game/tiga.h"
+#include "mc/liveness.h"
 #include "mc/reachability.h"
+#include "models/train_game.h"
 #include "models/train_gate.h"
 #include "ta/traits.h"
 
@@ -497,24 +501,46 @@ TEST(Worklist, PriorityPopsSmallestKey) {
   EXPECT_TRUE(w.empty());
 }
 
-TEST(ExplorationCore, StatsObserverCollectsThroughputAndOccupancy) {
+/// The store snapshot every search returns must describe the store the
+/// counters came from; all four store engines pool their states.
+void expect_store_metrics(const core::SearchStats& stats, const char* what) {
+  EXPECT_FALSE(stats.truncated) << what;
+  EXPECT_GT(stats.states_stored, 0u) << what;
+  EXPECT_EQ(stats.store.stored, stats.states_stored) << what;
+  EXPECT_GT(stats.store.occupied, 0u) << what;
+  EXPECT_GE(stats.store.slots, stats.store.occupied) << what;
+  EXPECT_GT(stats.store.memory_bytes, 0u) << what;
+  EXPECT_GT(stats.store.pool.lookups, 0u) << what;
+}
+
+TEST(SearchStats, CarryStoreMetrics) {
   auto tg = models::make_train_gate(2);
-  core::StatsObserver obs;
-  mc::ReachOptions opts;
-  opts.observer = &obs;
-  auto r = mc::reachable(
-      tg.system, [](const ta::SymState&) { return false; }, opts);
-  EXPECT_FALSE(r.reachable());
-  EXPECT_FALSE(r.stats.truncated);
-  EXPECT_EQ(obs.stats().states_stored, r.stats.states_stored);
-  EXPECT_EQ(obs.stats().states_explored, r.stats.states_explored);
-  EXPECT_EQ(obs.explored(), r.stats.states_explored);
-  EXPECT_EQ(obs.peak_stored(), r.stats.states_stored);
-  EXPECT_EQ(obs.store_metrics().stored, r.stats.states_stored);
-  EXPECT_GT(obs.store_metrics().occupied, 0u);
-  EXPECT_GT(obs.elapsed_seconds(), 0.0);
-  EXPECT_GT(obs.states_per_second(), 0.0);
-  EXPECT_NE(obs.summary().find("states"), std::string::npos);
+  expect_store_metrics(
+      mc::check_invariant(tg.system, models::train_gate_mutex(tg)).stats,
+      "mc invariant");
+  expect_store_metrics(
+      mc::check_leads_to(tg.system, mc::loc_pred(tg.system, "Train(0)", "Appr"),
+                         mc::loc_pred(tg.system, "Train(0)", "Cross"))
+          .stats,
+      "mc leads-to");
+
+  const int cross = tg.system.process(tg.trains[0]).location_index("Cross");
+  cora::PriceModel prices(tg.system);
+  expect_store_metrics(
+      cora::min_cost_reachability(
+          tg.system, prices,
+          common::loc_index_pred<ta::DigitalState>(tg.trains[0], cross))
+          .stats,
+      "cora");
+
+  auto tgame = models::make_train_game(
+      {.num_trains = 1, .first_train_approaching = true});
+  game::TimedGame g(tgame.system);
+  expect_store_metrics(
+      g.solve_reachability(common::loc_index_pred<ta::DigitalState>(
+                               tgame.trains[0], tgame.l_cross))
+          .stats,
+      "game");
 }
 
 TEST(ExplorationCore, TruncationIsUniformAcrossEngines) {

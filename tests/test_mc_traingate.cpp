@@ -12,27 +12,9 @@ using mc::StatePredicate;
 
 /// "At most one train on the bridge":
 ///   A[] forall i forall j: Cross(i) && Cross(j) => i == j.
-StatePredicate mutual_exclusion(const models::TrainGate& tg) {
-  std::vector<int> cross_loc;
-  for (int i = 0; i < tg.num_trains; ++i) {
-    cross_loc.push_back(
-        tg.system.process(tg.trains[i]).location_index("Cross"));
-  }
-  auto trains = tg.trains;
-  return [trains, cross_loc](const ta::SymState& s) {
-    int crossing = 0;
-    for (std::size_t i = 0; i < trains.size(); ++i) {
-      if (s.locs[static_cast<std::size_t>(trains[i])] == cross_loc[i]) {
-        ++crossing;
-      }
-    }
-    return crossing <= 1;
-  };
-}
-
 TEST(TrainGate, SafetyMutualExclusion) {
   auto tg = models::make_train_gate(3);
-  auto result = mc::check_invariant(tg.system, mutual_exclusion(tg));
+  auto result = mc::check_invariant(tg.system, models::train_gate_mutex(tg));
   EXPECT_TRUE(result.holds()) << result.violating_state;
   EXPECT_GT(result.stats.states_stored, 10u);
 }
@@ -114,7 +96,7 @@ TEST(TrainGate, SubsumptionReducesStateCount) {
   mc::ReachOptions with;
   mc::ReachOptions without;
   without.inclusion_subsumption = false;
-  auto pred = mutual_exclusion(tg);
+  auto pred = models::train_gate_mutex(tg);
   auto r1 = mc::check_invariant(tg.system, pred, with);
   auto r2 = mc::check_invariant(tg.system, pred, without);
   EXPECT_TRUE(r1.holds());
@@ -126,7 +108,7 @@ TEST(TrainGate, ScalesToFiveTrains) {
   // Six trains (the paper's instance) is exercised by bench_trains_mc; five
   // keeps the test suite fast while still covering a non-trivial queue.
   auto tg = models::make_train_gate(5);
-  auto result = mc::check_invariant(tg.system, mutual_exclusion(tg));
+  auto result = mc::check_invariant(tg.system, models::train_gate_mutex(tg));
   EXPECT_TRUE(result.holds());
   EXPECT_GT(result.stats.states_stored, 10000u);
 }

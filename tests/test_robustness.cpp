@@ -15,6 +15,8 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "bip/explore.h"
 #include "ckpt/delta.h"
@@ -30,6 +32,7 @@
 #include "mc/liveness.h"
 #include "mc/reachability.h"
 #include "mdp/value_iteration.h"
+#include "models/train_game.h"
 #include "models/train_gate.h"
 #include "pta/digital_clocks.h"
 #include "pta/properties.h"
@@ -128,6 +131,80 @@ TEST(SearchLimits, ZeroStateBoundIsRejectedByName) {
   opts.limits.max_states = 0;
   auto sys = models::make_train_gate(2).system;
   EXPECT_THROW(mc::reachable(sys, never(), opts), std::invalid_argument);
+}
+
+TEST(SearchLimits, PaceDelaysEveryExploredState) {
+  // Pacing only stretches a search: each paced engine reports the verdict
+  // and counters of an unpaced run, and spends at least `pace` per explored
+  // state. Only that lower bound on wall time is asserted — a loaded
+  // machine may take longer.
+  constexpr std::chrono::microseconds kPace{200};
+  using Outcome = std::pair<Verdict, core::SearchStats>;
+  const auto tg = models::make_train_gate(2);
+  const auto tgame = models::make_train_game(
+      {.num_trains = 1, .first_train_approaching = true});
+  const int cross = tg.system.process(tg.trains[0]).location_index("Cross");
+  cora::PriceModel prices(tg.system);
+  for (int t : tg.trains) {
+    prices.set_location_rate(t, tg.system.process(t).location_index("Appr"), 1);
+  }
+  const std::vector<
+      std::pair<const char*, std::function<Outcome(const core::SearchLimits&)>>>
+      engines = {
+          {"mc invariant",
+           [&](const core::SearchLimits& limits) {
+             mc::ReachOptions opts;
+             opts.limits = limits;
+             const auto r = mc::check_invariant(
+                 tg.system, models::train_gate_mutex(tg), opts);
+             return Outcome{r.verdict, r.stats};
+           }},
+          {"mc leads-to",
+           [&](const core::SearchLimits& limits) {
+             mc::ReachOptions opts;
+             opts.limits = limits;
+             const auto r = mc::check_leads_to(
+                 tg.system, mc::loc_pred(tg.system, "Train(0)", "Appr"),
+                 mc::loc_pred(tg.system, "Train(0)", "Cross"), opts);
+             return Outcome{r.verdict, r.stats};
+           }},
+          {"cora",
+           [&](const core::SearchLimits& limits) {
+             cora::MinCostOptions opts;
+             opts.limits = limits;
+             const auto r = cora::min_cost_reachability(
+                 tg.system, prices,
+                 common::loc_index_pred<ta::DigitalState>(tg.trains[0], cross),
+                 opts);
+             return Outcome{r.verdict, r.stats};
+           }},
+          {"game",
+           [&](const core::SearchLimits& limits) {
+             game::TimedGame g(tgame.system, limits);
+             const auto r = g.solve_reachability(
+                 common::loc_index_pred<ta::DigitalState>(tgame.trains[0],
+                                                          tgame.l_cross));
+             return Outcome{r.verdict, r.stats};
+           }},
+      };
+  for (const auto& [name, run] : engines) {
+    const Outcome plain = run(core::SearchLimits{});
+    core::SearchLimits paced;
+    paced.pace = kPace;
+    const auto start = std::chrono::steady_clock::now();
+    const Outcome slow = run(paced);
+    const auto wall = std::chrono::steady_clock::now() - start;
+    EXPECT_NE(plain.first, Verdict::kUnknown) << name;
+    EXPECT_EQ(slow.first, plain.first) << name;
+    EXPECT_EQ(slow.second.states_stored, plain.second.states_stored) << name;
+    EXPECT_EQ(slow.second.states_explored, plain.second.states_explored)
+        << name;
+    EXPECT_EQ(slow.second.transitions, plain.second.transitions) << name;
+    EXPECT_GT(plain.second.states_explored, 0u) << name;
+    EXPECT_GE(wall, kPace * static_cast<std::int64_t>(
+                                slow.second.states_explored))
+        << name;
+  }
 }
 
 // ---- symbolic engines: budget exhaustion -> kUnknown ----------------------
@@ -563,7 +640,8 @@ TEST(FaultInjection, SpecParsing) {
   EXPECT_TRUE(fi.arm_from_spec("smc.simulator.step=exception"));
   EXPECT_TRUE(fi.arm_from_spec("exec.thread_pool.chunk=deadline:3"));
   for (const char* bad :
-       {"", "nonsense", "site-only=", "a=unknown-kind", "a=alloc:NaN"}) {
+       {"", "nonsense", "site-only=", "a=unknown-kind", "a=alloc:NaN",
+        "a=alloc:-1", "a=alloc:99999999999999999999"}) {
     EXPECT_FALSE(fi.arm_from_spec(bad)) << bad;
     EXPECT_FALSE(fi.armed()) << bad;
   }

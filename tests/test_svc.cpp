@@ -32,11 +32,13 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
@@ -107,8 +109,40 @@ struct DisarmGuard {
 };
 
 // ---------------------------------------------------------------------------
-// Strict env parsing (common::env_u64, behind QUANTA_JOBS)
+// Strict decimal parsing (common::parse_u64) and the env knobs behind it
+// (common::env_u64, behind QUANTA_JOBS)
 // ---------------------------------------------------------------------------
+
+TEST(ParseU64, AcceptsWholeDecimalsOnly) {
+  const struct {
+    const char* text;
+    std::optional<std::uint64_t> want;
+  } cases[] = {
+      {"0", 0u},
+      {"12", 12u},
+      {"007", 7u},
+      {"+5", 5u},  // strtoull syntax: a plus sign and leading blanks pass
+      {" 9", 9u},
+      {"18446744073709551615", UINT64_MAX},
+      {nullptr, std::nullopt},
+      {"", std::nullopt},
+      {"  ", std::nullopt},
+      {"x", std::nullopt},
+      {"4x", std::nullopt},
+      {"4 ", std::nullopt},
+      {"4.5", std::nullopt},
+      {"0x10", std::nullopt},
+      {"-3", std::nullopt},
+      {"-0", std::nullopt},
+      {"1-", std::nullopt},
+      {"18446744073709551616", std::nullopt},
+      {"99999999999999999999", std::nullopt},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(common::parse_u64(c.text), c.want)
+        << "text '" << (c.text != nullptr ? c.text : "(null)") << "'";
+  }
+}
 
 TEST(EnvU64, AcceptsWholePositiveDecimalsOnly) {
   ScopedEnv e("QUANTA_TEST_ENV", "12");
@@ -1142,26 +1176,10 @@ TEST_F(ServerTest, ColdQueryMatchesDirectLibraryRun) {
   // The same analysis through the library directly (the predicate is the
   // registry's, label included, so fingerprints would also agree).
   auto tg = models::make_train_gate(3);
-  std::vector<int> cross_loc;
-  for (int i = 0; i < tg.num_trains; ++i) {
-    cross_loc.push_back(
-        tg.system.process(tg.trains[static_cast<std::size_t>(i)])
-            .location_index("Cross"));
-  }
-  auto trains = tg.trains;
-  auto mutex = common::labeled_pred<ta::SymState>(
-      "train-gate-mutex", [trains, cross_loc](const ta::SymState& s) {
-        int crossing = 0;
-        for (std::size_t i = 0; i < trains.size(); ++i) {
-          if (s.locs[static_cast<std::size_t>(trains[i])] == cross_loc[i]) {
-            ++crossing;
-          }
-        }
-        return crossing <= 1;
-      });
   mc::ReachOptions opts;
   opts.record_trace = false;
-  const auto direct = mc::check_invariant(tg.system, mutex, opts);
+  const auto direct =
+      mc::check_invariant(tg.system, models::train_gate_mutex(tg), opts);
 
   EXPECT_EQ(resp.verdict, direct.verdict);
   EXPECT_EQ(resp.stop, direct.stats.stop);

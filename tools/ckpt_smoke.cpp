@@ -23,17 +23,17 @@
 // transitions=<n> extra=<n>" on stdout; `extra` is engine-specific (winning
 // states for game, optimal cost for cora, 0 for mc and live). Exit 0 on a
 // definite verdict, 3 on kUnknown, 1 on usage errors.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/budget.h"
+#include "common/env.h"
 #include "common/pred.h"
-#include "core/observer.h"
 #include "cora/priced.h"
 #include "game/tiga.h"
 #include "mc/liveness.h"
@@ -44,40 +44,6 @@
 using namespace quanta;
 
 namespace {
-
-mc::StatePredicate mutual_exclusion(const models::TrainGate& tg) {
-  std::vector<int> cross_loc;
-  for (int i = 0; i < tg.num_trains; ++i) {
-    cross_loc.push_back(
-        tg.system.process(tg.trains[static_cast<std::size_t>(i)])
-            .location_index("Cross"));
-  }
-  auto trains = tg.trains;
-  // Labeled so the closure stays fingerprint-distinguishable (the canonical
-  // AST replaces the retired property_tag knob).
-  return common::labeled_pred<ta::SymState>(
-      "train-gate-mutex", [trains, cross_loc](const ta::SymState& s) {
-        int crossing = 0;
-        for (std::size_t i = 0; i < trains.size(); ++i) {
-          if (s.locs[static_cast<std::size_t>(trains[i])] == cross_loc[i]) {
-            ++crossing;
-          }
-        }
-        return crossing <= 1;
-      });
-}
-
-/// Slows the search down to human/CI timescales so a SIGKILL lands mid-run.
-class Throttle final : public core::ExplorationObserver {
- public:
-  explicit Throttle(long us) : us_(us) {}
-  void on_state_explored(std::int32_t) override {
-    if (us_ > 0) std::this_thread::sleep_for(std::chrono::microseconds(us_));
-  }
-
- private:
-  long us_;
-};
 
 const char* verdict_name(common::Verdict v) {
   switch (v) {
@@ -109,9 +75,9 @@ int report(const Line& l) {
 int main(int argc, char** argv) {
   std::string engine = "mc";
   std::string path;
-  int trains = 4;
+  std::uint64_t trains = 4;
   std::uint64_t interval = 200;
-  long throttle_us = 0;
+  std::uint64_t throttle_us = 0;
   bool resume = true;
   for (int i = 1; i < argc; ++i) {
     auto need = [&](const char* flag) -> const char* {
@@ -121,16 +87,26 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto need_u64 = [&](const char* flag) {
+      const char* s = need(flag);
+      const auto v = common::parse_u64(s);
+      if (!v) {
+        std::fprintf(stderr, "ckpt_smoke: %s: not a decimal number: %s\n",
+                     flag, s);
+        std::exit(1);
+      }
+      return *v;
+    };
     if (std::strcmp(argv[i], "--engine") == 0) {
       engine = need("--engine");
     } else if (std::strcmp(argv[i], "--checkpoint") == 0) {
       path = need("--checkpoint");
     } else if (std::strcmp(argv[i], "--trains") == 0) {
-      trains = std::atoi(need("--trains"));
+      trains = need_u64("--trains");
     } else if (std::strcmp(argv[i], "--interval") == 0) {
-      interval = static_cast<std::uint64_t>(std::atoll(need("--interval")));
+      interval = need_u64("--interval");
     } else if (std::strcmp(argv[i], "--throttle-us") == 0) {
-      throttle_us = std::atol(need("--throttle-us"));
+      throttle_us = need_u64("--throttle-us");
     } else if (std::strcmp(argv[i], "--no-resume") == 0) {
       resume = false;
     } else {
@@ -144,33 +120,36 @@ int main(int argc, char** argv) {
                  "ckpt_smoke: --engine must be mc, live, game or cora\n");
     return 1;
   }
-  if (trains < 2) {
-    std::fprintf(stderr, "ckpt_smoke: --trains must be >= 2\n");
+  constexpr auto kIntMax =
+      static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+  if (trains < 2 || trains > kIntMax) {
+    std::fprintf(stderr, "ckpt_smoke: --trains must be >= 2 (and fit an int)\n");
     return 1;
   }
+  const int n = static_cast<int>(trains);
 
-  Throttle throttle(throttle_us);
   ckpt::Options checkpoint;
   checkpoint.path = path;
   checkpoint.resume = resume;
   checkpoint.interval = interval;
-  const auto budget = common::Budget::deadline_after(std::chrono::hours(1));
+  core::SearchLimits limits;
+  limits.budget = common::Budget::deadline_after(std::chrono::hours(1));
+  limits.pace = std::chrono::microseconds(throttle_us);
   Line line;
 
   if (engine == "mc") {
-    auto tg = models::make_train_gate(trains);
+    auto tg = models::make_train_gate(n);
     mc::ReachOptions opts;
     opts.record_trace = false;
-    opts.observer = &throttle;
-    opts.limits.budget = budget;
+    opts.limits = limits;
     opts.checkpoint = checkpoint;
-    const auto r = mc::check_invariant(tg.system, mutual_exclusion(tg), opts);
+    const auto r =
+        mc::check_invariant(tg.system, models::train_gate_mutex(tg), opts);
     line = {r.resume, r.verdict, r.stats, 0};
   } else if (engine == "live") {
-    auto tg = models::make_train_gate(trains);
+    auto tg = models::make_train_gate(n);
     mc::ReachOptions opts;
-    opts.observer = &throttle;
-    opts.limits.budget = budget;
+    opts.limits = limits;
     opts.checkpoint = checkpoint;
     const auto r = mc::check_leads_to(
         tg.system, mc::loc_pred(tg.system, "Train(0)", "Appr"),
@@ -181,17 +160,15 @@ int main(int argc, char** argv) {
     // the environment may simply never send a train); 2 trains keeps the
     // digital-clocks game graph at CI-smoke scale.
     auto tg = models::make_train_game(
-        {.num_trains = std::min(trains, 2), .first_train_approaching = true});
+        {.num_trains = std::min(n, 2), .first_train_approaching = true});
     const auto goal =
         common::loc_index_pred<ta::DigitalState>(tg.trains[0], tg.l_cross);
-    core::SearchLimits limits;
-    limits.budget = budget;
-    game::TimedGame g(tg.system, limits, checkpoint, &throttle);
+    game::TimedGame g(tg.system, limits, checkpoint);
     const auto r = g.solve_reachability(goal);
     line = {r.resume, r.verdict, r.stats,
             static_cast<long long>(r.winning_states)};
   } else {
-    auto tg = models::make_train_gate(trains);
+    auto tg = models::make_train_gate(n);
     cora::PriceModel prices(tg.system);
     for (int t : tg.trains) {
       const auto& proc = tg.system.process(t);
@@ -202,9 +179,8 @@ int main(int argc, char** argv) {
     const auto goal =
         common::loc_index_pred<ta::DigitalState>(tg.trains[0], cross);
     cora::MinCostOptions opts;
-    opts.limits.budget = budget;
+    opts.limits = limits;
     opts.checkpoint = checkpoint;
-    opts.observer = &throttle;
     const auto r = cora::min_cost_reachability(tg.system, prices, goal, opts);
     line = {r.resume, r.verdict, r.stats, static_cast<long long>(r.cost)};
   }

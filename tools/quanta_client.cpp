@@ -39,6 +39,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/env.h"
 #include "svc/client.h"
 
 namespace {
@@ -58,17 +59,6 @@ int usage(const char* argv0) {
       "          [--wait-ready MS] [--timeout-ms N] [--retries N]\n",
       argv0);
   return 1;
-}
-
-bool parse_u64(const char* s, std::uint64_t* out) {
-  char* endp = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &endp, 10);
-  if (errno != 0 || endp == s || *endp != '\0' || std::strchr(s, '-')) {
-    return false;
-  }
-  *out = v;
-  return true;
 }
 
 int status_exit_code(quanta::svc::Status s, quanta::common::Verdict verdict) {
@@ -103,8 +93,9 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     auto next_u64 = [&](std::uint64_t* out) {
-      const char* s = next();
-      return s != nullptr && parse_u64(s, out);
+      const auto v = quanta::common::parse_u64(next());
+      if (v) *out = *v;
+      return v.has_value();
     };
     if (arg == "--socket") {
       const char* s = next();

@@ -30,16 +30,17 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 
 #include <unistd.h>
 
+#include "common/env.h"
 #include "svc/server.h"
 
 namespace {
+
+using quanta::common::parse_u64;
 
 volatile std::sig_atomic_t g_stop = 0;
 
@@ -54,17 +55,6 @@ int usage(const char* argv0) {
       "          [--debug]\n",
       argv0);
   return 1;
-}
-
-bool parse_u64(const char* s, std::uint64_t* out) {
-  char* endp = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &endp, 10);
-  if (errno != 0 || endp == s || *endp != '\0' || std::strchr(s, '-')) {
-    return false;
-  }
-  *out = v;
-  return true;
 }
 
 /// Narrows a flag value to an unsigned field, keeping a too-large value
@@ -83,43 +73,42 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    std::uint64_t v = 0;
     if (arg == "--socket") {
       const char* s = next();
       if (s == nullptr) return usage(argv[0]);
       cfg.socket_path = s;
     } else if (arg == "--tcp-port") {
-      const char* s = next();
-      if (s == nullptr || !parse_u64(s, &v) || v > 65535) return usage(argv[0]);
-      cfg.tcp_port = static_cast<int>(v);
+      const auto v = parse_u64(next());
+      if (!v || *v > 65535) return usage(argv[0]);
+      cfg.tcp_port = static_cast<int>(*v);
     } else if (arg == "--ckpt-dir") {
       const char* s = next();
       if (s == nullptr) return usage(argv[0]);
       cfg.ckpt_dir = s;
     } else if (arg == "--jobs") {
-      const char* s = next();
-      if (s == nullptr || !parse_u64(s, &v) || v == 0) return usage(argv[0]);
-      cfg.jobs = saturate(v);
+      const auto v = parse_u64(next());
+      if (!v || *v == 0) return usage(argv[0]);
+      cfg.jobs = saturate(*v);
     } else if (arg == "--queue-depth") {
-      const char* s = next();
-      if (s == nullptr || !parse_u64(s, &v) || v == 0) return usage(argv[0]);
-      cfg.queue_depth = v;
+      const auto v = parse_u64(next());
+      if (!v || *v == 0) return usage(argv[0]);
+      cfg.queue_depth = *v;
     } else if (arg == "--cache-mem") {
-      const char* s = next();
-      if (s == nullptr || !parse_u64(s, &v) || v == 0) return usage(argv[0]);
-      cfg.cache_bytes = v;
+      const auto v = parse_u64(next());
+      if (!v || *v == 0) return usage(argv[0]);
+      cfg.cache_bytes = *v;
     } else if (arg == "--inflight-mem") {
-      const char* s = next();
-      if (s == nullptr || !parse_u64(s, &v) || v == 0) return usage(argv[0]);
-      cfg.inflight_bytes = v;
+      const auto v = parse_u64(next());
+      if (!v || *v == 0) return usage(argv[0]);
+      cfg.inflight_bytes = *v;
     } else if (arg == "--retries") {
-      const char* s = next();
-      if (s == nullptr || !parse_u64(s, &v)) return usage(argv[0]);
-      cfg.retries = saturate(v);
+      const auto v = parse_u64(next());
+      if (!v) return usage(argv[0]);
+      cfg.retries = saturate(*v);
     } else if (arg == "--ckpt-ttl") {
-      const char* s = next();
-      if (s == nullptr || !parse_u64(s, &v) || v == 0) return usage(argv[0]);
-      cfg.ckpt_ttl_s = v;
+      const auto v = parse_u64(next());
+      if (!v || *v == 0) return usage(argv[0]);
+      cfg.ckpt_ttl_s = *v;
     } else if (arg == "--state-dir") {
       const char* s = next();
       if (s == nullptr) return usage(argv[0]);
