@@ -8,7 +8,6 @@
 namespace {
 
 using namespace quanta;
-using mc::StatePredicate;
 
 /// "At most one train on the bridge":
 ///   A[] forall i forall j: Cross(i) && Cross(j) => i == j.

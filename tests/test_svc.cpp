@@ -50,7 +50,6 @@
 #include "ckpt/record_log.h"
 #include "common/env.h"
 #include "common/fault.h"
-#include "common/pred.h"
 #include "mc/reachability.h"
 #include "models/train_gate.h"
 #include "svc/client.h"
