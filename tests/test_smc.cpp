@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "common/stats.h"
+#include "models/brp.h"
 #include "models/train_gate.h"
 #include "smc/cdf.h"
 #include "smc/estimate.h"
@@ -111,6 +113,74 @@ TEST(Simulator, RaceBetweenTwoExponentials) {
   };
   auto est = smc::estimate_probability_runs(sys, prop, 20000, 0.05, 5);
   EXPECT_NEAR(est.p_hat, 0.75, 0.02);
+}
+
+/// FNV-1a over the 8 bytes of each word: a digest of a run stream that
+/// changes if any draw, bound or draw order changes.
+struct StreamDigest {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+/// Digest of (satisfied, hit_time bits, steps) over runs 0..1999, each run
+/// on its own RngStream seed through one reseeded Simulator.
+struct StreamPin {
+  std::uint64_t digest = 0;
+  std::size_t satisfied = 0;
+  std::size_t steps = 0;
+};
+
+StreamPin run_stream_pin(const ta::System& sys,
+                         const smc::TimeBoundedReach& prop, std::uint64_t seed) {
+  const common::RngStream streams(seed);
+  smc::Simulator sim(sys, 0);
+  StreamDigest d;
+  StreamPin pin;
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    sim.reseed(streams.seed_for(i));
+    const smc::RunResult r = sim.run(prop);
+    d.add(r.satisfied ? 1 : 0);
+    d.add(std::bit_cast<std::uint64_t>(r.hit_time));
+    d.add(r.steps);
+    pin.satisfied += r.satisfied ? 1 : 0;
+    pin.steps += r.steps;
+  }
+  pin.digest = d.h;
+  return pin;
+}
+
+TEST(Simulator, RunStreamIsPinned) {
+  // Every random draw, its bounds and its order are part of the engine's
+  // contract: estimates, hit times and checkpoint chains are bit-identical
+  // across builds. These digests were taken from the std::mt19937_64-based
+  // simulator; any change to the step loop must reproduce them exactly.
+  auto tg = models::make_train_gate(4);
+  const int cross = tg.system.process(tg.trains[0]).location_index("Cross");
+  smc::TimeBoundedReach cross_prop;
+  cross_prop.time_bound = 100.0;
+  cross_prop.goal =
+      common::loc_index_pred<ta::ConcreteState>(tg.trains[0], cross);
+  const StreamPin tg_pin = run_stream_pin(tg.system, cross_prop, 0x5eed);
+  EXPECT_EQ(tg_pin.digest, 0x0e2025c11a9e065bULL);
+  EXPECT_EQ(tg_pin.satisfied, 2000u);
+  EXPECT_EQ(tg_pin.steps, 51395u);
+
+  // BRP has probabilistic edges: this pins the per-branch weighted draw.
+  auto brp = models::make_brp();
+  smc::TimeBoundedReach done_prop;
+  done_prop.time_bound = 200.0;
+  done_prop.goal = [&brp](const ta::ConcreteState& s) {
+    return brp.is_done(s.locs);
+  };
+  const StreamPin brp_pin = run_stream_pin(brp.system, done_prop, 0xb2b);
+  EXPECT_EQ(brp_pin.digest, 0xda795c499d501bd8ULL);
+  EXPECT_EQ(brp_pin.satisfied, 2000u);
+  EXPECT_EQ(brp_pin.steps, 130536u);
 }
 
 TEST(Estimate, ChernoffSampleCountIsUsed) {

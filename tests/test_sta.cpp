@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "models/brp.h"
 #include "pta/pta.h"
 #include "sta/des.h"
 #include "sta/mctau.h"
@@ -164,6 +167,37 @@ TEST(Des, TimeDivergenceEndsRun) {
   sta::DesSimulator sim(sys, 3, sta::DesOptions{});
   auto run = sim.run([](const ta::ConcreteState&) { return false; });
   EXPECT_FALSE(run.terminated);
+}
+
+TEST(Des, RunStreamIsPinned) {
+  // The modes simulator's draws (window choice, time point, move choice,
+  // probabilistic branch) are pinned like the SMC simulator's: a digest of
+  // (terminated, end_time bits, first-hit bits) over 2000 BRP runs under
+  // the uniform scheduler, taken from the std::mt19937_64-based code.
+  auto brp = models::make_brp();
+  sta::DesOptions opts;
+  opts.policy = sta::SchedulerPolicy::kUniformRandom;
+  sta::DesSimulator sim(brp.system, 0xde5, opts);
+  auto terminal = [&brp](const ta::ConcreteState& s) {
+    return brp.is_done(s.locs);
+  };
+  std::vector<sta::DesPredicate> watch = {
+      [&brp](const ta::ConcreteState& s) { return brp.sender_waiting(s.locs); },
+  };
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over each word's bytes
+  auto add = [&h](std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (int r = 0; r < 2000; ++r) {
+    const sta::DesRun run = sim.run(terminal, watch);
+    add(run.terminated ? 1 : 0);
+    add(std::bit_cast<std::uint64_t>(run.end_time));
+    add(std::bit_cast<std::uint64_t>(run.first_hit[0]));
+  }
+  EXPECT_EQ(h, 0x6053b1ef5b6fbb22ULL);
 }
 
 }  // namespace
