@@ -35,18 +35,23 @@ int main() {
                     : action->move.describe(tg.system).c_str());
   };
   show(s, "start");
+  ta::MoveList moves;
   // Environment: train 0 approaches.
-  for (ta::Move& m : sem.enabled_moves(s)) {
-    if (m.describe(tg.system).find("Train(0)") != std::string::npos) {
-      s = sem.apply(s, m);
+  sem.enabled_moves(s, moves);
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    if (ta::Move(moves[i]).describe(tg.system).find("Train(0)") !=
+        std::string::npos) {
+      sem.apply(s, moves[i], s);
       break;
     }
   }
   show(s, "appr[0]!");
   // Environment: train 1 approaches as well — now the controller must react.
-  for (ta::Move& m : sem.enabled_moves(s)) {
-    if (m.describe(tg.system).find("Train(1)") != std::string::npos) {
-      s = sem.apply(s, m);
+  sem.enabled_moves(s, moves);
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    if (ta::Move(moves[i]).describe(tg.system).find("Train(1)") !=
+        std::string::npos) {
+      sem.apply(s, moves[i], s);
       break;
     }
   }

@@ -27,27 +27,14 @@ int Rng::uniform_int(int lo, int hi) {
   return dist(engine_);
 }
 
-std::size_t Rng::weighted_choice(std::span<const double> weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    if (w < 0.0) {
-      throw std::invalid_argument(quanta::context(
-          "common.rng", "Rng::weighted_choice: negative weight ", w));
-    }
-    total += w;
-  }
-  if (total <= 0.0) {
-    throw std::invalid_argument(quanta::context(
-        "common.rng", "Rng::weighted_choice: all ", weights.size(),
-        " weights are zero"));
-  }
-  double target = uniform01() * total;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (target < acc) return i;
-  }
-  return weights.size() - 1;  // numerical edge: target == total
+void Rng::throw_negative_weight(double w) {
+  throw std::invalid_argument(quanta::context(
+      "common.rng", "Rng::weighted_choice: negative weight ", w));
+}
+
+void Rng::throw_zero_weights(std::size_t n) {
+  throw std::invalid_argument(quanta::context(
+      "common.rng", "Rng::weighted_choice: all ", n, " weights are zero"));
 }
 
 }  // namespace quanta::common

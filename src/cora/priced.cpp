@@ -40,9 +40,9 @@ std::int64_t PriceModel::delay_rate(const std::vector<int>& locs) const {
   return total;
 }
 
-std::int64_t PriceModel::move_cost(const ta::Move& m) const {
+std::int64_t PriceModel::move_cost(ta::MoveView m) const {
   std::int64_t total = 0;
-  for (const auto& [p, e] : m.participants) {
+  for (const auto& [p, e] : m) {
     total += edge_costs_[static_cast<std::size_t>(p)][static_cast<std::size_t>(e)];
   }
   return total;
@@ -136,12 +136,15 @@ class PricedSearch : ckpt::StorePayload {
         [&](const core::Worklist::Entry& e) -> std::size_t {
           const ta::DigitalState state = store_.state(e.id);
           std::size_t taken = 0;
-          for (ta::Move& m : sem_.enabled_moves(state)) {
+          sem_.enabled_moves(state, enabled_);
+          for (std::size_t i = 0; i < enabled_.size(); ++i) {
             ++taken;
-            std::int64_t c = e.key + prices_.move_cost(m);
-            std::string label =
-                opts_.record_trace ? m.describe(sem_.system()) : std::string{};
-            relax(intern(sem_.apply(state, m)), c, e.id, std::move(label));
+            std::int64_t c = e.key + prices_.move_cost(enabled_[i]);
+            std::string label = opts_.record_trace
+                                    ? ta::Move(enabled_[i]).describe(sem_.system())
+                                    : std::string{};
+            sem_.apply(state, enabled_[i], next_);
+            relax(intern(next_), c, e.id, std::move(label));
           }
           if (sem_.can_delay(state)) {
             ++taken;
@@ -233,8 +236,8 @@ class PricedSearch : ckpt::StorePayload {
     return read_str(r, &ni->action);
   }
 
-  std::int32_t intern(ta::DigitalState s) {
-    auto [id, inserted] = store_.intern(std::move(s));
+  std::int32_t intern(const ta::DigitalState& s) {
+    auto [id, inserted] = store_.intern(s);
     if (inserted) {
       info_.push_back(NodeInfo{kInfCost, -1, {}});
       dirty_flag_.push_back(0);
@@ -270,6 +273,9 @@ class PricedSearch : ckpt::StorePayload {
   std::vector<std::int32_t> dirty_;
   std::vector<char> dirty_flag_;
   ckpt::StoreChain<ta::DigitalState> chain_;
+  // Expansion scratch, reused across states.
+  ta::MoveList enabled_;
+  ta::DigitalState next_;
 };
 
 }  // namespace

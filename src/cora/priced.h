@@ -44,7 +44,7 @@ class PriceModel {
   /// active location rates.
   std::int64_t delay_rate(const std::vector<int>& locs) const;
   /// Total edge cost of a synchronised move.
-  std::int64_t move_cost(const ta::Move& m) const;
+  std::int64_t move_cost(ta::MoveView m) const;
 
  private:
   std::vector<std::vector<std::int64_t>> rates_;

@@ -108,24 +108,11 @@ class StateStore {
 
   /// Interns a state. Returns the id of the representative state: the new
   /// id if inserted, or the id of the stored state that deduplicates /
-  /// subsumes `s` otherwise.
-  Interned intern(S s) {
-    common::FaultInjector::site("core.state_store.intern");
-    const std::size_t h = key_hash(s);
-    const std::size_t slot = probe_slot(h);
-    if constexpr (Traits::kSupportsInclusion) {
-      if (opts_.inclusion) return intern_inclusion(std::move(s), h, slot);
-    }
-    std::int32_t tail = kEmpty;
-    for (std::int32_t id = slots_[slot]; id != kEmpty; id = next_[toIdx(id)]) {
-      tail = id;
-      if (stored_equal(states_[toIdx(id)], s)) return {id, false};
-    }
-    const std::int32_t id = static_cast<std::int32_t>(states_.size());
-    push_state(std::move(s), h);
-    link_state(id, slot, tail);
-    return {id, true};
-  }
+  /// subsumes `s` otherwise. A pooled store only reads `s` (it stores pool
+  /// handles), so engines intern a reused scratch state by reference; an
+  /// unpooled store copies it when inserted.
+  Interned intern(const S& s) { return intern_impl(s); }
+  Interned intern(S&& s) { return intern_impl(std::move(s)); }
 
   /// The state behind an id. Pooled stores materialize a fresh S by value
   /// (the pooled record holds only Refs); unpooled stores hand out the
@@ -344,6 +331,25 @@ class StateStore {
     }
   }
 
+  template <typename T>
+  Interned intern_impl(T&& s) {
+    common::FaultInjector::site("core.state_store.intern");
+    const std::size_t h = key_hash(s);
+    const std::size_t slot = probe_slot(h);
+    if constexpr (Traits::kSupportsInclusion) {
+      if (opts_.inclusion) return intern_inclusion(std::forward<T>(s), h, slot);
+    }
+    std::int32_t tail = kEmpty;
+    for (std::int32_t id = slots_[slot]; id != kEmpty; id = next_[toIdx(id)]) {
+      tail = id;
+      if (stored_equal(states_[toIdx(id)], s)) return {id, false};
+    }
+    const std::int32_t id = static_cast<std::int32_t>(states_.size());
+    push_state(std::forward<T>(s), h);
+    link_state(id, slot, tail);
+    return {id, true};
+  }
+
   /// The inclusion lookup: walks the live states of the key hash, oldest
   /// first — the scan order determines which stored zone subsumes first, so
   /// keep it deterministic and identical to the historical per-engine
@@ -351,7 +357,8 @@ class StateStore {
   /// is passed without touching its record; a state the incoming one
   /// strictly covers is tombstoned and dropped from the array, which is
   /// compacted in place as the walk goes.
-  Interned intern_inclusion(S&& s, std::size_t h, std::size_t slot) {
+  template <typename T>
+  Interned intern_inclusion(T&& s, std::size_t h, std::size_t slot) {
     const InclusionSummary sum = summary_of(s);
     if (slots_[slot] != kEmpty) {
       Group& g = groups_[toIdx(slots_[slot])];
@@ -382,7 +389,7 @@ class StateStore {
       g.live = keep;
     }
     const std::int32_t id = static_cast<std::int32_t>(states_.size());
-    push_state(std::move(s), h);
+    push_state(std::forward<T>(s), h);
     join_group(id, slot, h, sum, true);
     return {id, true};
   }
@@ -395,11 +402,12 @@ class StateStore {
 
   /// Appends the state record and its per-state columns (not yet linked
   /// into any chain or group).
-  void push_state(S&& s, std::size_t h) {
+  template <typename T>
+  void push_state(T&& s, std::size_t h) {
     if constexpr (kPooled) {
       states_.push_back(Traits::pool(pool_, s));
     } else {
-      states_.push_back(std::move(s));
+      states_.push_back(std::forward<T>(s));
     }
     bytes_ += stored_bytes(states_.back());
     covered_.push_back(0);

@@ -8,8 +8,8 @@ namespace quanta::game {
 
 namespace {
 
-bool move_controllable(const ta::System& sys, const ta::Move& m) {
-  for (const auto& [p, e] : m.participants) {
+bool move_controllable(const ta::System& sys, ta::MoveView m) {
+  for (const auto& [p, e] : m) {
     if (!sys.process(p).edges.at(static_cast<std::size_t>(e)).controllable) {
       return false;
     }
@@ -165,14 +165,16 @@ void TimedGame::reset() {
 void TimedGame::build_graph(bool resumed) {
   if (built_) return;
 
-  auto intern = [&](ta::DigitalState s) -> std::int32_t {
-    auto [id, inserted] = store_.intern(std::move(s));
+  auto intern = [&](const ta::DigitalState& s) -> std::int32_t {
+    auto [id, inserted] = store_.intern(s);
     if (inserted) {
       nodes_.emplace_back();
       work_.push(id);
     }
     return id;
   };
+  ta::MoveList enabled;
+  ta::DigitalState next;
 
   if (!resumed) intern(sem_.initial());
   build_stats_ = core::explore(
@@ -182,11 +184,13 @@ void TimedGame::build_graph(bool resumed) {
         const ta::DigitalState state = store_.state(e.id);
         Node node;
         std::size_t taken = 0;
-        for (ta::Move& m : sem_.enabled_moves(state)) {
+        sem_.enabled_moves(state, enabled);
+        for (std::size_t i = 0; i < enabled.size(); ++i) {
           ++taken;
-          std::int32_t to = intern(sem_.apply(state, m));
-          if (move_controllable(sem_.system(), m)) {
-            node.ctrl.emplace_back(to, std::move(m));
+          sem_.apply(state, enabled[i], next);
+          std::int32_t to = intern(next);
+          if (move_controllable(sem_.system(), enabled[i])) {
+            node.ctrl.emplace_back(to, ta::Move(enabled[i]));
           } else {
             node.unctrl.push_back(to);
           }
@@ -423,14 +427,16 @@ bool closed_loop_explore(
   core::Worklist work(core::SearchOrder::kBfs);
   std::vector<std::vector<std::int32_t>> succ;
 
-  auto intern = [&](ta::DigitalState s) -> std::int32_t {
-    auto [id, inserted] = store.intern(std::move(s));
+  auto intern = [&](const ta::DigitalState& s) -> std::int32_t {
+    auto [id, inserted] = store.intern(s);
     if (inserted) {
       succ.emplace_back();
       work.push(id);
     }
     return id;
   };
+  ta::MoveList enabled;
+  ta::DigitalState next_state;
 
   intern(sem.initial());
   bool ok = true;
@@ -449,13 +455,16 @@ bool closed_loop_explore(
         auto action = strategy.action(state);
         std::vector<std::int32_t> next;
         // Environment may always act.
-        for (ta::Move& m : sem.enabled_moves(state)) {
-          if (!move_controllable(sys, m)) {
-            next.push_back(intern(sem.apply(state, m)));
+        sem.enabled_moves(state, enabled);
+        for (std::size_t i = 0; i < enabled.size(); ++i) {
+          if (!move_controllable(sys, enabled[i])) {
+            sem.apply(state, enabled[i], next_state);
+            next.push_back(intern(next_state));
           }
         }
         if (action && action->kind == ActionKind::kMove) {
-          next.push_back(intern(sem.apply(state, action->move)));
+          sem.apply(state, action->move, next_state);
+          next.push_back(intern(next_state));
         } else {
           // Strategy waits (or state is outside the winning region): time may
           // pass if permitted.

@@ -54,7 +54,7 @@ class TestGenerator {
   /// Restarts the random stream (used by the parallel suite generator to
   /// derive test i from RngStream(seed).seed_for(i) while reusing one
   /// generator — and its suspension automaton — per worker).
-  void reseed(std::uint64_t seed) { rng_ = common::Rng(seed); }
+  void reseed(std::uint64_t seed) { rng_.reseed(seed); }
 
   const SuspensionAutomaton& suspension() const { return sa_; }
 

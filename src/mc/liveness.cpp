@@ -66,9 +66,12 @@ class GraphBuilder : ckpt::StorePayload {
         [](const core::Worklist::Entry&) { return core::Visit::kContinue; },
         [&](const core::Worklist::Entry& e) -> std::size_t {
           const ta::SymState state = g_.store.state(e.id);
+          sem_.enabled_moves(state.locs, state.vars, enabled_);
           std::vector<std::int32_t> next;
-          for (auto& tr : sem_.successors(state)) {
-            next.push_back(intern(std::move(tr.state)));
+          for (std::size_t i = 0; i < enabled_.size(); ++i) {
+            if (sem_.apply_move(state, enabled_[i], next_)) {
+              next.push_back(intern(next_));
+            }
           }
           const std::size_t taken = next.size();
           g_.succ[static_cast<std::size_t>(e.id)] = std::move(next);
@@ -88,8 +91,8 @@ class GraphBuilder : ckpt::StorePayload {
   }
 
  private:
-  std::int32_t intern(ta::SymState s) {
-    auto [id, inserted] = g_.store.intern(std::move(s));
+  std::int32_t intern(const ta::SymState& s) {
+    auto [id, inserted] = g_.store.intern(s);
     if (inserted) {
       g_.succ.emplace_back();
       work_.push(id);
@@ -162,6 +165,9 @@ class GraphBuilder : ckpt::StorePayload {
   std::vector<std::int32_t> expand_journal_;
   std::size_t saved_expanded_ = 0;  ///< expand_journal_ size at the last save
   ckpt::StoreChain<ta::SymState> chain_;
+  // Expansion scratch, reused across states.
+  ta::MoveList enabled_;
+  ta::SymState next_;
 };
 
 /// Iterative detection of a cycle or dead-end inside the non-psi subgraph

@@ -56,7 +56,7 @@ class Explorer : ckpt::StorePayload {
   std::int32_t run(SearchStats& stats, ckpt::ResumeInfo* resume) {
     if (!chain_.start(ckpt::Provider::kExplore, snapshot_fingerprint(),
                       resume)) {
-      add_state(sem_.initial(), -1, ta::Move{});
+      add_state(sem_.initial(), -1, {});
     }
     std::int32_t goal_node = -1;
     stats = core::explore(
@@ -71,10 +71,12 @@ class Explorer : ckpt::StorePayload {
         [&](const core::Worklist::Entry& e) -> std::size_t {
           // Copy: the store's state vector may reallocate during expansion.
           const ta::SymState state = store_.state(e.id);
+          sem_.enabled_moves(state.locs, state.vars, enabled_);
           std::size_t taken = 0;
-          for (auto& tr : sem_.successors(state)) {
+          for (std::size_t i = 0; i < enabled_.size(); ++i) {
+            if (!sem_.apply_move(state, enabled_[i], next_)) continue;
             ++taken;
-            add_state(std::move(tr.state), e.id, std::move(tr.move));
+            add_state(next_, e.id, enabled_[i]);
           }
           return taken;
         },
@@ -136,11 +138,11 @@ class Explorer : ckpt::StorePayload {
     moves_.clear();
   }
 
-  void add_state(ta::SymState s, std::int32_t parent, ta::Move move) {
-    auto [id, inserted] = store_.intern(std::move(s));
+  void add_state(const ta::SymState& s, std::int32_t parent, ta::MoveView move) {
+    auto [id, inserted] = store_.intern(s);
     if (!inserted) return;  // covered by a stored zone
     parents_.push_back(parent);
-    moves_.push_back(opts_.record_trace ? std::move(move) : ta::Move{});
+    moves_.push_back(opts_.record_trace ? ta::Move(move) : ta::Move{});
     waiting_.push(id);
   }
 
@@ -153,6 +155,9 @@ class Explorer : ckpt::StorePayload {
   std::vector<std::int32_t> parents_;
   std::vector<ta::Move> moves_;  ///< move that produced the state
   ckpt::StoreChain<ta::SymState> chain_;
+  // Expansion scratch, reused across states.
+  ta::MoveList enabled_;
+  ta::SymState next_;
 };
 
 }  // namespace

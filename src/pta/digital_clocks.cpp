@@ -19,14 +19,14 @@ namespace {
 /// Enumerates the product distribution over the participants' branch sets.
 /// Calls `emit(branch_choice, probability)` once per combination.
 void enumerate_branches(
-    const ta::System& sys, const ta::Move& move,
+    const ta::System& sys, ta::MoveView move,
     const std::function<void(const std::vector<int>&, double)>& emit) {
-  const std::size_t k = move.participants.size();
+  const std::size_t k = move.size();
   std::vector<const ta::Edge*> edges(k);
   std::vector<double> weight_sum(k, 1.0);
   std::vector<int> counts(k, 1);
   for (std::size_t i = 0; i < k; ++i) {
-    const auto& [p, e] = move.participants[i];
+    const auto& [p, e] = move[i];
     edges[i] = &sys.process(p).edges.at(static_cast<std::size_t>(e));
     if (edges[i]->probabilistic()) {
       counts[i] = static_cast<int>(edges[i]->branches.size());
@@ -74,11 +74,13 @@ DigitalMdp build_digital_mdp_impl(const ta::System& sys,
   core::StateStore<ta::DigitalState> store;
   core::Worklist work(core::SearchOrder::kBfs);
 
-  auto intern = [&](ta::DigitalState s) -> std::int32_t {
-    auto [id, inserted] = store.intern(std::move(s));
+  auto intern = [&](const ta::DigitalState& s) -> std::int32_t {
+    auto [id, inserted] = store.intern(s);
     if (inserted) work.push(id);
     return id;
   };
+  ta::MoveList enabled;
+  ta::DigitalState next;
 
   std::int32_t init = intern(sem.initial());
   out.mdp.set_initial(init);
@@ -90,13 +92,15 @@ DigitalMdp build_digital_mdp_impl(const ta::System& sys,
         const ta::DigitalState state = store.state(e.id);
         std::size_t taken = 0;
 
-        for (const ta::Move& move : sem.enabled_moves(state)) {
+        sem.enabled_moves(state, enabled);
+        for (std::size_t i = 0; i < enabled.size(); ++i) {
           ++taken;
+          const ta::MoveView move = enabled[i];
           std::vector<mdp::Branch> branches;
           enumerate_branches(sys, move,
                              [&](const std::vector<int>& choice, double p) {
-                               ta::DigitalState next = sem.apply(state, move, choice);
-                               branches.push_back(mdp::Branch{intern(std::move(next)), p});
+                               sem.apply(state, move, next, choice);
+                               branches.push_back(mdp::Branch{intern(next), p});
                              });
           out.mdp.add_choice(e.id, std::move(branches), /*reward=*/0.0);
         }

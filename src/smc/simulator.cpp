@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 #include "common/error.h"
 #include "common/fault.h"
@@ -11,7 +10,6 @@ namespace quanta::smc {
 
 using ta::ConcreteState;
 using ta::Edge;
-using ta::Move;
 using ta::Process;
 using ta::SyncKind;
 
@@ -21,17 +19,21 @@ constexpr std::size_t kMaxSteps = 1'000'000;
 }  // namespace
 
 Simulator::Simulator(const ta::System& sys, std::uint64_t seed)
-    : sem_(sys), rng_(seed) {}
+    : sem_(sys),
+      rng_(seed),
+      initial_(sem_.initial()),
+      max_delay_(static_cast<std::size_t>(sys.process_count())) {}
 
-bool Simulator::compute_bid(const ConcreteState& s, int process, Bid* bid) {
-  const ta::System& sys = sem_.system();
-  const Process& proc = sys.process(process);
-  const double d_max = sem_.invariant_max_delay(s, process);
+bool Simulator::compute_bid(const ConcreteState& s, int process, double d_max,
+                            Bid* bid) {
+  const Process& proc = sem_.system().process(process);
+  const int loc = s.locs[static_cast<std::size_t>(process)];
 
   // Earliest delay after which some internal/output edge becomes enabled.
   double d_min = ta::ConcreteSemantics::kInfDelay;
-  for (const Edge& e : proc.edges) {
-    if (e.source != s.locs[process] || e.sync == SyncKind::kReceive) continue;
+  for (int ei : sem_.symbolic().edges_from(process, loc)) {
+    const Edge& e = proc.edges[static_cast<std::size_t>(ei)];
+    if (e.sync == SyncKind::kReceive) continue;
     if (e.data_guard && !e.data_guard(s.vars)) continue;
     d_min = std::min(d_min, sem_.min_enabling_delay(e, s));
   }
@@ -41,7 +43,7 @@ bool Simulator::compute_bid(const ConcreteState& s, int process, Bid* bid) {
   if (d_max < ta::ConcreteSemantics::kInfDelay) {
     delay = rng_.uniform(d_min, d_max);
   } else {
-    double rate = proc.locations[static_cast<std::size_t>(s.locs[process])].exit_rate;
+    double rate = proc.locations[static_cast<std::size_t>(loc)].exit_rate;
     delay = d_min + rng_.exponential(rate);
   }
   bid->delay = delay;
@@ -51,78 +53,77 @@ bool Simulator::compute_bid(const ConcreteState& s, int process, Bid* bid) {
 
 bool Simulator::fire_process(ConcreteState& s, int process) {
   const ta::System& sys = sem_.system();
+  const ta::SymbolicSemantics& sym = sem_.symbolic();
   const Process& proc = sys.process(process);
 
-  // Collect this process's executable internal/output edges right now. An
+  // Collect this process's executable internal/output edges right now, in
+  // edge order, each with its variants (one per receiver choice). An
   // output is executable only if at least one receiver is available (the
   // paper's models are input-enabled along reachable paths; see DESIGN.md).
-  struct Choice {
-    int edge = -1;
-    std::vector<Move> variants;  ///< one per receiver choice
-  };
-  std::vector<Choice> choices;
-  for (std::size_t ei = 0; ei < proc.edges.size(); ++ei) {
-    const Edge& e = proc.edges[ei];
-    if (e.source != s.locs[process] || e.sync == SyncKind::kReceive) continue;
-    if (!sem_.guard_satisfied(e, s)) continue;
-
-    Choice c;
-    c.edge = static_cast<int>(ei);
-    if (e.sync == SyncKind::kNone) {
-      c.variants.push_back(Move{{{process, c.edge}}});
-    } else {
-      int ch = e.channel_id(s.vars);
-      const bool broadcast = sys.channel(ch).broadcast;
-      Move base{{{process, c.edge}}};
-      if (broadcast) {
-        for (int q = 0; q < sys.process_count(); ++q) {
-          if (q == process) continue;
-          const Process& qproc = sys.process(q);
-          for (std::size_t fi = 0; fi < qproc.edges.size(); ++fi) {
-            const Edge& f = qproc.edges[fi];
-            if (f.source != s.locs[q] || f.sync != SyncKind::kReceive) continue;
-            if (f.channel_id(s.vars) != ch) continue;
-            if (!sem_.guard_satisfied(f, s)) continue;
-            base.participants.emplace_back(q, static_cast<int>(fi));
-            break;
-          }
-        }
-        c.variants.push_back(std::move(base));
-      } else {
-        for (int q = 0; q < sys.process_count(); ++q) {
-          if (q == process) continue;
-          const Process& qproc = sys.process(q);
-          for (std::size_t fi = 0; fi < qproc.edges.size(); ++fi) {
-            const Edge& f = qproc.edges[fi];
-            if (f.source != s.locs[q] || f.sync != SyncKind::kReceive) continue;
-            if (f.channel_id(s.vars) != ch) continue;
-            if (!sem_.guard_satisfied(f, s)) continue;
-            Move m = base;
-            m.participants.emplace_back(q, static_cast<int>(fi));
-            c.variants.push_back(std::move(m));
-          }
-        }
-        if (c.variants.empty()) continue;  // output with no receiver: blocked
+  moves_.clear();
+  choice_ends_.clear();
+  // Appends the first (broadcast) or every (binary) enabled receiver of
+  // channel ch in the other processes, by process and edge index.
+  auto receivers = [&](int ch, auto&& on_receiver) {
+    for (int q = 0; q < sys.process_count(); ++q) {
+      if (q == process) continue;
+      const Process& qproc = sys.process(q);
+      for (int fi : sym.edges_from(q, s.locs[static_cast<std::size_t>(q)])) {
+        const Edge& f = qproc.edges[static_cast<std::size_t>(fi)];
+        if (f.sync != SyncKind::kReceive) continue;
+        if (f.channel_id(s.vars) != ch) continue;
+        if (!sem_.guard_satisfied(f, s)) continue;
+        if (!on_receiver(q, fi)) break;
       }
     }
-    choices.push_back(std::move(c));
-  }
-  if (choices.empty()) return false;
+  };
+  for (int ei : sym.edges_from(process, s.locs[static_cast<std::size_t>(process)])) {
+    const Edge& e = proc.edges[static_cast<std::size_t>(ei)];
+    if (e.sync == SyncKind::kReceive) continue;
+    if (!sem_.guard_satisfied(e, s)) continue;
 
-  const Choice& chosen =
-      choices[static_cast<std::size_t>(rng_.uniform_int(0, static_cast<int>(choices.size()) - 1))];
-  const Move& m = chosen.variants[static_cast<std::size_t>(
-      rng_.uniform_int(0, static_cast<int>(chosen.variants.size()) - 1))];
-  sem_.execute_sampled(s, m, rng_);
+    if (e.sync == SyncKind::kNone) {
+      moves_.add(process, ei);
+      moves_.close();
+    } else {
+      const int ch = e.channel_id(s.vars);
+      if (sys.channel(ch).broadcast) {
+        moves_.add(process, ei);
+        receivers(ch, [this](int q, int fi) {
+          moves_.add(q, fi);
+          return false;  // one receive edge per process
+        });
+        moves_.close();
+      } else {
+        const std::size_t before = moves_.size();
+        receivers(ch, [this, process, ei](int q, int fi) {
+          moves_.add(process, ei);
+          moves_.add(q, fi);
+          moves_.close();
+          return true;
+        });
+        if (moves_.size() == before) continue;  // no receiver: blocked
+      }
+    }
+    choice_ends_.push_back(static_cast<std::uint32_t>(moves_.size()));
+  }
+  if (choice_ends_.empty()) return false;
+
+  const auto c = static_cast<std::size_t>(
+      rng_.uniform_int(0, static_cast<int>(choice_ends_.size()) - 1));
+  const std::uint32_t begin = c == 0 ? 0 : choice_ends_[c - 1];
+  const auto variant = static_cast<std::uint32_t>(
+      rng_.uniform_int(0, static_cast<int>(choice_ends_[c] - begin) - 1));
+  sem_.execute_sampled(s, moves_[begin + variant], rng_);
   return true;
 }
 
 bool Simulator::fire_immediate(ConcreteState& s) {
-  auto moves = sem_.enabled_moves_now(s);
-  if (moves.empty()) return false;
-  const Move& m = moves[static_cast<std::size_t>(
-      rng_.uniform_int(0, static_cast<int>(moves.size()) - 1))];
-  sem_.execute_sampled(s, m, rng_);
+  sem_.enabled_moves_now(s, moves_);
+  if (moves_.empty()) return false;
+  const auto i = static_cast<std::size_t>(
+      rng_.uniform_int(0, static_cast<int>(moves_.size()) - 1));
+  sem_.execute_sampled(s, moves_[i], rng_);
   return true;
 }
 
@@ -131,11 +132,13 @@ RunResult Simulator::run(const TimeBoundedReach& prop) {
     throw std::invalid_argument(quanta::context(
         "smc.simulator", "TimeBoundedReach.goal predicate must be set"));
   }
-  ConcreteState s = sem_.initial();
+  ConcreteState& s = state_;
+  s = initial_;
   RunResult result;
   double t = 0.0;
   if (observer_) observer_(s, t);
 
+  const int processes = sem_.system().process_count();
   while (result.steps < kMaxSteps) {
     common::FaultInjector::site("smc.simulator.step");
     if (prop.goal(s)) {
@@ -152,14 +155,23 @@ RunResult Simulator::run(const TimeBoundedReach& prop) {
     }
 
     // Race: every active component bids a delay.
+    double global_max_delay = ta::ConcreteSemantics::kInfDelay;
+    for (int p = 0; p < processes; ++p) {
+      const double d = sem_.invariant_max_delay(s, p);
+      max_delay_[static_cast<std::size_t>(p)] = d;
+      global_max_delay = std::min(global_max_delay, d);
+    }
     Bid best;
     best.delay = ta::ConcreteSemantics::kInfDelay;
-    for (int p = 0; p < sem_.system().process_count(); ++p) {
+    for (int p = 0; p < processes; ++p) {
       Bid bid;
-      if (compute_bid(s, p, &bid) && bid.delay < best.delay) best = bid;
+      if (compute_bid(s, p, max_delay_[static_cast<std::size_t>(p)], &bid) &&
+          bid.delay < best.delay) {
+        best = bid;
+      }
     }
     if (best.process < 0) return result;  // all passive: time diverges
-    if (best.delay > sem_.invariant_max_delay(s)) {
+    if (best.delay > global_max_delay) {
       // A passive component's invariant would be violated before anyone
       // acts: the model is not well-formed here; the run is stuck.
       return result;

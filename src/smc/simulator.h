@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "common/pred.h"
 #include "common/rng.h"
@@ -50,7 +51,7 @@ class Simulator {
   /// Restarts the random stream (used by the parallel runtime to give every
   /// run its own common::RngStream seed while reusing one Simulator — and
   /// with it the concrete-semantics setup — per worker).
-  void reseed(std::uint64_t seed) { rng_ = common::Rng(seed); }
+  void reseed(std::uint64_t seed) { rng_.reseed(seed); }
 
  private:
   struct Bid {
@@ -58,9 +59,11 @@ class Simulator {
     int process = -1;
   };
 
-  /// The delay bid of one process, or no bid if it has no (eventually)
-  /// enabled internal/output edge within its invariant window.
-  bool compute_bid(const ta::ConcreteState& s, int process, Bid* bid);
+  /// The delay bid of one process whose invariant allows at most `d_max`,
+  /// or no bid if it has no (eventually) enabled internal/output edge within
+  /// that window.
+  bool compute_bid(const ta::ConcreteState& s, int process, double d_max,
+                   Bid* bid);
 
   /// Executes one enabled internal/output edge of `process` (uniform choice),
   /// pairing outputs with a uniformly chosen enabled receiver. Returns false
@@ -73,6 +76,17 @@ class Simulator {
   ta::ConcreteSemantics sem_;
   common::Rng rng_;
   Observer observer_;
+  ta::ConcreteState initial_;
+  // Per-step scratch, cleared and refilled rather than freed, so a run
+  // allocates nothing once these have grown to the model's working size.
+  ta::ConcreteState state_;
+  /// fire_process: the variants of every executable edge, edge by edge;
+  /// fire_immediate: the moves enabled now.
+  ta::MoveList moves_;
+  /// fire_process: end offset in moves_ of each executable edge's variants.
+  std::vector<std::uint32_t> choice_ends_;
+  /// run: invariant_max_delay of every process in the current state.
+  std::vector<double> max_delay_;
 };
 
 }  // namespace quanta::smc

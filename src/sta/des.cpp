@@ -28,17 +28,17 @@ const char* to_string(SchedulerPolicy p) {
 
 DesSimulator::DesSimulator(const ta::System& sys, std::uint64_t seed,
                            const DesOptions& opts)
-    : sem_(sys), opts_(opts), rng_(seed) {}
+    : sem_(sys), opts_(opts), rng_(seed), initial_(sem_.initial()) {}
 
-std::vector<DesSimulator::MoveWindow> DesSimulator::move_windows(
-    const ta::ConcreteState& s) const {
+void DesSimulator::move_windows(const ta::ConcreteState& s) {
   const double global_inv = sem_.invariant_max_delay(s);
-  std::vector<MoveWindow> windows;
-  for (ta::Move& m : sem_.symbolic().enabled_moves(s.locs, s.vars)) {
+  sem_.symbolic().enabled_moves(s.locs, s.vars, moves_);
+  windows_.clear();
+  for (std::size_t i = 0; i < moves_.size(); ++i) {
     double lo = 0.0;
     double hi = global_inv;
     bool feasible = true;
-    for (const auto& [p, e] : m.participants) {
+    for (const auto& [p, e] : moves_[i]) {
       const ta::Edge& edge =
           sem_.system().process(p).edges.at(static_cast<std::size_t>(e));
       double d = sem_.min_enabling_delay(edge, s);
@@ -50,15 +50,25 @@ std::vector<DesSimulator::MoveWindow> DesSimulator::move_windows(
       hi = std::min(hi, sem_.max_enabling_delay(edge, s));
     }
     if (!feasible || lo > hi + kTimeEps) continue;
-    windows.push_back(MoveWindow{std::move(m), lo, std::min(hi, global_inv)});
+    windows_.push_back(MoveWindow{lo, std::min(hi, global_inv)});
   }
-  return windows;
+}
+
+bool DesSimulator::fire(ta::ConcreteState& s) {
+  sem_.enabled_moves_now(s, moves_);
+  if (moves_.empty()) return false;
+  sem_.execute_sampled(s,
+                       moves_[static_cast<std::size_t>(rng_.uniform_int(
+                           0, static_cast<int>(moves_.size()) - 1))],
+                       rng_);
+  return true;
 }
 
 DesRun DesSimulator::run(const DesPredicate& terminal,
                          const std::vector<DesPredicate>& watch,
                          const std::vector<DesPredicate>& monitors) {
-  ta::ConcreteState s = sem_.initial();
+  ta::ConcreteState& s = state_;
+  s = initial_;
   DesRun result;
   result.first_hit.assign(watch.size(), -1.0);
   result.monitor_ok.assign(monitors.size(), true);
@@ -82,33 +92,28 @@ DesRun DesSimulator::run(const DesPredicate& terminal,
     }
 
     if (sem_.symbolic().delay_forbidden(s.locs, s.vars)) {
-      auto moves = sem_.enabled_moves_now(s);
-      if (moves.empty()) break;  // timelock
-      sem_.execute_sampled(s,
-                           moves[static_cast<std::size_t>(rng_.uniform_int(
-                               0, static_cast<int>(moves.size()) - 1))],
-                           rng_);
+      if (!fire(s)) break;  // timelock
       continue;
     }
 
-    auto windows = move_windows(s);
-    if (windows.empty()) break;  // nothing can ever happen: time diverges
+    move_windows(s);
+    if (windows_.empty()) break;  // nothing can ever happen: time diverges
 
     double d = 0.0;
     switch (opts_.policy) {
       case SchedulerPolicy::kAsap: {
-        d = windows.front().lo;
-        for (const auto& w : windows) d = std::min(d, w.lo);
+        d = windows_.front().lo;
+        for (const auto& w : windows_) d = std::min(d, w.lo);
         break;
       }
       case SchedulerPolicy::kAlap: {
         d = 0.0;
-        for (const auto& w : windows) d = std::max(d, w.hi);
+        for (const auto& w : windows_) d = std::max(d, w.hi);
         break;
       }
       case SchedulerPolicy::kUniformRandom: {
-        const auto& w = windows[static_cast<std::size_t>(rng_.uniform_int(
-            0, static_cast<int>(windows.size()) - 1))];
+        const auto& w = windows_[static_cast<std::size_t>(rng_.uniform_int(
+            0, static_cast<int>(windows_.size()) - 1))];
         d = rng_.uniform(w.lo, w.hi);
         break;
       }
@@ -121,12 +126,7 @@ DesRun DesSimulator::run(const DesPredicate& terminal,
     sem_.delay(s, d);
     t += d;
 
-    auto moves = sem_.enabled_moves_now(s);
-    if (moves.empty()) break;  // numeric corner: treat as stalled
-    sem_.execute_sampled(s,
-                         moves[static_cast<std::size_t>(rng_.uniform_int(
-                             0, static_cast<int>(moves.size()) - 1))],
-                         rng_);
+    if (!fire(s)) break;  // numeric corner: treat as stalled
   }
   observe();
   result.end_time = t;

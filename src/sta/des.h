@@ -52,18 +52,25 @@ class DesSimulator {
 
  private:
   struct MoveWindow {
-    ta::Move move;
     double lo = 0.0;
     double hi = 0.0;
   };
 
-  /// Enabled-move windows [earliest, latest] relative to now, already
-  /// clamped to the global invariant bound.
-  std::vector<MoveWindow> move_windows(const ta::ConcreteState& s) const;
+  /// Fills windows_ with the enabled-move windows [earliest, latest]
+  /// relative to now, already clamped to the global invariant bound.
+  void move_windows(const ta::ConcreteState& s);
+
+  /// Fires one move enabled right now (uniform choice); false if none is.
+  bool fire(ta::ConcreteState& s);
 
   ta::ConcreteSemantics sem_;
   DesOptions opts_;
   common::Rng rng_;
+  ta::ConcreteState initial_;
+  // Per-step scratch, cleared and refilled rather than freed.
+  ta::ConcreteState state_;
+  ta::MoveList moves_;
+  std::vector<MoveWindow> windows_;
 };
 
 /// Aggregated statistics over many DES runs (the modes column of Table I).

@@ -116,60 +116,65 @@ void ConcreteSemantics::delay(ConcreteState& s, double d) const {
   for (std::size_t i = 1; i < s.clocks.size(); ++i) s.clocks[i] += d;
 }
 
-void ConcreteSemantics::execute(ConcreteState& s, const Move& m,
+namespace {
+
+/// Applies participant edge `edge`'s effect under branch `branch`.
+void apply_effect(const System& sys, ConcreteState& s, int p, const Edge& edge,
+                  int branch) {
+  EdgeEffect eff = resolve_effect(edge, branch);
+  s.locs[p] = eff.target;
+  for (const auto& [clock, value] : *eff.resets) {
+    s.clocks[static_cast<std::size_t>(clock)] = static_cast<double>(value);
+  }
+  if (*eff.update) {
+    (*eff.update)(s.vars);
+    sys.vars().check_bounds(s.vars);
+  }
+}
+
+}  // namespace
+
+void ConcreteSemantics::execute(ConcreteState& s, MoveView m,
                                 std::span<const int> branch_choice) const {
   const System& sys = system();
-  for (std::size_t k = 0; k < m.participants.size(); ++k) {
-    const auto& [p, e] = m.participants[k];
+  for (std::size_t k = 0; k < m.size(); ++k) {
+    const auto& [p, e] = m[k];
     const Edge& edge = sys.process(p).edges.at(static_cast<std::size_t>(e));
-    int branch = k < branch_choice.size() ? branch_choice[k] : -1;
-    EdgeEffect eff = resolve_effect(edge, branch);
-    s.locs[p] = eff.target;
-    for (const auto& [clock, value] : *eff.resets) {
-      s.clocks[static_cast<std::size_t>(clock)] = static_cast<double>(value);
-    }
-    if (*eff.update) {
-      (*eff.update)(s.vars);
-      sys.vars().check_bounds(s.vars);
-    }
+    apply_effect(sys, s, p, edge,
+                 k < branch_choice.size() ? branch_choice[k] : -1);
   }
 }
 
-void ConcreteSemantics::execute_sampled(ConcreteState& s, const Move& m,
+void ConcreteSemantics::execute_sampled(ConcreteState& s, MoveView m,
                                         common::Rng& rng) const {
+  // Branch weights are constants of the edges, so drawing participant k's
+  // branch right before applying its effect consumes the stream exactly as
+  // drawing every branch first would.
   const System& sys = system();
-  std::vector<int> branch_choice(m.participants.size(), -1);
-  for (std::size_t k = 0; k < m.participants.size(); ++k) {
-    const auto& [p, e] = m.participants[k];
+  for (const auto& [p, e] : m) {
     const Edge& edge = sys.process(p).edges.at(static_cast<std::size_t>(e));
-    if (!edge.probabilistic()) continue;
-    std::vector<double> weights;
-    weights.reserve(edge.branches.size());
-    for (const auto& b : edge.branches) weights.push_back(b.weight);
-    branch_choice[k] = static_cast<int>(rng.weighted_choice(weights));
+    const int branch =
+        edge.probabilistic()
+            ? static_cast<int>(rng.weighted_choice(
+                  edge.branches, [](const ProbBranch& b) { return b.weight; }))
+            : -1;
+    apply_effect(sys, s, p, edge, branch);
   }
-  execute(s, m, branch_choice);
 }
 
-std::vector<Move> ConcreteSemantics::enabled_moves_now(
-    const ConcreteState& s) const {
-  std::vector<Move> result;
-  for (Move& m : sym_.enabled_moves(s.locs, s.vars)) {
-    bool ok = true;
-    for (const auto& [p, e] : m.participants) {
+void ConcreteSemantics::enabled_moves_now(const ConcreteState& s,
+                                          MoveList& out) const {
+  sym_.enabled_moves(s.locs, s.vars, out);
+  out.retain([this, &s](MoveView m) {
+    for (const auto& [p, e] : m) {
       const Edge& edge =
           system().process(p).edges.at(static_cast<std::size_t>(e));
       for (const auto& c : edge.guard) {
-        if (!atom_satisfied(c, s.clocks)) {
-          ok = false;
-          break;
-        }
+        if (!atom_satisfied(c, s.clocks)) return false;
       }
-      if (!ok) break;
     }
-    if (ok) result.push_back(std::move(m));
-  }
-  return result;
+    return true;
+  });
 }
 
 }  // namespace quanta::ta

@@ -53,17 +53,16 @@ class ConcreteSemantics {
   /// Executes a discrete move (resets + data updates + location change).
   /// `branch_choice[k]` selects the probabilistic branch of participant k's
   /// edge (-1 / missing entries mean the edge is Dirac).
-  void execute(ConcreteState& s, const Move& m,
+  void execute(ConcreteState& s, MoveView m,
                std::span<const int> branch_choice = {}) const;
   /// Executes `m`, drawing each probabilistic participant's branch by
   /// weight from `rng` (one weighted_choice per such participant, in
   /// participant order).
-  void execute_sampled(ConcreteState& s, const Move& m,
-                       common::Rng& rng) const;
+  void execute_sampled(ConcreteState& s, MoveView m, common::Rng& rng) const;
 
-  /// Moves whose data guards, committed filter and clock guards are all
-  /// satisfied right now.
-  std::vector<Move> enabled_moves_now(const ConcreteState& s) const;
+  /// Fills `out` with the moves whose data guards, committed filter and
+  /// clock guards are all satisfied right now.
+  void enabled_moves_now(const ConcreteState& s, MoveList& out) const;
 
   const SymbolicSemantics& symbolic() const { return sym_; }
 

@@ -75,32 +75,28 @@ DigitalState DigitalSemantics::delay_one(const DigitalState& s) const {
   return next;
 }
 
-std::vector<Move> DigitalSemantics::enabled_moves(const DigitalState& s) const {
-  std::vector<Move> result;
-  for (Move& m : sym_.enabled_moves(s.locs, s.vars)) {
-    bool ok = true;
-    for (const auto& [p, e] : m.participants) {
+void DigitalSemantics::enabled_moves(const DigitalState& s,
+                                     MoveList& out) const {
+  sym_.enabled_moves(s.locs, s.vars, out);
+  out.retain([this, &s](MoveView m) {
+    for (const auto& [p, e] : m) {
       const Edge& edge =
           system().process(p).edges.at(static_cast<std::size_t>(e));
       for (const auto& c : edge.guard) {
-        if (!constraint_ok(c, s)) {
-          ok = false;
-          break;
-        }
+        if (!constraint_ok(c, s)) return false;
       }
-      if (!ok) break;
     }
-    if (ok) result.push_back(std::move(m));
-  }
-  return result;
+    return true;
+  });
 }
 
-DigitalState DigitalSemantics::apply(const DigitalState& s, const Move& m,
-                                     std::span<const int> branch_choice) const {
+void DigitalSemantics::apply(const DigitalState& s, MoveView m,
+                             DigitalState& next,
+                             std::span<const int> branch_choice) const {
   const System& sys = system();
-  DigitalState next = s;
-  for (std::size_t k = 0; k < m.participants.size(); ++k) {
-    const auto& [p, e] = m.participants[k];
+  next = s;
+  for (std::size_t k = 0; k < m.size(); ++k) {
+    const auto& [p, e] = m[k];
     const Edge& edge = sys.process(p).edges.at(static_cast<std::size_t>(e));
     int branch = k < branch_choice.size() ? branch_choice[k] : -1;
     EdgeEffect eff = resolve_effect(edge, branch);
@@ -113,7 +109,6 @@ DigitalState DigitalSemantics::apply(const DigitalState& s, const Move& m,
       sys.vars().check_bounds(next.vars);
     }
   }
-  return next;
 }
 
 }  // namespace quanta::ta

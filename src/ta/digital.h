@@ -48,13 +48,15 @@ class DigitalSemantics {
   /// Unit delay with per-clock capping. Requires can_delay().
   DigitalState delay_one(const DigitalState& s) const;
 
-  /// Discrete moves enabled right now (data + clock guards + committed).
-  std::vector<Move> enabled_moves(const DigitalState& s) const;
+  /// Fills `out` with the discrete moves enabled right now (data + clock
+  /// guards + committed).
+  void enabled_moves(const DigitalState& s, MoveList& out) const;
 
-  /// Applies a move; `branch_choice[k]` picks participant k's probabilistic
-  /// branch (-1 / missing means Dirac).
-  DigitalState apply(const DigitalState& s, const Move& m,
-                     std::span<const int> branch_choice = {}) const;
+  /// Applies a move to `s`, writing the successor into `next` (whose
+  /// buffers are reused); `branch_choice[k]` picks participant k's
+  /// probabilistic branch (-1 / missing means Dirac).
+  void apply(const DigitalState& s, MoveView m, DigitalState& next,
+             std::span<const int> branch_choice = {}) const;
 
   bool invariant_ok(const DigitalState& s) const;
 

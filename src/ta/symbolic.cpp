@@ -79,10 +79,14 @@ bool SymbolicSemantics::any_urgent(const std::vector<int>& locs) const {
 bool SymbolicSemantics::urgent_sync_enabled(const std::vector<int>& locs,
                                             const Valuation& vars) const {
   if (!has_urgent_channel_) return false;
+  // Reused per thread: delay_forbidden asks this on every simulation step
+  // and every applied move of a model with urgent channels.
+  thread_local MoveList moves;
+  enabled_moves(locs, vars, moves);
   // UPPAAL restriction (validated in models): edges on urgent channels carry
   // no clock guards, so enabledness is decidable at the data level.
-  for (const Move& m : enabled_moves(locs, vars)) {
-    auto [p, e] = m.participants.front();
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    auto [p, e] = moves[i].front();
     const Edge& edge = sys_->process(p).edges.at(static_cast<std::size_t>(e));
     if (edge.sync == SyncKind::kSend || edge.sync == SyncKind::kReceive) {
       int ch = edge.channel_id(vars);
@@ -117,9 +121,10 @@ SymState SymbolicSemantics::initial() const {
   return s;
 }
 
-std::vector<Move> SymbolicSemantics::enabled_moves(const std::vector<int>& locs,
-                                                   const Valuation& vars) const {
-  std::vector<Move> moves;
+void SymbolicSemantics::enabled_moves(const std::vector<int>& locs,
+                                      const Valuation& vars,
+                                      MoveList& moves) const {
+  moves.clear();
   const bool committed_mode = any_committed(locs);
 
   auto data_ok = [&vars](const Edge& e) {
@@ -137,7 +142,8 @@ std::vector<Move> SymbolicSemantics::enabled_moves(const std::vector<int>& locs,
       if (edge.sync != SyncKind::kNone) continue;
       if (!data_ok(edge)) continue;
       if (committed_mode && !proc_committed(p)) continue;
-      moves.push_back(Move{{{p, e}}});
+      moves.add(p, e);
+      moves.close();
     }
   }
 
@@ -162,7 +168,9 @@ std::vector<Move> SymbolicSemantics::enabled_moves(const std::vector<int>& locs,
             if (redge.channel_id(vars) != ch) continue;
             if (!data_ok(redge)) continue;
             if (committed_mode && !proc_committed(p) && !proc_committed(q)) continue;
-            moves.push_back(Move{{{p, e}, {q, f}}});
+            moves.add(p, e);
+            moves.add(q, f);
+            moves.close();
           }
         }
       } else {
@@ -170,7 +178,7 @@ std::vector<Move> SymbolicSemantics::enabled_moves(const std::vector<int>& locs,
         // Receivers on broadcast channels must not carry clock guards (so
         // participation is decidable at the data level); at most one enabled
         // receive edge per process is supported.
-        Move m{{{p, e}}};
+        moves.add(p, e);
         bool receiver_committed = false;
         for (int q = 0; q < sys_->process_count(); ++q) {
           if (q == p) continue;
@@ -189,16 +197,18 @@ std::vector<Move> SymbolicSemantics::enabled_moves(const std::vector<int>& locs,
             break;
           }
           if (chosen >= 0) {
-            m.participants.emplace_back(q, chosen);
+            moves.add(q, chosen);
             if (proc_committed(q)) receiver_committed = true;
           }
         }
-        if (committed_mode && !proc_committed(p) && !receiver_committed) continue;
-        moves.push_back(std::move(m));
+        if (committed_mode && !proc_committed(p) && !receiver_committed) {
+          moves.discard();
+          continue;
+        }
+        moves.close();
       }
     }
   }
-  return moves;
 }
 
 void SymbolicSemantics::apply_edge_effect(const Edge& e, Valuation& vars,
@@ -215,35 +225,37 @@ void SymbolicSemantics::apply_edge_effect(const Edge& e, Valuation& vars,
   }
 }
 
-std::optional<SymState> SymbolicSemantics::apply_move(const SymState& s,
-                                                      const Move& m) const {
-  SymState next = s;
+bool SymbolicSemantics::apply_move(const SymState& s, MoveView m,
+                                   SymState& next) const {
+  next = s;
   // Guards are evaluated against the pre-state zone.
-  for (const auto& [p, e] : m.participants) {
+  for (const auto& [p, e] : m) {
     const Edge& edge = sys_->process(p).edges.at(static_cast<std::size_t>(e));
-    if (!constrain_guard(edge, next.zone)) return std::nullopt;
+    if (!constrain_guard(edge, next.zone)) return false;
   }
   // Effects: sender/internal first, then receivers, in participant order.
-  for (const auto& [p, e] : m.participants) {
+  for (const auto& [p, e] : m) {
     const Edge& edge = sys_->process(p).edges.at(static_cast<std::size_t>(e));
     next.locs[p] = edge.target;
     apply_edge_effect(edge, next.vars, next.zone);
   }
-  if (!constrain_invariant(next.locs, next.zone)) return std::nullopt;
+  if (!constrain_invariant(next.locs, next.zone)) return false;
   if (!delay_forbidden(next.locs, next.vars)) {
     next.zone.up();
-    if (!constrain_invariant(next.locs, next.zone)) return std::nullopt;
+    if (!constrain_invariant(next.locs, next.zone)) return false;
   }
   if (opts_.extrapolate) next.zone.extrapolate_max_bounds(max_k_);
-  if (next.zone.is_empty()) return std::nullopt;
-  return next;
+  return !next.zone.is_empty();
 }
 
 std::vector<SymTransition> SymbolicSemantics::successors(const SymState& s) const {
   std::vector<SymTransition> result;
-  for (const Move& m : enabled_moves(s.locs, s.vars)) {
-    if (auto next = apply_move(s, m)) {
-      result.push_back(SymTransition{m, std::move(*next)});
+  MoveList moves;
+  enabled_moves(s.locs, s.vars, moves);
+  SymState next;
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    if (apply_move(s, moves[i], next)) {
+      result.push_back(SymTransition{Move(moves[i]), next});
     }
   }
   return result;

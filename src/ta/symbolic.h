@@ -5,8 +5,11 @@
 // a finite zone graph.
 #pragma once
 
-#include <optional>
+#include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dbm/dbm.h"
@@ -27,13 +30,72 @@ struct SymState {
   }
 };
 
-/// A global discrete move: one internal edge, a binary sender/receiver pair,
-/// or a broadcast sender with its (possibly empty) receiver set. Each entry
-/// is (process index, edge index); the sender/internal edge comes first.
-struct Move {
-  std::vector<std::pair<int, int>> participants;
+/// One participant of a global discrete move: (process index, edge index).
+using Participant = std::pair<int, int>;
+/// A global discrete move as a read-only slice of participants: one internal
+/// edge, a binary sender/receiver pair, or a broadcast sender with its
+/// (possibly empty) receiver set. The sender/internal edge comes first.
+using MoveView = std::span<const Participant>;
 
+/// A move that owns its participants (traces, game strategies, checkpoints).
+struct Move {
+  std::vector<Participant> participants;
+
+  Move() = default;
+  explicit Move(MoveView m) : participants(m.begin(), m.end()) {}
+  Move(std::initializer_list<Participant> ps) : participants(ps) {}
+
+  operator MoveView() const { return participants; }
   std::string describe(const System& sys) const;
+};
+
+/// A reusable flat list of moves: every participant in one array plus the
+/// end offset of each move. Enumerators clear and refill a caller-owned
+/// list, so a search or a simulation step allocates nothing once the list
+/// has grown to its working size.
+class MoveList {
+ public:
+  std::size_t size() const { return ends_.size(); }
+  bool empty() const { return ends_.empty(); }
+  MoveView operator[](std::size_t i) const {
+    const std::uint32_t begin = i == 0 ? 0 : ends_[i - 1];
+    return MoveView(parts_.data() + begin, ends_[i] - begin);
+  }
+
+  void clear() {
+    parts_.clear();
+    ends_.clear();
+  }
+  /// Appends a participant to the move under construction.
+  void add(int process, int edge) { parts_.emplace_back(process, edge); }
+  /// Closes the move under construction.
+  void close() { ends_.push_back(static_cast<std::uint32_t>(parts_.size())); }
+  /// Drops the participants of the move under construction.
+  void discard() { parts_.resize(ends_.empty() ? 0 : ends_.back()); }
+
+  /// Keeps the moves m with keep(m), in order, compacting in place.
+  template <typename Keep>
+  void retain(Keep keep) {
+    std::size_t out_parts = 0;
+    std::size_t out_moves = 0;
+    std::uint32_t begin = 0;
+    for (std::size_t i = 0; i < ends_.size(); ++i) {
+      const std::uint32_t end = ends_[i];
+      if (keep(MoveView(parts_.data() + begin, end - begin))) {
+        for (std::uint32_t k = begin; k < end; ++k) {
+          parts_[out_parts++] = parts_[k];
+        }
+        ends_[out_moves++] = static_cast<std::uint32_t>(out_parts);
+      }
+      begin = end;
+    }
+    parts_.resize(out_parts);
+    ends_.resize(out_moves);
+  }
+
+ private:
+  std::vector<Participant> parts_;
+  std::vector<std::uint32_t> ends_;
 };
 
 struct SymTransition {
@@ -56,16 +118,21 @@ class SymbolicSemantics {
   SymState initial() const;
 
   /// All discrete successors (each already delay-closed / extrapolated).
+  /// Convenience over enabled_moves + apply_move; the engines iterate a
+  /// MoveList themselves and apply into a reused state.
   std::vector<SymTransition> successors(const SymState& s) const;
 
-  /// Discrete moves enabled at the data level (guards over variables,
-  /// committed-location filtering, sync matching). Zone-level enabledness is
-  /// checked when the move is applied.
-  std::vector<Move> enabled_moves(const std::vector<int>& locs,
-                                  const Valuation& vars) const;
+  /// Fills `out` (cleared first) with the discrete moves enabled at the
+  /// data level (guards over variables, committed-location filtering, sync
+  /// matching), in the order: internal edges by process and edge index,
+  /// then synchronisations by sender. Zone-level enabledness is checked
+  /// when the move is applied.
+  void enabled_moves(const std::vector<int>& locs, const Valuation& vars,
+                     MoveList& out) const;
 
-  /// Applies a move; returns nullopt if the zone becomes empty.
-  std::optional<SymState> apply_move(const SymState& s, const Move& m) const;
+  /// Applies a move to `s`, writing the successor into `next` (whose
+  /// buffers are reused); returns false if the zone becomes empty.
+  bool apply_move(const SymState& s, MoveView m, SymState& next) const;
 
   /// The conjunction of location invariants as a zone constraint applied to z.
   bool constrain_invariant(const std::vector<int>& locs, dbm::Dbm& z) const;
@@ -84,6 +151,11 @@ class SymbolicSemantics {
                        const Valuation& vars) const;
 
   const std::vector<std::int32_t>& max_constants() const { return max_k_; }
+
+  /// Indices of process p's edges leaving location loc, ascending.
+  const std::vector<int>& edges_from(int p, int loc) const {
+    return edges_from_[static_cast<std::size_t>(p)][static_cast<std::size_t>(loc)];
+  }
 
   std::string state_to_string(const SymState& s) const;
 

@@ -93,11 +93,17 @@ TEST_P(SymbolicVsDigital, SameReachableLocationVectors) {
     auto cmp_insert = [&](ta::DigitalState s) {
       if (seen.insert(s).second) work.push_back(std::move(s));
     };
+    ta::MoveList moves;
+    ta::DigitalState next;
     while (!work.empty()) {
       ta::DigitalState s = std::move(work.back());
       work.pop_back();
       digital.insert(s.locs);
-      for (const ta::Move& m : sem.enabled_moves(s)) cmp_insert(sem.apply(s, m));
+      sem.enabled_moves(s, moves);
+      for (std::size_t i = 0; i < moves.size(); ++i) {
+        sem.apply(s, moves[i], next);
+        cmp_insert(next);
+      }
       if (sem.can_delay(s)) cmp_insert(sem.delay_one(s));
     }
   }

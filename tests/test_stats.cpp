@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <random>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -118,6 +121,91 @@ TEST(Rng, WeightedChoiceErrorPaths) {
   // A single positive weight is always chosen, whatever surrounds it.
   double lone[] = {0.0, 3.0, 0.0};
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.weighted_choice(lone), 1u);
+}
+
+/// The draws of common::Rng, written out over std::mt19937_64: what Rng
+/// produced when it wrapped the standard engine.
+class StdReferenceRng {
+ public:
+  explicit StdReferenceRng(std::uint64_t seed) : engine_(seed) {}
+  double uniform01() {
+    return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
+  }
+  int uniform_int(int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(engine_);
+  }
+  double exponential(double rate) {
+    double u = uniform01();
+    if (u <= 0.0) u = std::numeric_limits<double>::min();
+    return -std::log(u) / rate;
+  }
+  std::size_t weighted_choice(const std::vector<double>& weights) {
+    double total = 0.0;
+    for (double w : weights) total += w;
+    const double target = uniform01() * total;
+    double acc = 0.0;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      acc += weights[i];
+      if (target < acc) return i;
+    }
+    return weights.size() - 1;
+  }
+
+ private:
+  std::mt19937_64 engine_;
+};
+
+TEST(Rng, Mt64MatchesStdMersenneTwister) {
+  const std::uint64_t seeds[] = {0,
+                                 1,
+                                 5489,
+                                 0x5eed5eed5eedULL,
+                                 ~std::uint64_t{0},
+                                 0x123456789abcdefULL};
+  for (std::uint64_t seed : seeds) {
+    // Raw outputs across three full state generations and into a fourth.
+    Mt64 mt(seed);
+    std::mt19937_64 ref(seed);
+    for (std::size_t i = 0; i < 3 * Mt64::kN + 7; ++i) {
+      ASSERT_EQ(mt(), ref()) << "seed " << seed << " draw " << i;
+    }
+
+    // Reseeding in the middle of a generation restarts the stream.
+    Mt64 re(seed ^ 0x9e3779b97f4a7c15ULL);
+    for (int i = 0; i < 200; ++i) re();
+    re.seed_in_place(seed);
+    std::mt19937_64 fresh(seed);
+    for (std::size_t i = 0; i < 2 * Mt64::kN; ++i) {
+      ASSERT_EQ(re(), fresh()) << "reseeded, seed " << seed << " draw " << i;
+    }
+
+    // Every distribution of Rng, interleaved, against the same arithmetic
+    // over the standard engine — also after an in-place Rng::reseed.
+    Rng rng(seed + 1);
+    for (int i = 0; i < 97; ++i) rng.uniform01();
+    rng.reseed(seed);
+    StdReferenceRng want(seed);
+    const std::vector<double> weights = {0.5, 0.0, 2.0, 1.25};
+    for (int i = 0; i < 5000; ++i) {
+      switch (i % 4) {
+        case 0:
+          ASSERT_EQ(rng.uniform01(), want.uniform01()) << i;
+          break;
+        case 1:
+          ASSERT_EQ(rng.uniform_int(-3, i % 50), want.uniform_int(-3, i % 50))
+              << i;
+          break;
+        case 2:
+          ASSERT_EQ(rng.exponential(0.25 + i % 7), want.exponential(0.25 + i % 7))
+              << i;
+          break;
+        case 3:
+          ASSERT_EQ(rng.weighted_choice(weights), want.weighted_choice(weights))
+              << i;
+          break;
+      }
+    }
+  }
 }
 
 TEST(RngStream, MixMatchesSplitMix64Reference) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ta/concrete.h"
 #include "ta/digital.h"
 #include "ta/symbolic.h"
@@ -173,13 +175,68 @@ TEST(Symbolic, BroadcastReachesAllReceivers) {
   EXPECT_EQ(succs[0].state.locs, (std::vector<int>{1, 1, 1}));
 }
 
+TEST(MoveList, BuildsRetainsAndDiscardsInPlace) {
+  MoveList list;
+  list.add(0, 1);
+  list.close();
+  list.add(2, 3);
+  list.add(4, 5);
+  list.close();
+  list.add(6, 7);
+  list.discard();  // an abandoned move leaves no trace
+  list.add(8, 9);
+  list.close();
+  ASSERT_EQ(list.size(), 3u);
+  EXPECT_EQ(std::vector<Participant>(list[1].begin(), list[1].end()),
+            (std::vector<Participant>{{2, 3}, {4, 5}}));
+  EXPECT_EQ(list[2].front(), (Participant{8, 9}));
+
+  list.retain([](MoveView m) { return m.front().first != 2; });
+  ASSERT_EQ(list.size(), 2u);
+  EXPECT_EQ(list[0].front(), (Participant{0, 1}));
+  EXPECT_EQ(list[1].size(), 1u);
+  EXPECT_EQ(list[1].front(), (Participant{8, 9}));
+  EXPECT_EQ(Move(list[1]).participants, (std::vector<Participant>{{8, 9}}));
+
+  list.clear();
+  EXPECT_TRUE(list.empty());
+}
+
+TEST(MoveList, RefillingAReusedListMatchesAFreshOne) {
+  // Enumerators clear the caller's list: a list reused across states holds
+  // exactly what a fresh list would, and the concrete and digital filters
+  // keep the clock-enabled moves of the symbolic enumeration, in order.
+  System sys = make_pair_system();
+  SymbolicSemantics sym(sys);
+  ConcreteSemantics con(sys);
+  MoveList reused;
+  sym.enabled_moves({1, 0}, sys.vars().initial(), reused);  // Busy: tau
+  ASSERT_EQ(reused.size(), 1u);
+  EXPECT_EQ(reused[0].front(), (Participant{0, 1}));
+
+  ConcreteState s = con.initial();
+  con.enabled_moves_now(s, reused);
+  EXPECT_TRUE(reused.empty()) << "x>=2 does not hold at time 0";
+  con.delay(s, 2.0);
+  con.enabled_moves_now(s, reused);
+  MoveList fresh;
+  sym.enabled_moves(s.locs, s.vars, fresh);
+  ASSERT_EQ(reused.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_TRUE(std::equal(reused[i].begin(), reused[i].end(),
+                           fresh[i].begin(), fresh[i].end()));
+  }
+}
+
 TEST(Concrete, DelayAndGuards) {
   System sys = make_pair_system();
   ConcreteSemantics sem(sys);
   ConcreteState s = sem.initial();
-  EXPECT_TRUE(sem.enabled_moves_now(s).empty());  // x>=2 not yet satisfied
+  MoveList moves;
+  sem.enabled_moves_now(s, moves);
+  EXPECT_TRUE(moves.empty());  // x>=2 not yet satisfied
   sem.delay(s, 2.5);
-  auto moves = sem.enabled_moves_now(s);
+  sem.enabled_moves_now(s, moves);
   ASSERT_EQ(moves.size(), 1u);
   sem.execute(s, moves[0]);
   EXPECT_EQ(s.locs[0], 1);
@@ -202,12 +259,15 @@ TEST(Digital, UnitStepsRespectInvariants) {
   System sys = make_pair_system();
   DigitalSemantics sem(sys);
   DigitalState s = sem.initial();
-  EXPECT_TRUE(sem.enabled_moves(s).empty());
+  MoveList moves;
+  sem.enabled_moves(s, moves);
+  EXPECT_TRUE(moves.empty());
   ASSERT_TRUE(sem.can_delay(s));
   s = sem.delay_one(sem.delay_one(s));  // x = 2
-  auto moves = sem.enabled_moves(s);
+  sem.enabled_moves(s, moves);
   ASSERT_EQ(moves.size(), 1u);
-  DigitalState busy = sem.apply(s, moves[0]);
+  DigitalState busy;
+  sem.apply(s, moves[0], busy);
   EXPECT_EQ(busy.locs[0], 1);
   // Invariant x<=5: can delay 3 more times, then no further.
   for (int i = 0; i < 3; ++i) {
