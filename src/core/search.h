@@ -35,8 +35,10 @@ struct SearchLimits {
 
   /// Debug pacing: core::explore sleeps this long after visiting each
   /// state, stretching a search so deadlines and kill signals land mid-run
-  /// (crash drills, tools/ckpt_smoke). Zero — the default — is off.
+  /// (crash drills, tools/ckpt_smoke). Zero — the default — is off; at
+  /// most kMaxPace.
   std::chrono::microseconds pace{0};
+  static constexpr std::chrono::microseconds kMaxPace{1'000'000};
 
   /// The uniform truncation rule: the search stops (truncated) when the
   /// number of *stored* states reaches the limit, checked after the popped
@@ -52,6 +54,11 @@ struct SearchLimits {
       throw std::invalid_argument(quanta::context(
           subsystem, "SearchLimits.max_states must be positive (a zero bound ",
           "would truncate before the initial state)"));
+    }
+    if (pace.count() < 0 || pace > kMaxPace) {
+      throw std::invalid_argument(quanta::context(
+          subsystem, "SearchLimits.pace must be within [0, ",
+          kMaxPace.count(), "] microseconds, got ", pace.count()));
     }
   }
 };

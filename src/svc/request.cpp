@@ -3,6 +3,8 @@
 #include <cstring>
 #include <utility>
 
+#include "core/search.h"
+
 namespace quanta::svc {
 
 const char* to_string(Status s) {
@@ -103,6 +105,11 @@ std::optional<Request> parse_request(const WireMap& m, std::string* error) {
   Request::Debug& debug = r.debug;
   if (!read_u64(m, "hold_ms", &debug.hold_ms, &err)) return fail(err);
   if (!read_u64(m, "throttle_us", &debug.throttle_us, &err)) return fail(err);
+  if (debug.throttle_us >
+      static_cast<std::uint64_t>(core::SearchLimits::kMaxPace.count())) {
+    return fail("field 'throttle_us' must be at most 1000000 (one second "
+                "per explored state)");
+  }
   if (!read_u64(m, "crash_signal", &debug.crash_signal, &err)) return fail(err);
   if (!read_u64(m, "rlimit_mb", &debug.rlimit_mb, &err)) return fail(err);
   if (!read_u64(m, "ticket", &r.ticket, &err)) return fail(err);

@@ -38,17 +38,27 @@ const std::string* WireMap::get(const std::string& key) const {
   return nullptr;
 }
 
+namespace {
+
+/// The value of a numeric field as a C string, or nullptr when absent or
+/// when it holds a NUL: a decoded value may carry \u0000, and the C
+/// parsers would stop there and accept the prefix ("5\u0000x" as 5).
+const char* numeric_text(const std::string* s) {
+  if (s == nullptr || s->find('\0') != std::string::npos) return nullptr;
+  return s->c_str();
+}
+
+}  // namespace
+
 std::optional<std::uint64_t> WireMap::get_u64(const std::string& key) const {
-  const std::string* s = this->get(key);
-  // A decoded value may hold a NUL (\u0000) that parse_u64 stops at; a
-  // minus sign anywhere in the value still rejects it.
-  if (s == nullptr || s->find('-') != std::string::npos) return std::nullopt;
-  return common::parse_u64(s->c_str());
+  const char* s = numeric_text(this->get(key));
+  if (s == nullptr || std::strchr(s, '-') != nullptr) return std::nullopt;
+  return common::parse_u64(s);
 }
 
 std::optional<std::int64_t> WireMap::get_i64(const std::string& key) const {
   const std::string* s = this->get(key);
-  if (s == nullptr || s->empty()) return std::nullopt;
+  if (numeric_text(s) == nullptr || s->empty()) return std::nullopt;
   char* endp = nullptr;
   errno = 0;
   const long long v = std::strtoll(s->c_str(), &endp, 10);
@@ -58,7 +68,7 @@ std::optional<std::int64_t> WireMap::get_i64(const std::string& key) const {
 
 std::optional<double> WireMap::get_f64(const std::string& key) const {
   const std::string* s = this->get(key);
-  if (s == nullptr || s->empty()) return std::nullopt;
+  if (numeric_text(s) == nullptr || s->empty()) return std::nullopt;
   char* endp = nullptr;
   errno = 0;
   const double v = std::strtod(s->c_str(), &endp);

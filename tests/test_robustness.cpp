@@ -133,6 +133,29 @@ TEST(SearchLimits, ZeroStateBoundIsRejectedByName) {
   EXPECT_THROW(mc::reachable(sys, never(), opts), std::invalid_argument);
 }
 
+TEST(SearchLimits, PaceOutsideZeroToOneSecondIsRejectedByName) {
+  auto sys = models::make_train_gate(2).system;
+  for (const auto pace : {std::chrono::microseconds(-1),
+                          core::SearchLimits::kMaxPace +
+                              std::chrono::microseconds(1),
+                          std::chrono::microseconds::max()}) {
+    core::SearchLimits limits;
+    limits.pace = pace;
+    try {
+      limits.validate("test");
+      FAIL() << "expected std::invalid_argument for " << pace.count();
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("pace"), std::string::npos);
+    }
+    mc::ReachOptions opts;
+    opts.limits.pace = pace;
+    EXPECT_THROW(mc::reachable(sys, never(), opts), std::invalid_argument);
+  }
+  core::SearchLimits at_cap;
+  at_cap.pace = core::SearchLimits::kMaxPace;
+  EXPECT_NO_THROW(at_cap.validate("test"));
+}
+
 TEST(SearchLimits, PaceDelaysEveryExploredState) {
   // Pacing only stretches a search: each paced engine reports the verdict
   // and counters of an unpaced run, and spends at least `pace` per explored

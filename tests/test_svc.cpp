@@ -222,6 +222,25 @@ TEST(Wire, StrictNumericGetters) {
   EXPECT_EQ(m->get_u64("d"), 18446744073709551615ull);
 }
 
+TEST(Wire, NumericFieldWithEmbeddedNulIsRejected) {
+  // \u0000 decodes to a NUL inside the value; the C parsers would stop
+  // there and read "5\u0000x" as 5.
+  std::string error;
+  const auto m = WireMap::parse_json(
+      R"({"runs":"5\u0000x","seed":"7\u0000","delta":"-2\u00003",)"
+      R"("bound":"1.5\u0000e9","ok":"5"})",
+      &error);
+  ASSERT_TRUE(m.has_value()) << error;
+  ASSERT_EQ(m->get("runs")->size(), 3u);
+  EXPECT_FALSE(m->get_u64("runs").has_value());
+  EXPECT_FALSE(m->get_u64("seed").has_value());
+  EXPECT_FALSE(m->get_i64("delta").has_value());
+  EXPECT_FALSE(m->get_i64("runs").has_value());
+  EXPECT_FALSE(m->get_f64("bound").has_value());
+  EXPECT_FALSE(m->get_f64("runs").has_value());
+  EXPECT_EQ(m->get_u64("ok"), 5u);
+}
+
 TEST(Wire, FrameRoundTripOverSocketpair) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
@@ -519,12 +538,31 @@ TEST(Request, PresentButMalformedFieldFailsWholeRequest) {
         R"({"engine":"mc","priority":"urgent"})",           // bad enum
         R"({"engine":"smc","runs":"0"})",                   // runs < 1
         R"({"engine":"smc","bound":"-1"})",                 // bound <= 0
-        R"({"engine":"mc","cache":"yes"})"}) {              // bad bool
+        R"({"engine":"mc","cache":"yes"})",                 // bad bool
+        R"({"engine":"mc","throttle_us":"1000001"})",       // pace > 1 s
+        R"({"engine":"mc","throttle_us":"9223372036854775808"})"}) {
     const auto m = WireMap::parse_json(bad, &error);
     ASSERT_TRUE(m.has_value()) << bad;
     EXPECT_FALSE(parse_request(*m, &error).has_value()) << bad;
     EXPECT_FALSE(error.empty());
   }
+}
+
+TEST(Request, ThrottleIsCappedAtOneSecondPerState) {
+  // A pace of 2^63 us or more would wrap to negative microseconds and turn
+  // pacing off; the cap keeps every accepted value a real pace.
+  std::string error;
+  const auto at_cap = WireMap::parse_json(
+      R"({"engine":"mc","throttle_us":"1000000"})", &error);
+  ASSERT_TRUE(at_cap.has_value()) << error;
+  const auto r = parse_request(*at_cap, &error);
+  ASSERT_TRUE(r.has_value()) << error;
+  EXPECT_EQ(r->debug.throttle_us, 1000000u);
+  const auto over = WireMap::parse_json(
+      R"({"engine":"mc","throttle_us":"18446744073709551615"})", &error);
+  ASSERT_TRUE(over.has_value()) << error;
+  EXPECT_FALSE(parse_request(*over, &error).has_value());
+  EXPECT_NE(error.find("throttle_us"), std::string::npos) << error;
 }
 
 TEST(Request, ResponseSerializationIsDeterministic) {

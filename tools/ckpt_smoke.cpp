@@ -16,7 +16,8 @@
 //   --trains N         model size in trains (default 4; game defaults to 2)
 //   --interval K       periodic snapshot cadence in explored states (def. 200)
 //   --throttle-us U    sleep U microseconds per explored state, stretching
-//                      the run so a signal can land mid-flight (default 0)
+//                      the run so a signal can land mid-flight (default 0,
+//                      at most 1000000)
 //   --no-resume        ignore any existing checkpoint (reference mode)
 //
 // Output: "resumed=<0|1> load=<status> verdict=<v> stored=<n> explored=<n>
@@ -127,6 +128,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   const int n = static_cast<int>(trains);
+  if (throttle_us > static_cast<std::uint64_t>(
+                        core::SearchLimits::kMaxPace.count())) {
+    std::fprintf(stderr,
+                 "ckpt_smoke: --throttle-us must be at most %lld (one second "
+                 "per explored state)\n",
+                 static_cast<long long>(core::SearchLimits::kMaxPace.count()));
+    return 1;
+  }
 
   ckpt::Options checkpoint;
   checkpoint.path = path;
