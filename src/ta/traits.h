@@ -126,9 +126,6 @@ struct StateTraits<ta::SymState> {
     return out;
   }
   static ta::SymState unpool(const store::ZonePool& p, const Pooled& st) {
-    ta::SymState s;
-    store::unpack_vec(p, st.locs, s.locs);
-    store::unpack_vec(p, st.vars, s.vars);
     const auto dim = static_cast<std::size_t>(st.dim);
     dbm::raw_t inline_buf[kInlineRows * kInlineRows];
     std::vector<dbm::raw_t> heap_buf;
@@ -141,7 +138,11 @@ struct StateTraits<ta::SymState> {
       std::memcpy(buf + r * dim, p.data(row_ref(p, st, r)).data(),
                   dim * sizeof(dbm::raw_t));
     }
-    s.zone = dbm::Dbm::from_raw(st.dim, buf);
+    // The zone is built in place: a default SymState would first allocate
+    // a throwaway 1x1 zone.
+    ta::SymState s{{}, {}, dbm::Dbm::from_raw(st.dim, buf)};
+    store::unpack_vec(p, st.locs, s.locs);
+    store::unpack_vec(p, st.vars, s.vars);
     return s;
   }
   static bool equal(const store::ZonePool& p, const Pooled& st,
