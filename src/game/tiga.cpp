@@ -463,7 +463,7 @@ bool closed_loop_explore(
           }
         }
         if (action && action->kind == ActionKind::kMove) {
-          sem.apply(state, action->move, next_state);
+          sem.apply(state, action->move.participants, next_state);
           next.push_back(intern(next_state));
         } else {
           // Strategy waits (or state is outside the winning region): time may

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <span>
 #include <string>
 #include <utility>
@@ -43,9 +42,7 @@ struct Move {
 
   Move() = default;
   explicit Move(MoveView m) : participants(m.begin(), m.end()) {}
-  Move(std::initializer_list<Participant> ps) : participants(ps) {}
 
-  operator MoveView() const { return participants; }
   std::string describe(const System& sys) const;
 };
 
