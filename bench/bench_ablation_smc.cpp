@@ -23,11 +23,12 @@ int main() {
     return s.locs[static_cast<std::size_t>(p)] == cross;
   };
 
+  exec::Executor ex(bench::hardware_workers());
   bench::Table widths({"runs", "p_hat", "CI (95%)", "width", "time [s]"});
   for (std::size_t runs : {100u, 1000u, 10000u, 40000u}) {
     bench::Stopwatch sw;
     auto est = smc::estimate_probability_runs(tg.system, prop, runs, 0.05,
-                                              runs * 31 + 7);
+                                              runs * 31 + 7, ex);
     widths.row({std::to_string(runs), bench::fmt(est.p_hat, "%.4f"),
                 "[" + bench::fmt(est.ci_low, "%.4f") + ", " +
                     bench::fmt(est.ci_high, "%.4f") + "]",
@@ -47,7 +48,8 @@ int main() {
   chern.print();
 
   bench::section("A3c: SPRT vs fixed-size estimation");
-  auto ref = smc::estimate_probability_runs(tg.system, prop, 20000, 0.05, 99);
+  auto ref =
+      smc::estimate_probability_runs(tg.system, prop, 20000, 0.05, 99, ex);
   std::printf("  reference estimate: p ~= %.4f (20000 runs)\n\n", ref.p_hat);
   bench::Table sprt_table({"H0: p >= theta", "verdict", "runs used",
                            "fixed-N equivalent"});
@@ -56,8 +58,8 @@ int main() {
                        ref.p_hat + 0.15}) {
     smc::SprtOptions opts;
     opts.indifference = 0.02;
-    auto r = smc::sprt_test(tg.system, prop, theta,
-                            opts, static_cast<std::uint64_t>(theta * 1e4));
+    auto r = smc::sprt_test(tg.system, prop, theta, opts,
+                            static_cast<std::uint64_t>(theta * 1e4), ex);
     const char* verdict = r.verdict == smc::SprtVerdict::kAccepted ? "accept"
                           : r.verdict == smc::SprtVerdict::kRejected
                               ? "reject"

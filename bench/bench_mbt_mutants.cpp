@@ -47,11 +47,12 @@ int main() {
 
   bench::section("E7b: random test campaigns (kill rate vs suite size)");
   bench::Table camp({"implementation", "10 tests", "50 tests", "250 tests"});
+  exec::Executor ex(bench::hardware_workers());
   for (const auto& impl : impls) {
     std::vector<std::string> row{impl.name};
     for (std::size_t n : {10u, 50u, 250u}) {
       LtsIut iut(impl.lts, 0xBEEF + n);
-      auto r = run_campaign(spec, iut, n, 0xCAFE + n);
+      auto r = run_campaign(spec, iut, n, 0xCAFE + n, ex);
       row.push_back(std::to_string(r.failures) + "/" + std::to_string(r.tests) +
                     " failed");
     }

@@ -29,8 +29,8 @@ const char* verdict_name(smc::SprtVerdict v) {
 }  // namespace
 
 int main() {
-  const unsigned hw = exec::default_worker_count();
-  std::printf("  hardware workers available: %u (QUANTA_JOBS overrides)\n", hw);
+  std::printf("  hardware threads: %u (each row names its executor size)\n",
+              bench::hardware_workers());
 
   // ---- train-gate probability estimate -----------------------------------
   bench::section("parallel SMC: train-gate Pr[<=30](<> Train(0).Cross)");

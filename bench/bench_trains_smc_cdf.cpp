@@ -19,6 +19,7 @@ int main() {
   const int kPoints = 51;  // grid step 2
 
   auto tg = models::make_train_gate(kTrains);
+  exec::Executor ex(bench::hardware_workers());
   bench::Stopwatch total;
 
   std::vector<smc::CdfSeries> series;
@@ -31,8 +32,10 @@ int main() {
     prop.goal = [p, cross](const ta::ConcreteState& s) {
       return s.locs[static_cast<std::size_t>(p)] == cross;
     };
-    auto times = smc::first_hit_times(tg.system, prop, kRuns,
-                                      0xF16'4000 + static_cast<std::uint64_t>(i));
+    auto times =
+        smc::sample_hit_times(tg.system, prop, kRuns,
+                              0xF16'4000 + static_cast<std::uint64_t>(i), ex, {})
+            .times;
     series.push_back(smc::empirical_cdf(times, kRuns, kHorizon, kPoints));
     final_prob.push_back(series.back().prob.back());
   }

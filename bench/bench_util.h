@@ -1,13 +1,21 @@
 // Shared helpers for the paper-reproduction benches: simple aligned table
-// printing and wall-clock timing.
+// printing, wall-clock timing and the executor size.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace quanta::bench {
+
+/// One executor worker per hardware thread (at least one): the size of the
+/// benches that do not sweep the worker count. Results do not depend on it.
+inline unsigned hardware_workers() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 class Stopwatch {
  public:

@@ -2,7 +2,9 @@
 // publish/subscribe software bus to (1) an offline ioco conformance verdict,
 // (2) automatically generated and executed test campaigns with verdicts, and
 // (3) online timed testing of a black box against a TA spec (TRON-style).
+#include <algorithm>
 #include <cstdio>
+#include <thread>
 
 #include "mbt/execute.h"
 #include "mbt/ioco.h"
@@ -39,12 +41,15 @@ int main() {
     const char* name;
     Lts lts;
   };
+  // Test generation shares out over the executor; the suite is the same at
+  // every worker count.
+  exec::Executor ex(std::max(1u, std::thread::hardware_concurrency()));
   for (auto& e : {Entry{"conforming impl", models::make_swb_impl()},
                   Entry{"wrong-output mutant", models::make_swb_mutant_wrong_output()},
                   Entry{"dropped-notify mutant", models::make_swb_mutant_missing_notify()},
                   Entry{"unsolicited mutant", models::make_swb_mutant_unsolicited_notify()}}) {
     LtsIut iut(e.lts, 1);
-    auto campaign = run_campaign(spec, iut, 200, 2);
+    auto campaign = run_campaign(spec, iut, 200, 2, ex);
     std::printf("  %-22s : %3zu/%zu tests failed -> verdict %s\n", e.name,
                 campaign.failures, campaign.tests,
                 campaign.passed() ? "PASS" : "FAIL");

@@ -4,8 +4,11 @@
 //
 //   Worker: Idle --(job?)--> Busy(x<=10) --(x>=2, done!, x:=0)--> Idle
 //   Boss:   emits job!, waits for done?.
+#include <algorithm>
 #include <cstdio>
+#include <thread>
 
+#include "exec/executor.h"
 #include "mc/query.h"
 #include "smc/estimate.h"
 #include "ta/model.h"
@@ -61,8 +64,11 @@ int main() {
   prop.goal = [finished](const ConcreteState& s) {
     return s.vars[static_cast<std::size_t>(finished)] >= 2;
   };
+  // The runs share out over an executor the caller sizes; the estimate is
+  // the same at every worker count.
+  exec::Executor ex(std::max(1u, std::thread::hardware_concurrency()));
   auto est = smc::estimate_probability(sys, prop, /*epsilon=*/0.02,
-                                       /*delta=*/0.05, /*seed=*/42);
+                                       /*delta=*/0.05, /*seed=*/42, ex);
   std::printf(
       "\n  Pr[<=20](<> finished >= 2) ~= %.3f   (95%% CI [%.3f, %.3f], %zu runs)\n",
       est.p_hat, est.ci_low, est.ci_high, est.runs);

@@ -22,7 +22,7 @@
 namespace quanta::common {
 
 /// Cooperative cancellation flag shared between a budget's owner and its
-/// consumers (engines, the exec thread pool, the watchdog). Consumers poll
+/// consumers (engines, exec::Executor, the watchdog). Consumers poll
 /// it between units of work; cancellation is advisory — work already inside
 /// a unit runs to the next poll point. exec::CancellationToken is an alias
 /// of this class, so one token cancels a symbolic search and a statistical

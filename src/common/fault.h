@@ -1,6 +1,6 @@
 // Deterministic fault injection for robustness testing. Named sites are
 // compiled into the hot paths of the state store, the simulator and the
-// thread pool (see DESIGN.md "Fault-injection site registry"); a disarmed
+// executor (see DESIGN.md "Fault-injection site registry"); a disarmed
 // injector costs one relaxed atomic load per site visit. Arming happens
 // programmatically from tests or via the QUANTA_FAULT environment variable:
 //

@@ -125,7 +125,11 @@ class PricedSearch : ckpt::StorePayload {
           if (e.key > info_[static_cast<std::size_t>(e.id)].best) {
             return core::Visit::kSkip;  // stale entry
           }
-          if (goal_(store_.state(e.id))) {
+          // core::explore expands an entry right after visiting it, so the
+          // expand callback below reads this copy instead of materializing
+          // the state again.
+          current_ = store_.state(e.id);
+          if (goal_(current_)) {
             goal_node = e.id;
             result.verdict = common::Verdict::kHolds;
             result.cost = e.key;
@@ -134,7 +138,7 @@ class PricedSearch : ckpt::StorePayload {
           return core::Visit::kContinue;
         },
         [&](const core::Worklist::Entry& e) -> std::size_t {
-          const ta::DigitalState state = store_.state(e.id);
+          const ta::DigitalState& state = current_;
           std::size_t taken = 0;
           sem_.enabled_moves(state, enabled_);
           for (std::size_t i = 0; i < enabled_.size(); ++i) {
@@ -274,6 +278,7 @@ class PricedSearch : ckpt::StorePayload {
   std::vector<char> dirty_flag_;
   ckpt::StoreChain<ta::DigitalState> chain_;
   // Expansion scratch, reused across states.
+  ta::DigitalState current_;  ///< the state just visited, which expand reads
   ta::MoveList enabled_;
   ta::DigitalState next_;
 };

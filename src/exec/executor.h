@@ -1,20 +1,46 @@
-// Executor: the engine-facing layer of the parallel statistical runtime. It
-// owns a ThreadPool, hands each run index of [begin, end) to a body exactly
-// once, fills per-worker telemetry slots, and polls cancellation between
-// runs. Engines pair it with common::RngStream so run i draws the same
-// random stream regardless of chunking, worker count or execution order —
-// parallel and sequential results are bit-identical by construction.
+// Executor: the parallel statistical runtime (src/exec). It hands each run
+// index of [begin, end) to a body exactly once, fills per-worker telemetry
+// slots, and polls cancellation between runs. Engines pair it with
+// common::RngStream so run i draws the same random stream regardless of
+// chunking, worker count or execution order — parallel and sequential
+// results are bit-identical by construction.
+//
+// Scheduling: a fixed set of worker threads pulls half-open index ranges
+// from a shared atomic cursor (guided self-scheduling: each claim takes
+// remaining/(4*workers), at least one index), so late stragglers get small
+// chunks and the workers load-balance without a work-stealing deque. The
+// caller of for_each participates as worker 0, which makes a 1-worker
+// executor run entirely inline on the calling thread and start no thread:
+// the sequential path of every engine is just a 1-worker executor.
+//
+// Every engine entry point takes the executor from its caller; nothing in
+// the engines sizes threads on its own.
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <utility>
+#include <mutex>
+#include <thread>
 #include <vector>
 
+#include "common/budget.h"
 #include "exec/telemetry.h"
-#include "exec/thread_pool.h"
 
 namespace quanta::exec {
+
+/// Cooperative cancellation flag shared between the scheduler and its
+/// consumers. Workers poll it between chunks and between individual runs;
+/// outstanding chunks that were never claimed are simply abandoned.
+/// Cancellation is advisory: work already inside the body runs to the next
+/// poll point.
+///
+/// This is the one cancellation type of the whole toolkit: the same token
+/// lives inside common::Budget, so a watchdog (exec/watchdog.h) or a user
+/// cancels a symbolic search and a statistical executor job alike.
+using CancellationToken = common::CancelToken;
 
 class Executor {
  public:
@@ -29,52 +55,75 @@ class Executor {
 
   using RunFn = std::function<void(std::uint64_t, WorkerContext&)>;
 
-  /// 0 workers means default_worker_count() (QUANTA_JOBS env override). A
-  /// 1-worker executor runs everything inline on the calling thread.
-  explicit Executor(unsigned workers = 0) : pool_(workers) {}
+  /// `workers` must lie in [1, 1024] (std::invalid_argument naming
+  /// `workers` otherwise, thrown before any thread starts). An executor of
+  /// n workers owns n-1 background threads; the caller of for_each is
+  /// worker 0.
+  explicit Executor(unsigned workers);
+  ~Executor();
+  Executor(const Executor&) = delete;
+  Executor& operator=(const Executor&) = delete;
 
-  unsigned workers() const { return pool_.worker_count(); }
+  unsigned workers() const { return workers_; }
 
-  /// Runs body(i, ctx) for each i in [begin, end). Telemetry (when non-null)
-  /// is *accumulated*, so one RunTelemetry can span several jobs (e.g. all
-  /// batches of an SPRT test). Exceptions from the body propagate to the
-  /// caller; cancellation stops workers at the next run boundary.
-  void for_each(std::uint64_t begin, std::uint64_t end, const RunFn& body,
-                CancellationToken* cancel = nullptr,
-                RunTelemetry* telemetry = nullptr);
+  /// Runs body(i, ctx) for each i in [begin, end) and returns how many runs
+  /// completed: end - begin unless `cancel` fired first. Telemetry (when
+  /// non-null) is *accumulated*, so one RunTelemetry can span several jobs
+  /// (e.g. all batches of an SPRT test). If a body throws, the first
+  /// exception is rethrown here and the remaining chunks are abandoned.
+  /// Concurrent callers are serialized (the executor runs one job at a
+  /// time).
+  std::uint64_t for_each(std::uint64_t begin, std::uint64_t end,
+                         const RunFn& body,
+                         CancellationToken* cancel = nullptr,
+                         RunTelemetry* telemetry = nullptr);
 
  private:
-  ThreadPool pool_;
+  /// One cache-line-padded telemetry slot per worker: the hot path
+  /// increments plain integers, and the slots are only read after the job.
+  struct Slot {
+    alignas(64) WorkerTelemetry t;
+  };
+
+  void worker_loop(unsigned id);
+  /// One worker draining the current job's cursor.
+  void drain(unsigned id);
+  bool claim(std::uint64_t* b, std::uint64_t* e);
+  void run_chunk(std::uint64_t b, std::uint64_t e, unsigned id);
+
+  unsigned workers_ = 1;
+  std::vector<std::thread> threads_;
+
+  std::mutex mu_;
+  std::condition_variable cv_start_;
+  std::condition_variable cv_done_;
+  std::uint64_t generation_ = 0;  ///< bumped per job; workers wait on it
+  unsigned active_ = 0;           ///< background workers still in the job
+  bool shutdown_ = false;
+  std::exception_ptr error_;      ///< first exception of the current job
+
+  // Current job; written under mu_ before the generation bump.
+  const RunFn* body_ = nullptr;
+  Slot* slots_ = nullptr;
+  std::uint64_t end_ = 0;
+  CancellationToken* cancel_ = nullptr;
+  std::atomic<std::uint64_t> cursor_{0};
+  std::atomic<bool> abort_{false};  ///< set on exception; stops all workers
+
+  std::mutex job_mu_;  ///< serializes for_each callers
 };
 
-/// Process-wide executor shared by engine entry points that were not handed
-/// an explicit one; sized by QUANTA_JOBS / hardware_concurrency.
-Executor& global_executor();
+/// Worker count picked by the QUANTA_JOBS environment variable when it holds
+/// a whole positive decimal number (clamped to 1024); anything else — unset,
+/// empty, non-numeric, zero/negative, trailing garbage like "4x", or
+/// out-of-range — falls back to std::thread::hardware_concurrency() (>= 1).
+/// Only global_executor() reads it.
+unsigned default_worker_count();
 
-/// Map-reduce over run indices: each worker folds its runs into a private
-/// accumulator (seeded with a copy of `init`), and the per-worker
-/// accumulators are merged in worker-id order after the job. The merged
-/// result is bit-stable for a fixed worker count; it is independent of the
-/// worker count only when `merge` is commutative and associative (integer
-/// tallies are — prefer index-keyed output when it is not).
-template <typename Acc, typename Body, typename Merge>
-Acc parallel_reduce(Executor& ex, std::uint64_t begin, std::uint64_t end,
-                    Acc init, Body&& body, Merge&& merge,
-                    CancellationToken* cancel = nullptr,
-                    RunTelemetry* telemetry = nullptr) {
-  struct Slot {
-    alignas(64) Acc acc;
-  };
-  std::vector<Slot> slots(ex.workers(), Slot{init});
-  ex.for_each(
-      begin, end,
-      [&](std::uint64_t i, Executor::WorkerContext& ctx) {
-        body(slots[ctx.worker_id].acc, i, ctx);
-      },
-      cancel, telemetry);
-  Acc out = std::move(init);
-  for (Slot& s : slots) merge(out, std::move(s.acc));
-  return out;
-}
+/// A process-wide executor of default_worker_count() workers, started on
+/// first use. Nothing in the library calls it: it is kept for the benchmark
+/// program, which sizes its engines through QUANTA_JOBS. Its threads do not
+/// survive fork(): a child forked after it started hangs in its first job.
+Executor& global_executor();
 
 }  // namespace quanta::exec

@@ -36,7 +36,7 @@ struct RunTelemetry {
   double cpu_seconds() const;
   /// Completed runs per wall second (0 until some time was recorded).
   double runs_per_second() const;
-  /// cpu/wall utilisation — ~worker count when the pool scales, ~1 when the
+  /// cpu/wall utilisation — ~worker count when the workers scale, ~1 when the
   /// hardware or the workload serializes it.
   double parallelism() const;
 

@@ -88,8 +88,8 @@ Verdict execute_test(const TestCase& test, Iut& iut) {
 }
 
 CampaignResult run_campaign(const Lts& spec, Iut& iut, std::size_t n,
-                            std::uint64_t seed, const TestGenOptions& opts,
-                            exec::Executor& ex) {
+                            std::uint64_t seed, exec::Executor& ex,
+                            const TestGenOptions& opts) {
   // Generation is embarrassingly parallel (test i depends only on (seed, i));
   // execution stays sequential because the IUT is a single stateful box.
   std::vector<TestCase> suite = generate_suite(spec, n, seed, ex, opts);
@@ -99,11 +99,6 @@ CampaignResult run_campaign(const Lts& spec, Iut& iut, std::size_t n,
     if (execute_test(tc, iut) == Verdict::kFail) ++result.failures;
   }
   return result;
-}
-
-CampaignResult run_campaign(const Lts& spec, Iut& iut, std::size_t n,
-                            std::uint64_t seed, const TestGenOptions& opts) {
-  return run_campaign(spec, iut, n, seed, opts, exec::global_executor());
 }
 
 }  // namespace quanta::mbt

@@ -57,9 +57,7 @@ struct CampaignResult {
 /// generated in parallel (see generate_suite); execution against the single
 /// stateful IUT is sequential.
 CampaignResult run_campaign(const Lts& spec, Iut& iut, std::size_t n,
-                            std::uint64_t seed, const TestGenOptions& opts,
-                            exec::Executor& ex);
-CampaignResult run_campaign(const Lts& spec, Iut& iut, std::size_t n,
-                            std::uint64_t seed, const TestGenOptions& opts = {});
+                            std::uint64_t seed, exec::Executor& ex,
+                            const TestGenOptions& opts = {});
 
 }  // namespace quanta::mbt

@@ -76,10 +76,4 @@ std::vector<TestCase> generate_suite(const Lts& spec, std::size_t n,
   return suite;
 }
 
-std::vector<TestCase> generate_suite(const Lts& spec, std::size_t n,
-                                     std::uint64_t seed,
-                                     const TestGenOptions& opts) {
-  return generate_suite(spec, n, seed, exec::global_executor(), opts);
-}
-
 }  // namespace quanta::mbt

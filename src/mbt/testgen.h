@@ -74,9 +74,4 @@ std::vector<TestCase> generate_suite(const Lts& spec, std::size_t n,
                                      const TestGenOptions& opts = {},
                                      exec::RunTelemetry* telemetry = nullptr);
 
-/// Same, on the process-wide executor (QUANTA_JOBS workers).
-std::vector<TestCase> generate_suite(const Lts& spec, std::size_t n,
-                                     std::uint64_t seed,
-                                     const TestGenOptions& opts = {});
-
 }  // namespace quanta::mbt

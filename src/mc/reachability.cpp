@@ -62,15 +62,19 @@ class Explorer : ckpt::StorePayload {
     stats = core::explore(
         store_, waiting_, opts_.limits,
         [&](const core::Worklist::Entry& e) {
-          if (goal_(store_.state(e.id))) {
+          // core::explore expands an entry right after visiting it, so the
+          // expand callback below reads this copy instead of materializing
+          // the state again (a copy: the store's state vector may
+          // reallocate during expansion).
+          current_ = store_.state(e.id);
+          if (goal_(current_)) {
             goal_node = e.id;
             return core::Visit::kStop;
           }
           return core::Visit::kContinue;
         },
         [&](const core::Worklist::Entry& e) -> std::size_t {
-          // Copy: the store's state vector may reallocate during expansion.
-          const ta::SymState state = store_.state(e.id);
+          const ta::SymState& state = current_;
           sem_.enabled_moves(state.locs, state.vars, enabled_);
           std::size_t taken = 0;
           for (std::size_t i = 0; i < enabled_.size(); ++i) {
@@ -156,6 +160,7 @@ class Explorer : ckpt::StorePayload {
   std::vector<ta::Move> moves_;  ///< move that produced the state
   ckpt::StoreChain<ta::SymState> chain_;
   // Expansion scratch, reused across states.
+  ta::SymState current_;  ///< the state just visited, which expand reads
   ta::MoveList enabled_;
   ta::SymState next_;
 };

@@ -60,20 +60,17 @@ common::StopReason run_batches(const ta::System& sys,
 
     const std::uint64_t n = std::min(batch, total - base);
     results.assign(static_cast<std::size_t>(n), RunResult{});
-    const std::uint64_t ran = exec::parallel_reduce(
-        ex, base, base + n, std::uint64_t{0},
-        [&](std::uint64_t& count, std::uint64_t i,
-            exec::Executor::WorkerContext& ctx) {
+    const std::uint64_t ran = ex.for_each(
+        base, base + n,
+        [&](std::uint64_t i, exec::Executor::WorkerContext& ctx) {
           Simulator& sim = sims.at(ctx.worker_id);
           sim.reseed(streams.seed_for(i));
           RunResult& r = results[static_cast<std::size_t>(i - base)];
           r = sim.run(prop);
           ctx.telemetry->sim_steps += r.steps;
           if (r.satisfied) ++ctx.telemetry->hits;
-          ++count;
         },
-        [](std::uint64_t& out, std::uint64_t in) { out += in; }, &cancel,
-        telemetry);
+        &cancel, telemetry);
     // Cut short by the watchdog: which runs finished depends on scheduling,
     // so the partial batch is dropped and the caller keeps whole batches.
     if (ran < n) return watchdog.fired_reason();

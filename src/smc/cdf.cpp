@@ -48,22 +48,6 @@ HitTimesResult sample_hit_times(const ta::System& sys,
       });
 }
 
-std::vector<double> first_hit_times(const ta::System& sys,
-                                    const TimeBoundedReach& prop,
-                                    std::size_t runs, std::uint64_t seed,
-                                    exec::Executor& ex,
-                                    exec::RunTelemetry* telemetry) {
-  return sample_hit_times(sys, prop, runs, seed, ex, common::Budget{},
-                          telemetry)
-      .times;
-}
-
-std::vector<double> first_hit_times(const ta::System& sys,
-                                    const TimeBoundedReach& prop,
-                                    std::size_t runs, std::uint64_t seed) {
-  return first_hit_times(sys, prop, runs, seed, exec::global_executor());
-}
-
 CdfSeries empirical_cdf(const std::vector<double>& hit_times,
                         std::size_t total_runs, double horizon, int points) {
   if (points < 2) {

@@ -13,11 +13,12 @@
 
 namespace quanta::smc {
 
-/// Hit-time series with degradation metadata: the budget-governed variant of
-/// first_hit_times. `times` holds the hit times of the satisfied runs among
-/// the first `completed` run indices, in run-index order. Runs are simulated
-/// in batches of 1024 (smc/batch_driver.h); a batch the budget cut short is
-/// dropped, so `completed` is always a whole number of batches (or `runs`).
+/// Hit-time series with degradation metadata. `times` holds the hit times of
+/// the satisfied runs among the first `completed` run indices, in run-index
+/// order (unsatisfied runs contribute nothing; the CDF treats them as "after
+/// the bound"). Runs are simulated in batches of 1024 (smc/batch_driver.h);
+/// a batch the budget cut short is dropped, so `completed` is always a whole
+/// number of batches (or `runs`).
 struct HitTimesResult {
   std::vector<double> times;
   std::size_t runs = 0;       ///< requested
@@ -29,29 +30,16 @@ struct HitTimesResult {
   common::StopReason stop = common::StopReason::kCompleted;
 };
 
-/// Budget-governed sampling of first-hit times; see first_hit_times.
+/// Runs `runs` simulations of Pr[<= prop.time_bound](<> prop.goal) and
+/// collects the hit time of every satisfied run. Run i draws from
+/// RngStream(seed).rng(i), so the series is bit-identical for every worker
+/// count; pass an unlimited common::Budget{} for the plain series.
 HitTimesResult sample_hit_times(const ta::System& sys,
                                 const TimeBoundedReach& prop,
                                 std::size_t runs, std::uint64_t seed,
                                 exec::Executor& ex,
                                 const common::Budget& budget,
                                 exec::RunTelemetry* telemetry = nullptr);
-
-/// Runs `runs` simulations of Pr[<= prop.time_bound](<> prop.goal) and
-/// returns the hit time of every satisfied run, ordered by run index
-/// (unsatisfied runs contribute nothing; the CDF treats them as "after the
-/// bound"). Run i draws from RngStream(seed).rng(i), so the returned series
-/// is bit-identical for every worker count.
-std::vector<double> first_hit_times(const ta::System& sys,
-                                    const TimeBoundedReach& prop,
-                                    std::size_t runs, std::uint64_t seed,
-                                    exec::Executor& ex,
-                                    exec::RunTelemetry* telemetry = nullptr);
-
-/// Same, on the process-wide executor (QUANTA_JOBS workers).
-std::vector<double> first_hit_times(const ta::System& sys,
-                                    const TimeBoundedReach& prop,
-                                    std::size_t runs, std::uint64_t seed);
 
 struct CdfSeries {
   std::vector<double> grid;   ///< time points

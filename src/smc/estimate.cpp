@@ -147,17 +147,6 @@ Estimate estimate_probability_runs(const ta::System& sys,
       });
 }
 
-Estimate estimate_probability_runs(const ta::System& sys,
-                                   const TimeBoundedReach& prop,
-                                   std::size_t runs, double alpha,
-                                   std::uint64_t seed,
-                                   const common::Budget& budget,
-                                   const ckpt::Options& checkpoint) {
-  return estimate_probability_runs(sys, prop, runs, alpha, seed,
-                                   exec::global_executor(), nullptr, budget,
-                                   checkpoint);
-}
-
 Estimate estimate_probability(const ta::System& sys,
                               const TimeBoundedReach& prop, double epsilon,
                               double delta, std::uint64_t seed,
@@ -169,14 +158,6 @@ Estimate estimate_probability(const ta::System& sys,
   std::size_t runs = common::chernoff_sample_count(epsilon, delta);
   return estimate_probability_runs(sys, prop, runs, delta, seed, ex, telemetry,
                                    budget);
-}
-
-Estimate estimate_probability(const ta::System& sys,
-                              const TimeBoundedReach& prop, double epsilon,
-                              double delta, std::uint64_t seed,
-                              const common::Budget& budget) {
-  return estimate_probability(sys, prop, epsilon, delta, seed,
-                              exec::global_executor(), nullptr, budget);
 }
 
 }  // namespace quanta::smc

@@ -60,14 +60,6 @@ Estimate estimate_probability_runs(const ta::System& sys,
                                    const common::Budget& budget = {},
                                    const ckpt::Options& checkpoint = {});
 
-/// Same, on the process-wide executor (QUANTA_JOBS workers).
-Estimate estimate_probability_runs(const ta::System& sys,
-                                   const TimeBoundedReach& prop,
-                                   std::size_t runs, double alpha,
-                                   std::uint64_t seed,
-                                   const common::Budget& budget = {},
-                                   const ckpt::Options& checkpoint = {});
-
 /// UPPAAL-SMC style: chooses the number of runs from the Chernoff-Hoeffding
 /// bound so that |p_hat - p| <= epsilon with probability >= 1 - delta.
 Estimate estimate_probability(const ta::System& sys,
@@ -75,10 +67,6 @@ Estimate estimate_probability(const ta::System& sys,
                               double delta, std::uint64_t seed,
                               exec::Executor& ex,
                               exec::RunTelemetry* telemetry = nullptr,
-                              const common::Budget& budget = {});
-Estimate estimate_probability(const ta::System& sys,
-                              const TimeBoundedReach& prop, double epsilon,
-                              double delta, std::uint64_t seed,
                               const common::Budget& budget = {});
 
 }  // namespace quanta::smc

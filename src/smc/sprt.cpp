@@ -179,11 +179,4 @@ SprtResult sprt_test(const ta::System& sys, const TimeBoundedReach& prop,
       });
 }
 
-SprtResult sprt_test(const ta::System& sys, const TimeBoundedReach& prop,
-                     double theta, const SprtOptions& opts, std::uint64_t seed,
-                     const common::Budget& budget) {
-  return sprt_test(sys, prop, theta, opts, seed, exec::global_executor(),
-                   nullptr, budget);
-}
-
 }  // namespace quanta::smc

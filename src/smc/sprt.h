@@ -83,9 +83,4 @@ SprtResult sprt_test(const ta::System& sys, const TimeBoundedReach& prop,
                      exec::RunTelemetry* telemetry = nullptr,
                      const common::Budget& budget = {});
 
-/// Same, on the process-wide executor (QUANTA_JOBS workers).
-SprtResult sprt_test(const ta::System& sys, const TimeBoundedReach& prop,
-                     double theta, const SprtOptions& opts, std::uint64_t seed,
-                     const common::Budget& budget = {});
-
 }  // namespace quanta::smc

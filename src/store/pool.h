@@ -51,7 +51,7 @@ struct PoolConfig {
 };
 
 /// QUANTA_STORE_MEM / QUANTA_STORE_SPILL environment knobs, parsed with the
-/// same strictness as QUANTA_JOBS (exec/thread_pool.cpp): QUANTA_STORE_MEM
+/// same strictness as QUANTA_JOBS (exec/executor.cpp): QUANTA_STORE_MEM
 /// must be a whole positive decimal byte count with an optional single
 /// K/M/G (binary) suffix — trailing garbage, empty strings, zero and
 /// overflow all fall back to "unlimited" rather than half-parsing.

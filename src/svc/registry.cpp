@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/pred.h"
+#include "exec/executor.h"
 #include "cora/priced.h"
 #include "game/tiga.h"
 #include "mc/reachability.h"
@@ -135,8 +136,13 @@ std::optional<PreparedJob> prepare_job(const Request& r, std::string* error) {
       prop.time_bound = time_bound;
       prop.goal =
           common::loc_index_pred<ta::ConcreteState>(tg.trains[0], cross);
+      // One worker, inline on this job's thread: each worker process is
+      // already one of the daemon's core-sized runners, and a 1-worker
+      // executor starts no thread.
+      exec::Executor ex(1);
       const auto est = smc::estimate_probability_runs(
-          tg.system, prop, runs, /*alpha=*/0.05, seed, budget, checkpoint);
+          tg.system, prop, runs, /*alpha=*/0.05, seed, ex, nullptr, budget,
+          checkpoint);
       JobResult out;
       out.verdict = est.verdict;
       out.stop = est.stop;

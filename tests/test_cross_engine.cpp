@@ -162,8 +162,9 @@ TEST_P(PtaVsAnalytic, ViMatchesClosedFormAndSimulation) {
   prop.goal = [p, win](const ta::ConcreteState& s) {
     return s.locs[static_cast<std::size_t>(p)] == win;
   };
+  exec::Executor ex(2);
   auto est = smc::estimate_probability_runs(
-      sys, prop, 4000, 0.01, static_cast<std::uint64_t>(GetParam()));
+      sys, prop, 4000, 0.01, static_cast<std::uint64_t>(GetParam()), ex);
   EXPECT_NEAR(est.p_hat, expected, 0.035)
       << "k=" << k << " q=" << q << " (simulation vs closed form)";
 }

@@ -51,9 +51,11 @@ TEST(ThreadPool, EveryIndexExactlyOnce) {
   constexpr std::uint64_t kN = 100'000;
   exec::Executor ex(4);
   std::vector<std::uint8_t> seen(kN, 0);
-  ex.for_each(0, kN, [&](std::uint64_t i, exec::Executor::WorkerContext&) {
-    ++seen[i];  // disjoint per index: no synchronization needed
-  });
+  const std::uint64_t completed = ex.for_each(
+      0, kN, [&](std::uint64_t i, exec::Executor::WorkerContext&) {
+        ++seen[i];  // disjoint per index: no synchronization needed
+      });
+  EXPECT_EQ(completed, kN);
   EXPECT_EQ(std::accumulate(seen.begin(), seen.end(), std::uint64_t{0}), kN);
   EXPECT_EQ(*std::max_element(seen.begin(), seen.end()), 1);
 }
@@ -86,7 +88,7 @@ TEST(ThreadPool, CancellationStopsOutstandingChunks) {
   exec::Executor ex(4);
   exec::CancellationToken cancel;
   std::atomic<std::uint64_t> executed{0};
-  ex.for_each(
+  const std::uint64_t completed = ex.for_each(
       0, kN,
       [&](std::uint64_t, exec::Executor::WorkerContext&) {
         if (executed.fetch_add(1, std::memory_order_relaxed) >= 100) {
@@ -96,22 +98,23 @@ TEST(ThreadPool, CancellationStopsOutstandingChunks) {
       &cancel);
   EXPECT_LT(executed.load(), kN) << "cancellation did not stop the sweep";
   EXPECT_GE(executed.load(), 100u);
+  // The returned count is exactly the runs whose body finished.
+  EXPECT_EQ(completed, executed.load());
 }
 
-TEST(ParallelReduce, CommutativeMergeIsWorkerCountInvariant) {
-  constexpr std::uint64_t kN = 50'000;
-  auto sum_indices = [](unsigned workers) {
-    exec::Executor ex(workers);
-    return exec::parallel_reduce(
-        ex, 0, kN, std::uint64_t{0},
-        [](std::uint64_t& acc, std::uint64_t i,
-           exec::Executor::WorkerContext&) { acc += i; },
-        [](std::uint64_t& out, std::uint64_t&& in) { out += in; });
-  };
-  const std::uint64_t expected = kN * (kN - 1) / 2;
-  EXPECT_EQ(sum_indices(1), expected);
-  EXPECT_EQ(sum_indices(4), expected);
-  EXPECT_EQ(sum_indices(8), expected);
+TEST(Executor, WorkerCountOutsideOneTo1024IsRejectedByName) {
+  // Checked before any thread starts; 1024 itself is accepted but is not
+  // constructed here (it would start 1023 threads).
+  for (unsigned bad : {0u, 1025u}) {
+    try {
+      exec::Executor ex(bad);
+      ADD_FAILURE() << bad << " workers accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("workers"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(exec::Executor(1).workers(), 1u);
 }
 
 // ---- RNG streams ----------------------------------------------------------
@@ -198,8 +201,8 @@ TEST(ExecDeterminism, CdfSeriesBitIdenticalAcrossWorkerCounts) {
   ta::System sys = make_exponential(1.0);
   auto prop = done_within(sys, 10.0);
   exec::Executor seq(1), par(8);
-  auto t1 = smc::first_hit_times(sys, prop, 4000, 9, seq);
-  auto t8 = smc::first_hit_times(sys, prop, 4000, 9, par);
+  auto t1 = smc::sample_hit_times(sys, prop, 4000, 9, seq, {}).times;
+  auto t8 = smc::sample_hit_times(sys, prop, 4000, 9, par, {}).times;
   ASSERT_EQ(t1.size(), t8.size());
   for (std::size_t i = 0; i < t1.size(); ++i) EXPECT_EQ(t1[i], t8[i]);
   auto c1 = smc::empirical_cdf(t1, 4000, 10.0, 11);

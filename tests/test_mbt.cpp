@@ -125,16 +125,18 @@ TEST(TestGen, SoundnessOnConformingImpl) {
   Lts spec = make_swb_spec();
   Lts impl = make_swb_impl();
   LtsIut iut(impl, 7);
-  auto campaign = run_campaign(spec, iut, 300, 11);
+  exec::Executor ex(4);
+  auto campaign = run_campaign(spec, iut, 300, 11, ex);
   EXPECT_EQ(campaign.failures, 0u)
       << campaign.failures << "/" << campaign.tests << " sound tests failed";
 }
 
 TEST(TestGen, DetectsAllMutants) {
   Lts spec = make_swb_spec();
-  auto kill_rate = [&spec](const Lts& mutant, std::uint64_t seed) {
+  exec::Executor ex(4);
+  auto kill_rate = [&spec, &ex](const Lts& mutant, std::uint64_t seed) {
     LtsIut iut(mutant, seed);
-    auto campaign = run_campaign(spec, iut, 400, seed + 1);
+    auto campaign = run_campaign(spec, iut, 400, seed + 1, ex);
     return campaign.failures;
   };
   EXPECT_GT(kill_rate(make_swb_mutant_wrong_output(), 21), 0u);

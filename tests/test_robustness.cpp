@@ -557,8 +557,9 @@ TEST(SmcGoverned, PreCancelledEstimateIsUnknownPartial) {
   CancelToken token;
   token.cancel();
   Budget budget = Budget{}.with_cancel(&token);
+  exec::Executor ex(2);
   auto est = smc::estimate_probability_runs(sys, done_within(sys, 2.0), 10'000,
-                                            0.05, 1, budget);
+                                            0.05, 1, ex, nullptr, budget);
   EXPECT_EQ(est.verdict, Verdict::kUnknown);
   EXPECT_EQ(est.stop, StopReason::kCancelled);
   EXPECT_LT(est.completed, est.runs);
@@ -568,8 +569,10 @@ TEST(SmcGoverned, PreCancelledEstimateIsUnknownPartial) {
 TEST(SmcGoverned, WatchdogDeadlineCutsTheSampleShort) {
   ta::System sys = make_exponential();
   Budget budget = Budget::deadline_after(std::chrono::milliseconds(15));
+  exec::Executor ex(2);
   auto est = smc::estimate_probability_runs(sys, done_within(sys, 2.0),
-                                            20'000'000, 0.05, 1, budget);
+                                            20'000'000, 0.05, 1, ex, nullptr,
+                                            budget);
   EXPECT_EQ(est.verdict, Verdict::kUnknown);
   EXPECT_EQ(est.stop, StopReason::kTimeLimit);
   EXPECT_LT(est.completed, est.runs);
@@ -580,8 +583,9 @@ TEST(SmcGoverned, WatchdogDeadlineCutsTheSampleShort) {
 
 TEST(SmcGoverned, CompletedEstimateIsDefinite) {
   ta::System sys = make_exponential();
+  exec::Executor ex(2);
   auto est = smc::estimate_probability_runs(sys, done_within(sys, 2.0), 2'000,
-                                            0.05, 1);
+                                            0.05, 1, ex);
   EXPECT_EQ(est.verdict, Verdict::kHolds);
   EXPECT_EQ(est.stop, StopReason::kCompleted);
   EXPECT_EQ(est.completed, est.runs);
@@ -593,8 +597,9 @@ TEST(SmcGoverned, SprtUnderExpiredBudgetIsInconclusive) {
   // theta at the true probability (1 - e^-2 ~ 0.865): the Wald walk has no
   // drift, so a boundary crossing before the (already-expired) watchdog
   // fires is essentially impossible.
-  auto r = smc::sprt_test(sys, done_within(sys, 2.0), 0.86, opts, 7,
-                          expired_budget());
+  exec::Executor ex(2);
+  auto r = smc::sprt_test(sys, done_within(sys, 2.0), 0.86, opts, 7, ex,
+                          nullptr, expired_budget());
   EXPECT_EQ(r.verdict, smc::SprtVerdict::kInconclusive);
   EXPECT_EQ(r.as_verdict(), Verdict::kUnknown);
   EXPECT_EQ(r.stop, StopReason::kTimeLimit);
@@ -617,29 +622,33 @@ TEST(SmcGoverned, CancelledHitTimeSamplingIsUnknown) {
 TEST(SmcGoverned, StatisticalParameterValidation) {
   ta::System sys = make_exponential();
   auto prop = done_within(sys, 2.0);
+  exec::Executor ex(1);
   for (double alpha : {0.0, 1.0, -0.1, 1.5}) {
-    EXPECT_THROW(smc::estimate_probability_runs(sys, prop, 100, alpha, 1),
+    EXPECT_THROW(smc::estimate_probability_runs(sys, prop, 100, alpha, 1, ex),
                  std::invalid_argument)
         << "alpha = " << alpha;
   }
-  EXPECT_THROW(smc::estimate_probability_runs(sys, prop, 0, 0.05, 1),
+  EXPECT_THROW(smc::estimate_probability_runs(sys, prop, 0, 0.05, 1, ex),
                std::invalid_argument);
-  EXPECT_THROW(smc::estimate_probability(sys, prop, 0.0, 0.05, 1),
+  EXPECT_THROW(smc::estimate_probability(sys, prop, 0.0, 0.05, 1, ex),
                std::invalid_argument);
-  EXPECT_THROW(smc::estimate_probability(sys, prop, 0.05, 1.0, 1),
+  EXPECT_THROW(smc::estimate_probability(sys, prop, 0.05, 1.0, 1, ex),
                std::invalid_argument);
 
   smc::SprtOptions opts;
   opts.alpha = 0.0;
-  EXPECT_THROW(smc::sprt_test(sys, prop, 0.5, opts, 1), std::invalid_argument);
+  EXPECT_THROW(smc::sprt_test(sys, prop, 0.5, opts, 1, ex),
+               std::invalid_argument);
   opts = {};
   opts.max_runs = 0;
-  EXPECT_THROW(smc::sprt_test(sys, prop, 0.5, opts, 1), std::invalid_argument);
+  EXPECT_THROW(smc::sprt_test(sys, prop, 0.5, opts, 1, ex),
+               std::invalid_argument);
   opts = {};
   // Indifference region [theta - 0.6, theta + 0.6] leaves (0, 1): rejected
   // with the computed interval in the message.
   opts.indifference = 0.6;
-  EXPECT_THROW(smc::sprt_test(sys, prop, 0.5, opts, 1), std::invalid_argument);
+  EXPECT_THROW(smc::sprt_test(sys, prop, 0.5, opts, 1, ex),
+               std::invalid_argument);
 
   EXPECT_THROW(
       smc::empirical_cdf({}, /*total_runs=*/10, /*horizon=*/1.0, /*points=*/1),
@@ -758,8 +767,9 @@ TEST(FaultInjection, AllocFaultThroughGovernedEstimateIsMemoryLimit) {
   ta::System sys = make_exponential();
   FaultInjector::instance().arm("smc.simulator.step", FaultKind::kAlloc,
                                 /*after=*/50);
+  exec::Executor ex(2);
   auto est = smc::estimate_probability_runs(sys, done_within(sys, 2.0), 5'000,
-                                            0.05, 1);
+                                            0.05, 1, ex);
   EXPECT_EQ(est.verdict, Verdict::kUnknown);
   EXPECT_EQ(est.stop, StopReason::kMemoryLimit);
 }
@@ -786,8 +796,9 @@ TEST(FaultInjection, EnvSpecDegradesGracefully) {
 
   ta::System sys = make_exponential();
   Budget budget = Budget::deadline_after(std::chrono::hours(24));
+  exec::Executor ex(2);
   auto est = smc::estimate_probability_runs(sys, done_within(sys, 2.0), 2'000,
-                                            0.05, 1, budget);
+                                            0.05, 1, ex, nullptr, budget);
   expect_consistent(est.verdict, est.stop);
 
   // Checkpoint round-trip so the ckpt.delta.* sites are reachable from the

@@ -48,7 +48,8 @@ smc::TimeBoundedReach done_within(const ta::System& sys, double bound) {
 TEST(Simulator, ExponentialHitProbability) {
   ta::System sys = make_exponential(0.5);
   auto prop = done_within(sys, 2.0);
-  auto est = smc::estimate_probability_runs(sys, prop, 20000, 0.05, 1);
+  exec::Executor ex(4);
+  auto est = smc::estimate_probability_runs(sys, prop, 20000, 0.05, 1, ex);
   double expected = 1.0 - std::exp(-0.5 * 2.0);  // ~0.632
   EXPECT_NEAR(est.p_hat, expected, 0.02);
   // The CI must bracket the point estimate and be reasonably tight; whether
@@ -71,7 +72,8 @@ TEST(Simulator, UniformDelayUnderInvariant) {
   sys.add_process(pb.build());
 
   auto prop = done_within(sys, 4.0);
-  auto est = smc::estimate_probability_runs(sys, prop, 20000, 0.05, 2);
+  exec::Executor ex(4);
+  auto est = smc::estimate_probability_runs(sys, prop, 20000, 0.05, 2, ex);
   EXPECT_NEAR(est.p_hat, 0.4, 0.02);
 }
 
@@ -86,11 +88,12 @@ TEST(Simulator, GuardLowerBoundShiftsWindow) {
           "fire");
   sys.add_process(pb.build());
   auto prop = done_within(sys, 8.0);
-  auto est = smc::estimate_probability_runs(sys, prop, 20000, 0.05, 3);
+  exec::Executor ex(4);
+  auto est = smc::estimate_probability_runs(sys, prop, 20000, 0.05, 3, ex);
   EXPECT_NEAR(est.p_hat, 0.5, 0.02);
   // Nothing can ever fire before 6.
   auto early = smc::estimate_probability_runs(sys, done_within(sys, 5.9), 2000,
-                                              0.05, 4);
+                                              0.05, 4, ex);
   EXPECT_EQ(early.hits, 0u);
 }
 
@@ -111,7 +114,8 @@ TEST(Simulator, RaceBetweenTwoExponentials) {
   prop.goal = [](const ta::ConcreteState& s) {
     return s.locs[1] == 1 && s.locs[0] == 0;
   };
-  auto est = smc::estimate_probability_runs(sys, prop, 20000, 0.05, 5);
+  exec::Executor ex(4);
+  auto est = smc::estimate_probability_runs(sys, prop, 20000, 0.05, 5, ex);
   EXPECT_NEAR(est.p_hat, 0.75, 0.02);
 }
 
@@ -185,7 +189,9 @@ TEST(Simulator, RunStreamIsPinned) {
 
 TEST(Estimate, ChernoffSampleCountIsUsed) {
   ta::System sys = make_exponential(1.0);
-  auto est = smc::estimate_probability(sys, done_within(sys, 1.0), 0.05, 0.05, 6);
+  exec::Executor ex(4);
+  auto est =
+      smc::estimate_probability(sys, done_within(sys, 1.0), 0.05, 0.05, 6, ex);
   EXPECT_EQ(est.runs, quanta::common::chernoff_sample_count(0.05, 0.05));
 }
 
@@ -194,9 +200,10 @@ TEST(Sprt, AcceptsAndRejectsCorrectly) {
   auto prop = done_within(sys, 2.0);  // true p ~ 0.632
   smc::SprtOptions opts;
   opts.indifference = 0.05;
-  auto low = smc::sprt_test(sys, prop, 0.4, opts, 7);
+  exec::Executor ex(4);
+  auto low = smc::sprt_test(sys, prop, 0.4, opts, 7, ex);
   EXPECT_EQ(low.verdict, smc::SprtVerdict::kAccepted) << "p=0.63 >= 0.4";
-  auto high = smc::sprt_test(sys, prop, 0.9, opts, 8);
+  auto high = smc::sprt_test(sys, prop, 0.9, opts, 8, ex);
   EXPECT_EQ(high.verdict, smc::SprtVerdict::kRejected) << "p=0.63 < 0.9";
   // SPRT should need far fewer runs than the Chernoff bound for easy cases.
   EXPECT_LT(low.runs, 500u);
@@ -205,7 +212,8 @@ TEST(Sprt, AcceptsAndRejectsCorrectly) {
 TEST(Cdf, MatchesExponentialDistribution) {
   ta::System sys = make_exponential(1.0);
   auto prop = done_within(sys, 10.0);
-  auto times = smc::first_hit_times(sys, prop, 20000, 9);
+  exec::Executor ex(4);
+  auto times = smc::sample_hit_times(sys, prop, 20000, 9, ex, {}).times;
   auto series = smc::empirical_cdf(times, 20000, 10.0, 11);
   ASSERT_EQ(series.grid.size(), 11u);
   for (std::size_t i = 0; i < series.grid.size(); ++i) {
@@ -244,7 +252,8 @@ TEST(TrainGateSmc, FasterTrainsCrossSooner) {
   // Fig. 4 shape: train rates are 1+id, so higher-id trains approach sooner
   // and their crossing-time CDF dominates at small t.
   auto tg = models::make_train_gate(6);
-  auto cdf_for = [&tg](int train, std::uint64_t seed) {
+  exec::Executor ex(4);
+  auto cdf_for = [&tg, &ex](int train, std::uint64_t seed) {
     int p = tg.trains[static_cast<std::size_t>(train)];
     int cross = tg.system.process(p).location_index("Cross");
     smc::TimeBoundedReach prop;
@@ -252,7 +261,8 @@ TEST(TrainGateSmc, FasterTrainsCrossSooner) {
     prop.goal = [p, cross](const ta::ConcreteState& s) {
       return s.locs[static_cast<std::size_t>(p)] == cross;
     };
-    auto times = smc::first_hit_times(tg.system, prop, 2000, seed);
+    auto times =
+        smc::sample_hit_times(tg.system, prop, 2000, seed, ex, {}).times;
     return smc::empirical_cdf(times, 2000, 100.0, 21);
   };
   auto slow = cdf_for(0, 21);

@@ -50,8 +50,11 @@
 #include "ckpt/record_log.h"
 #include "common/env.h"
 #include "common/fault.h"
+#include "common/pred.h"
+#include "exec/executor.h"
 #include "mc/reachability.h"
 #include "models/train_gate.h"
+#include "smc/estimate.h"
 #include "svc/client.h"
 #include "svc/job_queue.h"
 #include "svc/journal.h"
@@ -1849,11 +1852,51 @@ TEST_F(ServerTest, IsolatedColdQueryMatchesInProcessRun) {
   ASSERT_EQ(isolated.status, Status::kOk) << isolated.error;
   EXPECT_GE(server_->stats().supervisor.spawned, 1u);
 
-  // The same job run directly in this process (after start(): the daemon
-  // forks its workers before any engine runs here). Answers must be
+  // The same job run directly in this process. Answers must be
   // byte-identical — worker dispatch is a transport, not a different
   // analysis.
   std::string error;
+  const auto prepared = prepare_job(r, &error);
+  ASSERT_TRUE(prepared) << error;
+  const Response direct = response_from_result(
+      prepared->run(common::Budget(), ckpt::Options(), nullptr),
+      fingerprint_token(prepared->fingerprint));
+  EXPECT_EQ(canonical_bytes(isolated), canonical_bytes(direct));
+}
+
+// Executor threads do not survive fork(): a worker forked after this process
+// ran a job on a multi-worker executor inherits that executor without its
+// threads, and waits forever in its first job on it. Each smc job therefore
+// runs on a 1-worker executor of its own, inline on the job's thread.
+TEST_F(ServerTest, SmcJobAnswersInWorkersForkedAfterTheGlobalExecutorRan) {
+  if (std::thread::hardware_concurrency() == 1) {
+    GTEST_SKIP() << "one hardware thread: no multi-worker executor to inherit";
+  }
+  ScopedEnv jobs("QUANTA_JOBS", "2");
+  Request r = analysis_request("smc", "train-gate-3", "pr-cross");
+  r.runs = 500;
+  r.use_cache = false;
+  const auto tg = models::make_train_gate(3);
+  const int cross = tg.system.process(tg.trains[0]).location_index("Cross");
+  smc::TimeBoundedReach prop;
+  prop.time_bound = r.bound;
+  prop.goal = common::loc_index_pred<ta::ConcreteState>(tg.trains[0], cross);
+  exec::Executor& global = exec::global_executor();
+  ASSERT_GE(global.workers(), 2u);
+  const auto warm = smc::estimate_probability_runs(tg.system, prop, r.runs,
+                                                   0.05, r.seed, global);
+  ASSERT_EQ(warm.completed, r.runs);
+
+  start();  // forks the workers now, with the global executor running
+  Client c;
+  c.set_timeout_ms(20'000);  // a hung worker fails the test, not ctest
+  std::string error;
+  ASSERT_TRUE(c.connect_unix(dir_ + "/d.sock", &error)) << error;
+  const Response isolated = query(c, r);
+  ASSERT_EQ(isolated.status, Status::kOk) << isolated.error;
+  EXPECT_EQ(isolated.value, warm.p_hat);
+  EXPECT_EQ(isolated.extra, static_cast<std::int64_t>(warm.hits));
+
   const auto prepared = prepare_job(r, &error);
   ASSERT_TRUE(prepared) << error;
   const Response direct = response_from_result(
