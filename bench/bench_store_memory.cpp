@@ -1,5 +1,5 @@
-// ES — storage-substrate experiment: bytes/state, pool sharing and spill
-// traffic of the interned zone store (src/store) on the train-gate family.
+// ES — storage-substrate experiment: bytes/state and pool sharing of the
+// interned zone store (src/store) on the train-gate family.
 //
 // Two modes:
 //   bench_store_memory [--max-n N]
@@ -7,20 +7,20 @@
 //       bytes/state pooled vs. the unpooled baseline representation
 //       (per-state heap vectors, the layout the store used before payload
 //       interning), pool hit rate and distinct-payload share.
-//   bench_store_memory --n N --mem BYTES [--spill PATH]
+//   bench_store_memory --n N --mem-mib M
 //       Governed single run for CI: verify train-gate mutual exclusion for
-//       one N under a hard common::Budget memory ceiling, with the pool's
-//       resident limit at half the ceiling and the spill tier on. Exits
+//       one N under a hard common::Budget memory ceiling of M MiB. Exits
 //       nonzero unless the verdict is definite (kUnknown-free) and correct.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 
 #include "bench_util.h"
+#include "common/env.h"
 #include "mc/reachability.h"
 #include "models/train_gate.h"
-#include "store/pool.h"
 #include "ta/traits.h"
 
 using namespace quanta;
@@ -46,8 +46,7 @@ int run_sweep(int max_n) {
   bench::section("ES: interned zone storage on the train-gate (N=4.." +
                  std::to_string(max_n) + ")");
   bench::Table table({"N", "states", "B/state pooled", "B/state unpooled",
-                      "reduction", "hit rate", "distinct", "spilled MiB",
-                      "time [s]"});
+                      "reduction", "hit rate", "distinct", "time [s]"});
   for (int n = 4; n <= max_n; ++n) {
     auto tg = models::make_train_gate(n);
     bench::Stopwatch sw;
@@ -65,37 +64,23 @@ int run_sweep(int max_n) {
                bench::fmt(pooled, "%.1f"), bench::fmt(unpooled, "%.1f"),
                bench::fmt(unpooled / pooled, "%.2fx"),
                bench::fmt(100.0 * m.pool.hit_rate(), "%.1f%%"),
-               std::to_string(m.pool.records),
-               bench::fmt(static_cast<double>(m.pool.spilled_bytes) /
-                              (1024.0 * 1024.0),
-                          "%.1f"),
-               bench::fmt(secs, "%.2f")});
+               std::to_string(m.pool.records), bench::fmt(secs, "%.2f")});
   }
   table.print();
   std::printf(
       "\n  unpooled = per-state heap vectors + zone matrix (the layout before"
       "\n  payload interning); pooled = StateStore::memory_bytes() including"
-      "\n  pool bookkeeping. Spilled bytes live in file-backed pages outside"
-      "\n  the resident figure.\n");
+      "\n  pool bookkeeping.\n");
   return 0;
 }
 
-int run_governed(int n, std::size_t mem_bytes, const std::string& spill) {
+int run_governed(int n, std::uint64_t mem_mib) {
   bench::section("ES-governed: train-gate N=" + std::to_string(n) +
-                 " under a " + std::to_string(mem_bytes >> 20) +
-                 " MiB budget" + (spill.empty() ? "" : ", spill on"));
-  // The pool evicts at a sixteenth of the ceiling: row interning keeps the
-  // resident payload small relative to the search's own bookkeeping (waiting
-  // queue, hash table, covered journal), so a tighter pool ceiling is what
-  // actually pushes chunks through the spill tier while the budget the
-  // watchdog enforces still has ample headroom.
-  if (!spill.empty()) {
-    ::setenv("QUANTA_STORE_SPILL", spill.c_str(), 1);
-    ::setenv("QUANTA_STORE_MEM", std::to_string(mem_bytes / 16).c_str(), 1);
-  }
+                 " under a " + std::to_string(mem_mib) + " MiB budget");
   auto tg = models::make_train_gate(n);
   mc::ReachOptions opts;
-  opts.limits.budget = common::Budget{}.with_memory_limit(mem_bytes);
+  opts.limits.budget = common::Budget{}.with_memory_limit(
+      static_cast<std::size_t>(mem_mib) << 20);
   bench::Stopwatch sw;
   const auto r =
       mc::check_invariant(tg.system, models::train_gate_mutex(tg), opts);
@@ -107,12 +92,10 @@ int run_governed(int n, std::size_t mem_bytes, const std::string& spill) {
                                                         : "UNKNOWN",
               m.stored, secs);
   std::printf("  %zu covered, %zu explored, table %zu/%zu slots (max chain "
-              "%zu), pool %zu payloads (%.0f%% shared, %.1f MiB resident, "
-              "%.1f MiB spilled)\n",
+              "%zu), pool %zu payloads (%.0f%% shared, %.1f MiB resident)\n",
               m.covered, r.stats.states_explored, m.occupied, m.slots,
               m.max_chain, m.pool.records, 100.0 * m.pool.hit_rate(),
-              static_cast<double>(m.pool.resident_bytes) / (1024.0 * 1024.0),
-              static_cast<double>(m.pool.spilled_bytes) / (1024.0 * 1024.0));
+              static_cast<double>(m.pool.resident_bytes) / (1024.0 * 1024.0));
   if (r.verdict == common::Verdict::kUnknown) {
     std::printf("  FAIL: governed run did not reach a definite verdict\n");
     return 1;
@@ -125,41 +108,45 @@ int run_governed(int n, std::size_t mem_bytes, const std::string& spill) {
   return 0;
 }
 
+/// A whole positive decimal that fits an int (common::parse_u64 rules).
+std::optional<int> parse_count(const char* s) {
+  const auto v = common::parse_u64(s);
+  if (!v || *v == 0 || *v > INT_MAX) return std::nullopt;
+  return static_cast<int>(*v);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  auto usage = [&] {
+    std::fprintf(stderr, "usage: %s [--max-n N] | --n N --mem-mib M\n",
+                 argv[0]);
+    return 2;
+  };
   int max_n = 6;
   int governed_n = 0;
-  std::size_t mem_bytes = 0;
-  std::string spill;
+  std::uint64_t mem_mib = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : ""; };
-    if (a == "--max-n") {
-      max_n = std::atoi(next());
-    } else if (a == "--n") {
-      governed_n = std::atoi(next());
-    } else if (a == "--mem") {
-      if (!store::parse_memory_bytes(next(), &mem_bytes)) {
-        std::fprintf(stderr, "bad --mem value\n");
-        return 2;
-      }
-    } else if (a == "--spill") {
-      spill = next();
+    const char* value = i + 1 < argc ? argv[++i] : "";
+    if (a == "--max-n" || a == "--n") {
+      const auto v = parse_count(value);
+      if (!v) return usage();
+      (a == "--n" ? governed_n : max_n) = *v;
+    } else if (a == "--mem-mib") {
+      const auto v = common::parse_u64(value);
+      if (!v || *v == 0 || *v > (SIZE_MAX >> 20)) return usage();
+      mem_mib = *v;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--max-n N] | --n N --mem BYTES[K|M|G] "
-                   "[--spill PATH]\n",
-                   argv[0]);
-      return 2;
+      return usage();
     }
   }
   if (governed_n > 0) {
-    if (mem_bytes == 0) {
-      std::fprintf(stderr, "--n requires --mem\n");
+    if (mem_mib == 0) {
+      std::fprintf(stderr, "--n requires --mem-mib\n");
       return 2;
     }
-    return run_governed(governed_n, mem_bytes, spill);
+    return run_governed(governed_n, mem_mib);
   }
   return run_sweep(max_n);
 }

@@ -31,14 +31,14 @@
 // traits.h), the store does not keep whole S objects. Each interned state is
 // reduced to a compact Traits::Pooled record of store::Ref handles into a
 // store::ZonePool that the store owns: identical DBM zones and discrete
-// vectors across states collapse to one arena-allocated copy, and the pool
-// can evict cold payload to a spill file under a memory ceiling
-// (QUANTA_STORE_MEM / QUANTA_STORE_SPILL, or Options::pool). Key hashes are
-// still computed on the incoming S and comparisons go through the pooled
-// trait overloads, which decide exactly like the unpooled ones — so
-// insertion order, chain/group membership, scan order and the rehash
-// trajectory are bit-identical to an unpooled store. state(id) materializes
-// an S by value on demand.
+// vectors across states collapse to one arena-allocated copy. The pool is
+// resident-only and memory_bytes() counts it, so a budgeted search whose
+// store outgrows its ceiling stops with kUnknown. Key hashes are still
+// computed on the incoming S and comparisons go through the pooled trait
+// overloads, which decide exactly like the unpooled ones — so insertion
+// order, chain/group membership, scan order and the rehash trajectory are
+// bit-identical to an unpooled store. state(id) materializes an S by value
+// on demand.
 #pragma once
 
 #include <algorithm>
@@ -46,7 +46,6 @@
 #include <concepts>
 #include <cstdint>
 #include <cstring>
-#include <optional>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -88,9 +87,6 @@ class StateStore {
     /// With inclusion: tombstone stored states strictly covered by a new
     /// one. Turning this off (ablation A1) keeps dominated states live.
     bool tombstone_covered = true;
-    /// Pooled stores only: explicit payload-pool configuration. Unset reads
-    /// the QUANTA_STORE_MEM / QUANTA_STORE_SPILL environment knobs.
-    std::optional<store::PoolConfig> pool = std::nullopt;
   };
 
   struct Interned {
@@ -98,8 +94,7 @@ class StateStore {
     bool inserted;  ///< false: deduplicated/subsumed by a stored state
   };
 
-  explicit StateStore(Options opts = {})
-      : opts_(opts), pool_(make_pool_config(opts)) {
+  explicit StateStore(Options opts = {}) : opts_(opts) {
     if constexpr (!Traits::kSupportsInclusion) {
       assert(!opts_.inclusion && "state type has no inclusion support");
     }
@@ -267,13 +262,6 @@ class StateStore {
 
   static std::size_t toIdx(std::int32_t id) {
     return static_cast<std::size_t>(id);
-  }
-
-  static store::PoolConfig make_pool_config(const Options& o) {
-    if constexpr (kPooled) {
-      return o.pool ? *o.pool : store::pool_config_from_env();
-    }
-    return {};
   }
 
   /// Bytes one interned record adds to the store: the in-place object, its

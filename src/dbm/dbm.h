@@ -59,10 +59,10 @@ enum class Relation { kEqual, kSubset, kSuperset, kDifferent };
 class Dbm;
 
 /// Non-owning view of a canonical DBM whose raw bounds live elsewhere —
-/// in practice inside a store::ZonePool arena or spill mapping. Carries
-/// (dim, pointer) only, so zone comparison against pooled storage never
-/// materializes an owning Dbm. The pointed-at row-major matrix must use the
-/// exact layout of Dbm::raw_data() and outlive the view.
+/// in practice inside a store::ZonePool arena. Carries (dim, pointer)
+/// only, so zone comparison against pooled storage never materializes an
+/// owning Dbm. The pointed-at row-major matrix must use the exact layout
+/// of Dbm::raw_data() and outlive the view.
 class DbmView {
  public:
   DbmView(int dim, const raw_t* data) : dim_(dim), m_(data) {}

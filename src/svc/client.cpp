@@ -62,9 +62,14 @@ void Client::close() {
   reader_.reset();
 }
 
+void Client::set_timeout_ms(std::uint64_t ms) {
+  timeout_ms_ = ms;
+  std::string error;
+  if (connected()) (void)apply_io_timeout(&error);
+}
+
 bool Client::apply_io_timeout(std::string* error) {
-  if (timeout_ms_ == 0) return true;
-  timeval tv{};
+  timeval tv{};  // zero: block forever
   tv.tv_sec = static_cast<time_t>(timeout_ms_ / 1000);
   tv.tv_usec = static_cast<suseconds_t>((timeout_ms_ % 1000) * 1000);
   if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0 ||

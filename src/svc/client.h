@@ -50,8 +50,10 @@ class Client {
   void close();
 
   /// Caps connect() and each socket read/write at `ms` milliseconds
-  /// (0 = block forever, the default). Applies to subsequent connects.
-  void set_timeout_ms(std::uint64_t ms) { timeout_ms_ = ms; }
+  /// (0 = block forever, the default). Applies to later connects and, on a
+  /// connected client, at once to the open socket; should the socket refuse
+  /// it, the client is closed with last_transport_error() kConnect.
+  void set_timeout_ms(std::uint64_t ms);
 
   /// One raw request/response round trip. False on any socket or protocol
   /// error (the connection is unusable afterwards).

@@ -1482,33 +1482,6 @@ TEST(CkptDeltaChain, FaultDuringDeltaApplyStartsFresh) {
                 "fresh after apply fault");
 }
 
-// ---- environment helpers ----------------------------------------------------
-
-/// Scoped environment override; restores the previous value on destruction.
-struct ScopedEnv {
-  ScopedEnv(const char* key, const char* value) : key_(key) {
-    if (const char* old = std::getenv(key)) {
-      saved_ = old;
-      had_ = true;
-    }
-    if (value != nullptr) {
-      ::setenv(key, value, 1);
-    } else {
-      ::unsetenv(key);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(key_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(key_);
-    }
-  }
-  const char* key_;
-  std::string saved_;
-  bool had_ = false;
-};
-
 // ---- provider 4: leads-to liveness -----------------------------------------
 
 TEST(CkptLiveness, InterruptAnywhereThenResumeIsBitIdentical) {
@@ -2015,138 +1988,6 @@ TEST(CkptStatistical, DifferentSeedOrRunsRefusesTheSnapshot) {
   EXPECT_EQ(other.verdict, common::Verdict::kHolds);
 }
 
-// ---- pooled payload storage + spill tier -----------------------------------
-//
-// The StateStore keeps SymState payloads interned in a store::ZonePool; with
-// QUANTA_STORE_MEM / QUANTA_STORE_SPILL set, cold payload chunks are evicted
-// to a memory-mapped file mid-search. Checkpoints are written from
-// materialized states and restore re-interns them into a fresh pool, so a
-// snapshot never references spill-file offsets. These tests pin the two
-// consequences: interrupt/resume stays bit-identical while the pool is
-// actively thrashing through the spill tier, and a spill file damaged by a
-// crash (truncated mid-record) can never poison a resume — at worst the run
-// degrades gracefully, it never crashes and never answers wrong.
-
-std::string spill_file_path(const std::string& name) {
-  std::string p = ::testing::TempDir() + "quanta_ckpt_spill_" + name + ".qspl";
-  fs::remove(p);
-  return p;
-}
-
-TEST(CkptPooledStore, SpillingInterruptResumeIsBitIdentical) {
-  auto tg = models::make_train_gate(3);
-  const auto safe = models::train_gate_mutex(tg);
-  // Reference: default pool config, everything resident.
-  const auto reference = mc::check_invariant(tg.system, safe);
-  ASSERT_TRUE(reference.holds());
-
-  const std::string spill = spill_file_path("resume");
-  ScopedEnv mem("QUANTA_STORE_MEM", "1K");
-  ScopedEnv sp("QUANTA_STORE_SPILL", spill.c_str());
-
-  for (std::size_t k : {reference.stats.states_stored / 4,
-                        reference.stats.states_stored / 2}) {
-    const std::string path = ckpt_path("pooled_spill_" + std::to_string(k));
-    mc::ReachOptions opts;
-    opts.checkpoint.path = path;
-    opts.limits.budget = common::Budget::deadline_after(std::chrono::hours(1));
-    mc::InvariantResult interrupted;
-    {
-      ScopedFault fault("core.state_store.intern",
-                        common::FaultKind::kDeadline, k);
-      interrupted = mc::check_invariant(tg.system, safe, opts);
-    }
-    ASSERT_EQ(interrupted.verdict, common::Verdict::kUnknown) << "k=" << k;
-    ASSERT_TRUE(interrupted.resume.saved) << "k=" << k;
-
-    const auto resumed = mc::check_invariant(tg.system, safe, opts);
-    EXPECT_EQ(resumed.resume.load, ckpt::LoadStatus::kOk) << "k=" << k;
-    EXPECT_TRUE(resumed.resume.resumed) << "k=" << k;
-    EXPECT_TRUE(resumed.holds()) << "k=" << k;
-    expect_same_stats(resumed.stats, reference.stats, "pooled spill resume");
-
-    // The run must actually have exercised the tiers under test: payloads
-    // shared through the pool AND cold chunks pushed out to the spill file.
-    const store::PoolMetrics& pm = resumed.stats.store.pool;
-    EXPECT_GT(pm.hits, 0u) << "k=" << k;
-    EXPECT_GT(pm.spilled_records, 0u) << "k=" << k;
-    EXPECT_EQ(pm.spill_failures, 0u) << "k=" << k;
-  }
-  fs::remove(spill);
-}
-
-TEST(CkptPooledStore, TruncatedSpillFileCannotPoisonResume) {
-  // Crash scenario: a run spills, checkpoints, and dies while appending a
-  // spill record — leaving the file cut off mid-record. The snapshot is
-  // self-contained (payloads are re-interned on restore, never read back
-  // from the spill file), and a fresh pool opens the spill path with
-  // O_TRUNC, discarding stale bytes wholesale. So damage to the spill file
-  // must not even cost the resume: it stays bit-identical. This is strictly
-  // stronger than the required "degrade to fresh start" — and in no case a
-  // crash or a wrong verdict.
-  auto tg = models::make_train_gate(3);
-  const auto safe = models::train_gate_mutex(tg);
-  const auto reference = mc::check_invariant(tg.system, safe);
-  ASSERT_TRUE(reference.holds());
-
-  const std::string spill = spill_file_path("trunc");
-  // Tight enough that the interrupted run — which stores only half the
-  // states — has already spilled, so the damage below has something to hit.
-  ScopedEnv mem("QUANTA_STORE_MEM", "1K");
-  ScopedEnv sp("QUANTA_STORE_SPILL", spill.c_str());
-
-  const std::string path = ckpt_path("pooled_trunc");
-  mc::ReachOptions opts;
-  opts.checkpoint.path = path;
-  opts.limits.max_states = reference.stats.states_stored / 2;
-  const auto interrupted = mc::check_invariant(tg.system, safe, opts);
-  ASSERT_EQ(interrupted.verdict, common::Verdict::kUnknown);
-  ASSERT_TRUE(interrupted.resume.saved);
-  ASSERT_GT(interrupted.stats.store.pool.spilled_records, 0u)
-      << "interrupted run never spilled";
-
-  // Damage the spill file the way a crash mid-append would: cut it off at
-  // an odd byte offset mid-record and scribble on what remains. (The file
-  // is sparse up to its mapped capacity, so damage it in place rather than
-  // rewriting it through a full read.)
-  fs::resize_file(spill, 41);
-  {
-    std::fstream f(spill, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(24);
-    f.put('\x5A');
-  }
-
-  mc::ReachOptions full;
-  full.checkpoint.path = path;
-  const auto resumed = mc::check_invariant(tg.system, safe, full);
-  EXPECT_EQ(resumed.resume.load, ckpt::LoadStatus::kOk);
-  EXPECT_TRUE(resumed.resume.resumed);
-  EXPECT_TRUE(resumed.holds());
-  expect_same_stats(resumed.stats, reference.stats, "resume over damaged spill");
-  fs::remove(spill);
-}
-
-TEST(CkptPooledStore, UnopenableSpillPathDegradesToResidentStorage) {
-  // The spill path points somewhere that cannot be opened: the pool runs
-  // resident-only (the memory ceiling is then best-effort) and the analysis
-  // still completes with the right verdict — the tier fails closed, the
-  // search does not.
-  auto tg = models::make_train_gate(3);
-  const auto safe = models::train_gate_mutex(tg);
-  const auto reference = mc::check_invariant(tg.system, safe);
-  ASSERT_TRUE(reference.holds());
-
-  ScopedEnv mem("QUANTA_STORE_MEM", "1K");
-  ScopedEnv sp("QUANTA_STORE_SPILL",
-               (::testing::TempDir() + "no_such_dir/quanta.qspl").c_str());
-
-  const auto r = mc::check_invariant(tg.system, safe);
-  EXPECT_TRUE(r.holds());
-  expect_same_stats(r.stats, reference.stats, "resident-only degradation");
-  EXPECT_GT(r.stats.store.pool.spill_failures, 0u);
-  EXPECT_EQ(r.stats.store.pool.spilled_records, 0u);
-}
-
 // ---- store encoding: pooled records vs the materializing reference --------
 
 /// The encoders the pooled codec replaced: each state is rebuilt as a whole
@@ -2241,32 +2082,17 @@ ta::SymState random_sym_state(std::mt19937& rng, int clocks) {
 
 TEST(CkptStoreEncoding, PooledSymStoreMatchesTheMaterializingReference) {
   // Two clocks keep zone rows inline in the pooled record; nine go through
-  // the pooled row-ref vector. A 4 KiB resident ceiling spills most of the
-  // nine-clock rows, so the encoder also reads through the spill mapping.
-  const std::string spill = ::testing::TempDir() + "quanta_ckpt_enc.qspl";
-  for (const auto& [clocks, spilling] :
-       {std::pair{2, false}, std::pair{9, false}, std::pair{9, true}}) {
-    core::StateStore<ta::SymState>::Options opts{.inclusion = true};
-    if (spilling) {
-      store::PoolConfig cfg;
-      cfg.spill_path = spill;
-      cfg.resident_limit = 1u << 12;
-      opts.pool = cfg;
-    }
-    core::StateStore<ta::SymState> st(opts);
+  // the pooled row-ref vector.
+  for (const int clocks : {2, 9}) {
+    core::StateStore<ta::SymState> st({.inclusion = true});
     std::mt19937 rng(static_cast<std::uint32_t>(clocks));
     for (int i = 0; i < 600; ++i) st.intern(random_sym_state(rng, clocks));
-    const std::string what = "clocks " + std::to_string(clocks) +
-                             (spilling ? " spilling" : " resident");
+    const std::string what = "clocks " + std::to_string(clocks) + " resident";
     ASSERT_GT(st.size(), 50u) << what;
     ASSERT_FALSE(st.covered_journal().empty()) << what;
-    if (spilling) {
-      EXPECT_GT(st.zone_pool().metrics().spilled_records, 0u) << what;
-    }
     expect_store_bytes_match(st, ckpt::write_sym_state, reference_sym_state,
                              what);
   }
-  std::remove(spill.c_str());
 }
 
 TEST(CkptStoreEncoding, PooledDigitalStoreMatchesTheMaterializingReference) {

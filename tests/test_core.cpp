@@ -350,7 +350,7 @@ class LinearScanStore {
   std::size_t slots_ = 1024;
   std::size_t occupied_ = 0;
   std::size_t max_chain_ = 0;
-  store::ZonePool pool_{store::PoolConfig{}};
+  store::ZonePool pool_;
 };
 
 /// A random zone state of `dim` clocks+1 in one of 16 partitions. Bounds
@@ -393,8 +393,7 @@ void expect_store_matches_linear_scan(int dim, bool tombstone,
                                   << tombstone << " seed " << seed);
   using Store = StateStore<ta::SymState, Traits>;
   const typename Store::Options opts{.inclusion = true,
-                                     .tombstone_covered = tombstone,
-                                     .pool = store::PoolConfig{}};
+                                     .tombstone_covered = tombstone};
   std::uint32_t rng = seed;
   std::vector<ta::SymState> seq;
   for (int i = 0; i < 900; ++i) seq.push_back(random_zone_state(&rng, dim));

@@ -20,6 +20,7 @@
 // write failure — never a failed boot, never a resurrected wrong answer.
 #include <dirent.h>
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/time.h>
@@ -1591,7 +1592,9 @@ namespace truncated_listener {
 
 /// A fake daemon for client-classification tests: accepts one connection,
 /// swallows the request frame, then answers according to `mode` and closes.
-enum class Mode { kCloseImmediately, kTruncateReply };
+/// kHoldOpen never answers: it closes once the client hangs up, or after
+/// 5 s.
+enum class Mode { kCloseImmediately, kTruncateReply, kHoldOpen };
 
 void serve_one(int listen_fd, Mode mode) {
   const int fd = ::accept(listen_fd, nullptr, nullptr);
@@ -1603,6 +1606,12 @@ void serve_one(int listen_fd, Mode mode) {
     const unsigned char hdr[4] = {100, 0, 0, 0};
     (void)::send(fd, hdr, 4, 0);
     (void)::send(fd, "0123456789", 10, 0);
+  }
+  if (mode == Mode::kHoldOpen) {
+    pollfd p{};
+    p.fd = fd;
+    p.events = POLLIN;
+    (void)::poll(&p, 1, 5000);
   }
   ::close(fd);
 }
@@ -1665,6 +1674,38 @@ TEST(ClientTransport, TruncatedReplyIsClassifiedDistinctly) {
     EXPECT_EQ(c.last_transport_error(), TransportError::kClosed);
     t.join();
   }
+  ::close(lfd);
+  std::remove(path.c_str());
+  ::rmdir(dir.c_str());
+}
+
+TEST(ClientTransport, TimeoutSetAfterConnectBoundsTheOpenSocket) {
+  char tmpl[] = "/tmp/qsvc-XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  const std::string path = dir + "/fake.sock";
+  const int lfd = truncated_listener::make_listener(path);
+  ASSERT_GE(lfd, 0);
+  std::thread t([&] {
+    truncated_listener::serve_one(lfd, truncated_listener::Mode::kHoldOpen);
+  });
+  Client c;
+  std::string error;
+  ASSERT_TRUE(c.connect_unix(path, &error)) << error;
+  c.set_timeout_ms(200);
+  ASSERT_TRUE(c.connected());
+  WireMap reply;
+  Request ping;
+  ping.engine = "svc";
+  ping.query = "ping";
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(c.call(to_wire(ping), &reply, &error));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(c.last_transport_error(), TransportError::kRecv)
+      << transport_error_name(c.last_transport_error()) << ": " << error;
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+  c.close();  // the fake daemon hangs up once the client does
+  t.join();
   ::close(lfd);
   std::remove(path.c_str());
   ::rmdir(dir.c_str());
