@@ -48,9 +48,10 @@ struct StateTraits<bip::BipState> {
     out.vars = p.intern(buf);
     return out;
   }
-  static bip::BipState unpool(const store::ZonePool& p, const Pooled& st) {
-    bip::BipState s;
+  static void unpool(const store::ZonePool& p, const Pooled& st,
+                     bip::BipState& s) {
     store::unpack_vec(p, st.places, s.places);
+    s.vars.clear();
     const std::span<const std::int32_t> d = p.data(st.vars);
     std::size_t pos = 0;
     while (pos < d.size()) {
@@ -59,7 +60,6 @@ struct StateTraits<bip::BipState> {
                           d.begin() + static_cast<std::ptrdiff_t>(pos + len));
       pos += len;
     }
-    return s;
   }
   static bool equal(const store::ZonePool& p, const Pooled& st,
                     const bip::BipState& s) {

@@ -1,7 +1,6 @@
 #include "ckpt/delta.h"
 
 #include <array>
-#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -36,15 +35,6 @@ std::uint64_t chain_id(Kind kind, std::uint64_t parent_id, std::uint32_t seq,
     fp.mix(content_hash64(s.payload.data(), s.payload.size()));
   }
   return fp.digest();
-}
-
-constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ull;
-constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
-constexpr std::uint64_t kP3 = 0x165667B19E3779F9ull;
-
-/// Folds one 8-byte word into h; a bijection of the word for a fixed h.
-std::uint64_t hash_word(std::uint64_t h, std::uint64_t word) {
-  return std::rotl(h ^ (word * kP2), 31) * kP1;
 }
 
 /// Parses record `seq` of the chain (0 = the base), checks that it links
@@ -96,25 +86,6 @@ LoadStatus read_link(std::span<const std::uint8_t> rec,
 }
 
 }  // namespace
-
-std::uint64_t content_hash64(const void* data, std::size_t size) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  std::uint64_t h = kP3 + size;  // the size keeps zero padding unambiguous
-  for (; size >= 8; p += 8, size -= 8) {
-    h = hash_word(h, io::load_le<std::uint64_t>(p));
-  }
-  if (size > 0) {
-    std::uint64_t tail = 0;  // the last 1-7 bytes, zero-padded
-    std::memcpy(&tail, p, size);
-    h = hash_word(h, tail);
-  }
-  // Final avalanche: every input bit reaches every output bit.
-  h ^= h >> 33;
-  h *= kP2;
-  h ^= h >> 29;
-  h *= kP3;
-  return h ^ (h >> 32);
-}
 
 LoadStatus load_chain(const std::string& path, std::uint64_t fingerprint,
                       Provider provider, Chain* out) {

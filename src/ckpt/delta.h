@@ -57,6 +57,7 @@
 
 #include "ckpt/checkpoint.h"
 #include "ckpt/record_log.h"
+#include "common/hash.h"
 
 namespace quanta::ckpt {
 
@@ -73,11 +74,9 @@ struct Delta {
   }
 };
 
-/// 64-bit hash of every byte of a range, folded in one little-endian 8-byte
-/// word at a time (a multiply-rotate round per word, a final avalanche):
-/// the payload hash that chain ids are built from. Its values are part of
-/// the checkpoint format (fixed since delta format version 2).
-std::uint64_t content_hash64(const void* data, std::size_t size);
+/// The payload hash that chain ids are built from (common/hash.h); its
+/// values are part of the checkpoint format.
+using common::content_hash64;
 
 /// A validated checkpoint chain, ready to replay: the base snapshot plus
 /// zero or more deltas in sequence order.

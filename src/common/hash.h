@@ -1,4 +1,6 @@
-// Small hashing helpers shared by the state-space exploration engines.
+// Small hashing helpers shared by the state-space exploration engines, and
+// the one word hash behind payload interning (store::ZonePool) and
+// checkpoint chain ids (ckpt/delta.h).
 #pragma once
 
 #include <cstddef>
@@ -28,5 +30,12 @@ template <typename T>
 std::size_t hash_vector(const std::vector<T>& v) {
   return hash_range(v.begin(), v.end());
 }
+
+/// 64-bit hash of every byte of a range, folded in one 8-byte word at a
+/// time (native byte order; a multiply-rotate round per word, the last 1-7
+/// bytes zero-padded into one more word) and finished with an avalanche.
+/// Its values on a little-endian host are part of the checkpoint format
+/// (fixed since delta format version 2).
+std::uint64_t content_hash64(const void* data, std::size_t size);
 
 }  // namespace quanta::common

@@ -126,9 +126,9 @@ class PricedSearch : ckpt::StorePayload {
             return core::Visit::kSkip;  // stale entry
           }
           // core::explore expands an entry right after visiting it, so the
-          // expand callback below reads this copy instead of materializing
-          // the state again.
-          current_ = store_.state(e.id);
+          // expand callback below reads this copy (which reuses current_'s
+          // buffers) instead of materializing the state again.
+          store_.state_into(e.id, current_);
           if (goal_(current_)) {
             goal_node = e.id;
             result.verdict = common::Verdict::kHolds;
@@ -153,7 +153,8 @@ class PricedSearch : ckpt::StorePayload {
           if (sem_.can_delay(state)) {
             ++taken;
             std::int64_t c = e.key + prices_.delay_rate(state.locs);
-            relax(intern(sem_.delay_one(state)), c, e.id, "tick");
+            sem_.delay_one(state, next_);
+            relax(intern(next_), c, e.id, "tick");
           }
           return taken;
         },

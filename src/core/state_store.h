@@ -44,6 +44,7 @@
 #include <algorithm>
 #include <cassert>
 #include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
@@ -114,9 +115,21 @@ class StateStore {
   /// stored object itself.
   std::conditional_t<kPooled, S, const S&> state(std::int32_t id) const {
     if constexpr (kPooled) {
-      return Traits::unpool(pool_, states_[toIdx(id)]);
+      S s;
+      Traits::unpool(pool_, states_[toIdx(id)], s);
+      return s;
     } else {
       return states_[toIdx(id)];
+    }
+  }
+
+  /// Writes the state behind an id into `out`, reusing its buffers: the
+  /// form for an engine that keeps one scratch state across expansions.
+  void state_into(std::int32_t id, S& out) const {
+    if constexpr (kPooled) {
+      Traits::unpool(pool_, states_[toIdx(id)], out);
+    } else {
+      out = states_[toIdx(id)];
     }
   }
 
@@ -242,7 +255,7 @@ class StateStore {
     std::int32_t id;
     InclusionSummary summary;
   };
-  static_assert(sizeof(Entry) == 16);
+  static_assert(sizeof(Entry) == 16 && offsetof(Entry, summary) == 4);
 
   /// The passed list of one key hash in an inclusion store: its live states
   /// in insertion order, entries_[begin, begin + live), inside a segment of
@@ -278,6 +291,31 @@ class StateStore {
       n += Traits::memory_bytes(st);
     }
     return n;
+  }
+
+  // The summary prefilter compares one whole 16-byte Entry at a time, as a
+  // vector of 16 signed bytes, against a probe Entry holding the incoming
+  // summary; the id bytes are masked off. GCC/Clang vector extensions lower
+  // this to the target's SIMD compares (one path on every target).
+  using Bytes16 = std::int8_t __attribute__((vector_size(16)));
+  using Words2 = std::uint64_t __attribute__((vector_size(16)));
+  static constexpr Bytes16 kSummaryBytes = {0,  0,  0,  0,  -1, -1, -1, -1,
+                                            -1, -1, -1, -1, -1, -1, -1, -1};
+
+  static Bytes16 bytes_of(const Entry& e) {
+    Bytes16 v;
+    std::memcpy(&v, &e, sizeof v);
+    return v;
+  }
+
+  /// True when neither summary is bytewise <= the other. For summaries that
+  /// honour the StateTraits::summary contract this proves the two states'
+  /// continuous parts incomparable, so compare() would return kNone.
+  static bool summaries_incomparable(const Entry& e, const Bytes16& probe) {
+    const Bytes16 v = bytes_of(e);
+    const auto lt = (Words2)((v < probe) & kSummaryBytes);
+    const auto gt = (Words2)((v > probe) & kSummaryBytes);
+    return (lt[0] | lt[1]) != 0 && (gt[0] | gt[1]) != 0;
   }
 
   static InclusionSummary summary_of(const S& s) {
@@ -351,10 +389,11 @@ class StateStore {
     if (slots_[slot] != kEmpty) {
       Group& g = groups_[toIdx(slots_[slot])];
       Entry* live = entries_.data() + g.begin;
+      const Bytes16 probe = bytes_of(Entry{0, sum});
       std::uint32_t keep = 0;
       for (std::uint32_t i = 0; i < g.live; ++i) {
         const Entry e = live[i];
-        if (!summaries_incomparable(e.summary, sum) &&
+        if (!summaries_incomparable(e, probe) &&
             stored_same_partition(states_[toIdx(e.id)], s)) {
           switch (stored_compare(states_[toIdx(e.id)], s)) {
             case Subsumes::kStored:

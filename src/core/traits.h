@@ -23,19 +23,6 @@ enum class Subsumes {
 /// record is touched (see StateTraits::summary below).
 using InclusionSummary = std::array<std::int8_t, 12>;
 
-/// True when neither summary is pointwise <= the other. For summaries that
-/// honour the StateTraits::summary contract this proves the two states'
-/// continuous parts incomparable, so compare() would return kNone.
-inline bool summaries_incomparable(const InclusionSummary& a,
-                                   const InclusionSummary& b) {
-  bool lt = false, gt = false;
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    lt |= a[k] < b[k];
-    gt |= a[k] > b[k];
-  }
-  return lt && gt;
-}
-
 /// Primary template; never defined. Specializations must provide:
 ///
 ///   static constexpr bool kSupportsInclusion;
@@ -67,7 +54,8 @@ inline bool summaries_incomparable(const InclusionSummary& a,
 ///
 ///   using Pooled = ...;   // compact value of store::Ref handles
 ///   static Pooled pool(store::ZonePool&, const S&);     // intern components
-///   static S unpool(const store::ZonePool&, const Pooled&);  // materialize
+///   static void unpool(const store::ZonePool&, const Pooled&,
+///                      S& out);  // materialize into out, reusing its buffers
 ///   static bool equal(const store::ZonePool&,
 ///                     const Pooled& stored, const S& incoming);
 ///
@@ -80,12 +68,13 @@ inline bool summaries_incomparable(const InclusionSummary& a,
 ///
 /// StateStore then keeps `Pooled` records instead of whole states: identical
 /// zones / discrete vectors across states collapse to one interned copy, and
-/// state(id) materializes an S on demand via unpool. The contract that keeps
-/// exploration bit-identical to unpooled storage: hash/partition_hash are
-/// still computed on the incoming S (so hash values, chain membership, chain
-/// order and the rehash trajectory are unchanged), and the pooled comparison
-/// overloads must decide exactly like their unpooled counterparts would on
-/// the materialized state. unpool(pool(s)) must reproduce s exactly.
+/// state(id) and state_into(id, out) materialize an S on demand via unpool.
+/// The contract that keeps exploration bit-identical to unpooled storage:
+/// hash/partition_hash are still computed on the incoming S (so hash values,
+/// chain membership, chain order and the rehash trajectory are unchanged),
+/// and the pooled comparison overloads must decide exactly like their
+/// unpooled counterparts would on the materialized state. unpool(p, pool(p,
+/// s), out) must leave out equal to s, whatever out held before.
 template <typename S>
 struct StateTraits;
 

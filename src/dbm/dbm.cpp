@@ -1,6 +1,7 @@
 #include "dbm/dbm.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <stdexcept>
 
@@ -202,15 +203,6 @@ bool DbmView::equal(const DbmView& other) const {
   return true;
 }
 
-Dbm Dbm::from_raw(int dim, const raw_t* data) {
-  Dbm d(dim);
-  const std::size_t n = static_cast<std::size_t>(dim) * static_cast<std::size_t>(dim);
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    d.m_[idx] = data[idx];
-  }
-  return d;
-}
-
 bool Dbm::subset_eq(const Dbm& other) const {
   Relation r = relation(other);
   return r == Relation::kEqual || r == Relation::kSubset;
@@ -249,22 +241,59 @@ void Dbm::extrapolate_max_bounds(const std::vector<std::int32_t>& k) {
         "dbm", "extrapolate_max_bounds: expected ", dim_,
         " constants (one per clock incl. the reference), got ", k.size()));
   }
+  // loosened[i & 63] has bit (j & 63) set when entry (i, j) was loosened.
+  // Above 64 clocks rows and columns alias, which only re-closes extra
+  // entries: harmless, as argued below.
+  std::uint64_t loosened[64];
+  std::fill_n(loosened, std::min(dim_, 64), std::uint64_t{0});
   bool changed = false;
-  for (int i = 0; i < dim_; ++i) {
+  raw_t* row = m_.data();
+  for (int i = 0; i < dim_; ++i, row += dim_) {
     for (int j = 0; j < dim_; ++j) {
       if (i == j) continue;
-      raw_t b = at(i, j);
+      const raw_t b = row[j];
       if (b >= kInf) continue;
       if (i != 0 && bound_value(b) > k[i]) {
-        set(i, j, kInf);
-        changed = true;
+        row[j] = kInf;
       } else if (-bound_value(b) > k[j]) {
-        set(i, j, bound_lt(-k[j]));
-        changed = true;
+        row[j] = bound_lt(-k[j]);
+      } else {
+        continue;
+      }
+      loosened[i & 63] |= std::uint64_t{1} << (j & 63);
+      changed = true;
+    }
+  }
+  if (!changed) return;
+  // Re-close through the loosened entries only. The zone was canonical and
+  // only got looser, so every other entry is still a shortest path: a walk
+  // in the loosened matrix weighs at least as much as in the old one, where
+  // the entry was already the lightest walk. A Floyd-Warshall pass (k
+  // outermost) that relaxes just the loosened entries therefore ends on the
+  // unique canonical form, bit for bit what a full close() would give; and
+  // since the zone only grew, it cannot become empty.
+  //
+  // The pass skips the reference clock: relaxing through it never tightens
+  // a loosened entry. An upper bound x_i - x_j dropped past k[i] took x_i's
+  // own upper bound (x_i - x_0, no tighter) with it, and a lower bound
+  // x_i - x_j raised to < -k[j] raised x_0 - x_j to the same value, while
+  // x_i - x_0 >= 0.
+  const raw_t* via_row = m_.data() + dim_;
+  for (int via = 1; via < dim_; ++via, via_row += dim_) {
+    row = m_.data();
+    for (int i = 0; i < dim_; ++i, row += dim_) {
+      std::uint64_t cols = loosened[i & 63];
+      if (cols == 0) continue;
+      const raw_t to_via = row[via];
+      if (to_via >= kInf) continue;
+      for (; cols != 0; cols &= cols - 1) {
+        for (int j = std::countr_zero(cols); j < dim_; j += 64) {
+          const raw_t b = bound_add(to_via, via_row[j]);
+          if (b < row[j]) row[j] = b;
+        }
       }
     }
   }
-  if (changed) close();
 }
 
 bool Dbm::contains_point(const std::vector<double>& v) const {

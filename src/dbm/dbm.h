@@ -11,6 +11,8 @@
 // so that raw comparison orders constraint strength and min/max work directly.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -99,6 +101,11 @@ class Dbm {
 
   raw_t at(int i, int j) const { return m_[static_cast<std::size_t>(i) * dim_ + j]; }
   void set(int i, int j, raw_t v) { m_[static_cast<std::size_t>(i) * dim_ + j] = v; }
+  /// Overwrites row i with dim() raw bounds from `src` (a row of a
+  /// canonical matrix; the caller writes every row before using the zone).
+  void set_row(int i, const raw_t* src) {
+    std::copy_n(src, dim_, m_.begin() + static_cast<std::ptrdiff_t>(i) * dim_);
+  }
 
   /// Floyd-Warshall canonicalization. Returns false (and marks the zone
   /// empty) if the constraint system is inconsistent.
@@ -138,9 +145,6 @@ class Dbm {
   /// payload interned into store::ZonePool and written by the checkpoint codec.
   const raw_t* raw_data() const { return m_.data(); }
   DbmView view() const { return DbmView(dim_, m_.data()); }
-  /// Rebuilds an owning Dbm from a raw matrix in raw_data() layout. The
-  /// input must already be canonical (it came from a canonical Dbm).
-  static Dbm from_raw(int dim, const raw_t* data);
 
   /// True iff the intersection with `other` is non-empty.
   bool intersects(const Dbm& other) const;
@@ -148,7 +152,10 @@ class Dbm {
   bool intersect(const Dbm& other);
 
   /// Classic maximal-bounds extrapolation: bounds above k[i] are abstracted
-  /// away so that the zone graph becomes finite. k[0] must be 0. Re-closes.
+  /// away so that the zone graph becomes finite. k[0] must be 0. The zone
+  /// must be canonical, as every operation above leaves it; only the
+  /// entries extrapolation loosens are re-closed, and the result equals a
+  /// full close() of the loosened matrix.
   void extrapolate_max_bounds(const std::vector<std::int32_t>& k);
 
   /// Membership test for a concrete clock valuation (v[0] must be 0).

@@ -102,8 +102,9 @@ struct PairTraits {
   static Pooled pool(store::ZonePool& p, const PairState& pair) {
     return Pooled{intern_tioa(p, pair.s), intern_tioa(p, pair.t)};
   }
-  static PairState unpool(const store::ZonePool& p, const Pooled& st) {
-    return PairState{unpack_tioa(p, st.s), unpack_tioa(p, st.t)};
+  static void unpool(const store::ZonePool& p, const Pooled& st,
+                     PairState& out) {
+    out = PairState{unpack_tioa(p, st.s), unpack_tioa(p, st.t)};
   }
   static bool equal(const store::ZonePool& p, const Pooled& st,
                     const PairState& pair) {

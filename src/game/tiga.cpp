@@ -174,6 +174,7 @@ void TimedGame::build_graph(bool resumed) {
     return id;
   };
   ta::MoveList enabled;
+  ta::DigitalState state;
   ta::DigitalState next;
 
   if (!resumed) intern(sem_.initial());
@@ -181,7 +182,7 @@ void TimedGame::build_graph(bool resumed) {
       store_, work_, limits_,
       [](const core::Worklist::Entry&) { return core::Visit::kContinue; },
       [&](const core::Worklist::Entry& e) -> std::size_t {
-        const ta::DigitalState state = store_.state(e.id);
+        store_.state_into(e.id, state);
         Node node;
         std::size_t taken = 0;
         sem_.enabled_moves(state, enabled);
@@ -196,7 +197,8 @@ void TimedGame::build_graph(bool resumed) {
           }
         }
         if (sem_.can_delay(state)) {
-          node.tick = intern(sem_.delay_one(state));
+          sem_.delay_one(state, next);
+          node.tick = intern(next);
           ++taken;
         }
         nodes_[static_cast<std::size_t>(e.id)] = std::move(node);
@@ -252,8 +254,10 @@ GameResult TimedGame::solve_reachability_impl(const GamePredicate& goal) {
   if (!fix_.restored) {
     fix_.win.assign(n, 0);
     fix_.act.assign(n, StrategyAction{});
+    ta::DigitalState state;
     for (std::size_t i = 0; i < n; ++i) {
-      if (goal(store_.state(static_cast<std::int32_t>(i)))) fix_.win[i] = 1;
+      store_.state_into(static_cast<std::int32_t>(i), state);
+      if (goal(state)) fix_.win[i] = 1;
     }
   }
   std::vector<char>& win = fix_.win;
@@ -342,8 +346,10 @@ GameResult TimedGame::solve_safety_impl(const GamePredicate& safe) {
   const std::size_t n = nodes_.size();
   if (!fix_.restored) {
     fix_.win.assign(n, 0);
+    ta::DigitalState state;
     for (std::size_t i = 0; i < n; ++i) {
-      if (safe(store_.state(static_cast<std::int32_t>(i)))) fix_.win[i] = 1;
+      store_.state_into(static_cast<std::int32_t>(i), state);
+      if (safe(state)) fix_.win[i] = 1;
     }
   }
   std::vector<char>& win = fix_.win;
@@ -436,6 +442,7 @@ bool closed_loop_explore(
     return id;
   };
   ta::MoveList enabled;
+  ta::DigitalState state;
   ta::DigitalState next_state;
 
   intern(sem.initial());
@@ -443,14 +450,16 @@ bool closed_loop_explore(
   core::explore(
       store, work, core::SearchLimits{},
       [&](const core::Worklist::Entry& e) {
-        if (!visit(store.state(e.id))) {
+        // core::explore expands an entry right after visiting it, so the
+        // expand callback below reads this copy.
+        store.state_into(e.id, state);
+        if (!visit(state)) {
           ok = false;
           return core::Visit::kStop;
         }
         return core::Visit::kContinue;
       },
       [&](const core::Worklist::Entry& e) -> std::size_t {
-        const ta::DigitalState state = store.state(e.id);
         if (prune(state)) return 0;  // no expansion beyond pruned states
         auto action = strategy.action(state);
         std::vector<std::int32_t> next;
@@ -468,7 +477,10 @@ bool closed_loop_explore(
         } else {
           // Strategy waits (or state is outside the winning region): time may
           // pass if permitted.
-          if (sem.can_delay(state)) next.push_back(intern(sem.delay_one(state)));
+          if (sem.can_delay(state)) {
+            sem.delay_one(state, next_state);
+            next.push_back(intern(next_state));
+          }
         }
         const std::size_t taken = next.size();
         succ[static_cast<std::size_t>(e.id)] = std::move(next);

@@ -19,10 +19,6 @@ struct Graph {
   std::vector<std::vector<std::int32_t>> succ;
 
   std::size_t size() const { return store.size(); }
-  /// By value: the pooled store materializes states on demand.
-  ta::SymState state(std::size_t i) const {
-    return store.state(static_cast<std::int32_t>(i));
-  }
 };
 
 /// Builds the zone graph under Provider::kLiveness checkpointing. The
@@ -65,7 +61,8 @@ class GraphBuilder : ckpt::StorePayload {
         g_.store, work_, opts_.limits,
         [](const core::Worklist::Entry&) { return core::Visit::kContinue; },
         [&](const core::Worklist::Entry& e) -> std::size_t {
-          const ta::SymState state = g_.store.state(e.id);
+          g_.store.state_into(e.id, state_);
+          const ta::SymState& state = state_;
           sem_.enabled_moves(state.locs, state.vars, enabled_);
           std::vector<std::int32_t> next;
           for (std::size_t i = 0; i < enabled_.size(); ++i) {
@@ -167,6 +164,7 @@ class GraphBuilder : ckpt::StorePayload {
   ckpt::StoreChain<ta::SymState> chain_;
   // Expansion scratch, reused across states.
   ta::MoveList enabled_;
+  ta::SymState state_;
   ta::SymState next_;
 };
 
@@ -238,8 +236,9 @@ LeadsToResult check_leads_to(const ta::System& sys, const StatePredicate& phi,
         const Graph& g = builder.graph();
         std::vector<bool> is_psi(g.size());
         std::vector<int> roots;
+        ta::SymState s;
         for (std::size_t i = 0; i < g.size(); ++i) {
-          const ta::SymState s = g.state(i);
+          g.store.state_into(static_cast<std::int32_t>(i), s);
           is_psi[i] = psi(s);
           if (!is_psi[i] && phi(s)) {
             roots.push_back(static_cast<int>(i));

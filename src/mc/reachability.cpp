@@ -65,8 +65,8 @@ class Explorer : ckpt::StorePayload {
           // core::explore expands an entry right after visiting it, so the
           // expand callback below reads this copy instead of materializing
           // the state again (a copy: the store's state vector may
-          // reallocate during expansion).
-          current_ = store_.state(e.id);
+          // reallocate during expansion). It reuses current_'s buffers.
+          store_.state_into(e.id, current_);
           if (goal_(current_)) {
             goal_node = e.id;
             return core::Visit::kStop;

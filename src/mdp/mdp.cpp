@@ -9,7 +9,7 @@
 
 namespace quanta::mdp {
 
-void Mdp::add_choice(std::int32_t state, std::vector<Branch> branches,
+void Mdp::add_choice(std::int32_t state, std::span<const Branch> branches,
                      double reward) {
   if (frozen_) throw std::logic_error("Mdp::add_choice after freeze()");
   if (state < 0) {
@@ -29,7 +29,10 @@ void Mdp::add_choice(std::int32_t state, std::vector<Branch> branches,
     }
     num_states_ = std::max(num_states_, b.target + 1);
   }
-  pending_.push_back(PendingChoice{state, reward, std::move(branches)});
+  pending_.push_back(
+      PendingChoice{state, reward, pending_branches_.size(), branches.size()});
+  pending_branches_.insert(pending_branches_.end(), branches.begin(),
+                           branches.end());
 }
 
 void Mdp::freeze() {
@@ -41,7 +44,8 @@ void Mdp::freeze() {
   for (const auto& c : pending_) ++counts[static_cast<std::size_t>(c.state)];
   for (std::int32_t s = 0; s < num_states_; ++s) {
     if (counts[static_cast<std::size_t>(s)] == 0) {
-      pending_.push_back(PendingChoice{s, 0.0, {Branch{s, 1.0}}});
+      pending_.push_back(PendingChoice{s, 0.0, pending_branches_.size(), 1});
+      pending_branches_.push_back(Branch{s, 1.0});
       counts[static_cast<std::size_t>(s)] = 1;
     }
   }
@@ -63,7 +67,7 @@ void Mdp::freeze() {
   choice_offset_.assign(static_cast<std::size_t>(n_choices) + 1, 0);
   std::int64_t total_branches = 0;
   for (std::int64_t i = 0; i < n_choices; ++i) {
-    total_branches += static_cast<std::int64_t>(slot[static_cast<std::size_t>(i)]->branches.size());
+    total_branches += static_cast<std::int64_t>(slot[static_cast<std::size_t>(i)]->count);
     choice_offset_[static_cast<std::size_t>(i) + 1] = total_branches;
   }
   branches_.reserve(static_cast<std::size_t>(total_branches));
@@ -71,9 +75,9 @@ void Mdp::freeze() {
     const PendingChoice& c = *slot[static_cast<std::size_t>(i)];
     choice_reward_[static_cast<std::size_t>(i)] = c.reward;
     double sum = 0.0;
-    for (const Branch& b : c.branches) {
-      sum += b.prob;
-      branches_.push_back(b);
+    for (std::size_t b = c.first; b < c.first + c.count; ++b) {
+      sum += pending_branches_[b].prob;
+      branches_.push_back(pending_branches_[b]);
     }
     if (std::fabs(sum - 1.0) > 1e-9) {
       throw std::invalid_argument("Mdp::freeze: distribution sums to " +
@@ -82,6 +86,8 @@ void Mdp::freeze() {
   }
   pending_.clear();
   pending_.shrink_to_fit();
+  pending_branches_.clear();
+  pending_branches_.shrink_to_fit();
   frozen_ = true;
 }
 

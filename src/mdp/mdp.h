@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,10 +21,15 @@ struct Branch {
 /// choices are appended per state in any order and frozen into CSR form.
 class Mdp {
  public:
-  /// Appends one nondeterministic choice for `state`. Branch probabilities
-  /// must sum to 1 (within tolerance; checked in freeze()).
-  void add_choice(std::int32_t state, std::vector<Branch> branches,
+  /// Appends one nondeterministic choice for `state`, copying its branches.
+  /// Branch probabilities must sum to 1 (within tolerance; checked in
+  /// freeze()).
+  void add_choice(std::int32_t state, std::span<const Branch> branches,
                   double reward = 0.0);
+  void add_choice(std::int32_t state, std::initializer_list<Branch> branches,
+                  double reward = 0.0) {
+    add_choice(state, std::span<const Branch>(branches), reward);
+  }
 
   void set_initial(std::int32_t s) { initial_ = s; }
   std::int32_t initial() const { return initial_; }
@@ -57,16 +63,20 @@ class Mdp {
   std::uint64_t fingerprint() const;
 
  private:
+  /// A choice added before freeze(): its branches are
+  /// pending_branches_[first, first + count).
   struct PendingChoice {
     std::int32_t state;
     double reward;
-    std::vector<Branch> branches;
+    std::size_t first;
+    std::size_t count;
   };
 
   bool frozen_ = false;
   std::int32_t initial_ = 0;
   std::int32_t num_states_ = 0;
   std::vector<PendingChoice> pending_;
+  std::vector<Branch> pending_branches_;
 
   // CSR data (valid after freeze()).
   std::vector<std::int64_t> state_offset_;   // per state: first choice index

@@ -16,50 +16,63 @@ mdp::StateSet DigitalMdp::states_where(
 
 namespace {
 
-/// Enumerates the product distribution over the participants' branch sets.
-/// Calls `emit(branch_choice, probability)` once per combination.
-void enumerate_branches(
-    const ta::System& sys, ta::MoveView move,
-    const std::function<void(const std::vector<int>&, double)>& emit) {
-  const std::size_t k = move.size();
-  std::vector<const ta::Edge*> edges(k);
-  std::vector<double> weight_sum(k, 1.0);
-  std::vector<int> counts(k, 1);
-  for (std::size_t i = 0; i < k; ++i) {
-    const auto& [p, e] = move[i];
-    edges[i] = &sys.process(p).edges.at(static_cast<std::size_t>(e));
-    if (edges[i]->probabilistic()) {
-      counts[i] = static_cast<int>(edges[i]->branches.size());
-      double sum = 0.0;
-      for (const auto& b : edges[i]->branches) sum += b.weight;
-      weight_sum[i] = sum;
-    }
-  }
-  std::vector<int> choice(k, -1);
-  // Odometer over the branch indices (Dirac edges contribute one slot, -1).
-  std::vector<int> counter(k, 0);
-  for (;;) {
-    double prob = 1.0;
+/// Enumerates the product distribution over the participants' branch sets
+/// of one move. Its scratch vectors keep their capacity from move to move,
+/// so enumeration allocates nothing once they have grown.
+class BranchProduct {
+ public:
+  /// Calls `emit(branch_choice, probability)` once per combination, where
+  /// branch_choice[k] is participant k's branch (-1 for a Dirac edge).
+  template <typename Emit>
+  void enumerate(const ta::System& sys, ta::MoveView move, Emit&& emit) {
+    const std::size_t k = move.size();
+    slots_.resize(k);
+    choice_.assign(k, -1);
     for (std::size_t i = 0; i < k; ++i) {
-      if (edges[i]->probabilistic()) {
-        choice[i] = counter[i];
-        prob *= edges[i]->branches[static_cast<std::size_t>(counter[i])].weight /
-                weight_sum[i];
-      } else {
-        choice[i] = -1;
+      const auto& [p, e] = move[i];
+      Slot& slot = slots_[i];
+      slot = Slot{&sys.process(p).edges.at(static_cast<std::size_t>(e))};
+      if (slot.edge->probabilistic()) {
+        slot.count = static_cast<int>(slot.edge->branches.size());
+        double sum = 0.0;
+        for (const auto& b : slot.edge->branches) sum += b.weight;
+        slot.weight_sum = sum;
       }
     }
-    emit(choice, prob);
-    // Advance the odometer.
-    std::size_t pos = 0;
-    while (pos < k) {
-      if (++counter[pos] < counts[pos]) break;
-      counter[pos] = 0;
-      ++pos;
+    // Odometer over the branch indices (Dirac edges contribute one slot, -1).
+    for (;;) {
+      double prob = 1.0;
+      for (std::size_t i = 0; i < k; ++i) {
+        const Slot& slot = slots_[i];
+        if (slot.edge->probabilistic()) {
+          choice_[i] = slot.counter;
+          prob *= slot.edge->branches[static_cast<std::size_t>(slot.counter)]
+                      .weight /
+                  slot.weight_sum;
+        }
+      }
+      emit(std::span<const int>(choice_), prob);
+      // Advance the odometer.
+      std::size_t pos = 0;
+      while (pos < k) {
+        if (++slots_[pos].counter < slots_[pos].count) break;
+        slots_[pos].counter = 0;
+        ++pos;
+      }
+      if (pos == k) break;
     }
-    if (pos == k) break;
   }
-}
+
+ private:
+  struct Slot {
+    const ta::Edge* edge = nullptr;
+    double weight_sum = 1.0;
+    int count = 1;    ///< branches of the edge (1 for a Dirac edge)
+    int counter = 0;  ///< the odometer digit
+  };
+  std::vector<Slot> slots_;
+  std::vector<int> choice_;
+};
 
 }  // namespace
 
@@ -80,6 +93,9 @@ DigitalMdp build_digital_mdp_impl(const ta::System& sys,
     return id;
   };
   ta::MoveList enabled;
+  BranchProduct product;
+  std::vector<mdp::Branch> branches;
+  ta::DigitalState state;
   ta::DigitalState next;
 
   std::int32_t init = intern(sem.initial());
@@ -89,26 +105,27 @@ DigitalMdp build_digital_mdp_impl(const ta::System& sys,
       store, work, opts.limits,
       [](const core::Worklist::Entry&) { return core::Visit::kContinue; },
       [&](const core::Worklist::Entry& e) -> std::size_t {
-        const ta::DigitalState state = store.state(e.id);
+        store.state_into(e.id, state);
         std::size_t taken = 0;
 
         sem.enabled_moves(state, enabled);
         for (std::size_t i = 0; i < enabled.size(); ++i) {
           ++taken;
           const ta::MoveView move = enabled[i];
-          std::vector<mdp::Branch> branches;
-          enumerate_branches(sys, move,
-                             [&](const std::vector<int>& choice, double p) {
-                               sem.apply(state, move, next, choice);
-                               branches.push_back(mdp::Branch{intern(next), p});
-                             });
-          out.mdp.add_choice(e.id, std::move(branches), /*reward=*/0.0);
+          branches.clear();
+          product.enumerate(sys, move,
+                            [&](std::span<const int> choice, double p) {
+                              sem.apply(state, move, next, choice);
+                              branches.push_back(mdp::Branch{intern(next), p});
+                            });
+          out.mdp.add_choice(e.id, branches, /*reward=*/0.0);
         }
 
         if (sem.can_delay(state)) {
           ++taken;
-          std::int32_t next = intern(sem.delay_one(state));
-          out.mdp.add_choice(e.id, {mdp::Branch{next, 1.0}}, /*reward=*/1.0);
+          sem.delay_one(state, next);
+          out.mdp.add_choice(e.id, {mdp::Branch{intern(next), 1.0}},
+                             /*reward=*/1.0);
         }
         return taken;
       });

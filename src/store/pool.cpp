@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/hash.h"
+
 namespace quanta::store {
 
 namespace {
@@ -9,17 +11,6 @@ constexpr std::size_t kInitialTable = std::size_t{1} << 10;
 }  // namespace
 
 ZonePool::ZonePool() { table_.assign(kInitialTable, kNullRef); }
-
-std::uint64_t ZonePool::content_hash(std::span<const std::int32_t> words) {
-  // FNV-1a over the raw bytes: cheap, deterministic across runs, and the
-  // same recipe the checkpoint fingerprints use.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto* p = reinterpret_cast<const std::uint8_t*>(words.data());
-  for (std::size_t i = 0; i < words.size_bytes(); ++i) {
-    h = (h ^ p[i]) * 0x100000001b3ULL;
-  }
-  return h;
-}
 
 void ZonePool::grow_table() {
   std::vector<Ref> bigger(table_.size() * 2, kNullRef);
@@ -48,7 +39,10 @@ std::int32_t* ZonePool::arena_alloc(std::size_t words) {
 Ref ZonePool::intern(std::span<const std::int32_t> words) {
   ++lookups_;
   logical_words_ += words.size();
-  const std::uint64_t h = content_hash(words);
+  // The hash only places records in the table: Ref values follow the
+  // intern sequence alone.
+  const std::uint64_t h =
+      common::content_hash64(words.data(), words.size_bytes());
   const std::size_t mask = table_.size() - 1;
   std::size_t i = h & mask;
   while (table_[i] != kNullRef) {

@@ -6,7 +6,8 @@
 // by content collapses them to one copy addressed by a 32-bit Ref.
 //
 // Two layers, both behind the same Ref:
-//   * an open-addressed content-hash table deduplicating payloads;
+//   * an open-addressed content-hash table deduplicating payloads, keyed by
+//     common::content_hash64 (one multiply-rotate round per 8-byte word);
 //   * a bump-pointer chunk arena (no per-payload malloc, no per-payload
 //     allocator metadata).
 //
@@ -91,7 +92,6 @@ class ZonePool {
   };
   static constexpr std::size_t kChunkWords = std::size_t{1} << 16;  // 256 KiB
 
-  static std::uint64_t content_hash(std::span<const std::int32_t> words);
   void grow_table();
   std::int32_t* arena_alloc(std::size_t words);
 

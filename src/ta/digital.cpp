@@ -43,12 +43,22 @@ DigitalState DigitalSemantics::initial() const {
   return s;
 }
 
+namespace {
+
+/// Whether clock constraint `c` holds for the clock values `clock(i)`.
+template <typename ClockOf>
+bool holds(const ClockConstraint& c, ClockOf clock) {
+  if (c.bound >= dbm::kInf) return true;
+  const std::int64_t diff = static_cast<std::int64_t>(clock(c.i)) - clock(c.j);
+  const std::int64_t m = dbm::bound_value(c.bound);
+  return dbm::bound_is_strict(c.bound) ? diff < m : diff <= m;
+}
+
+}  // namespace
+
 bool DigitalSemantics::constraint_ok(const ClockConstraint& c,
                                      const DigitalState& s) const {
-  if (c.bound >= dbm::kInf) return true;
-  std::int64_t diff = static_cast<std::int64_t>(s.clocks[c.i]) - s.clocks[c.j];
-  std::int64_t m = dbm::bound_value(c.bound);
-  return dbm::bound_is_strict(c.bound) ? diff < m : diff <= m;
+  return holds(c, [&s](int i) { return s.clocks[static_cast<std::size_t>(i)]; });
 }
 
 bool DigitalSemantics::invariant_ok(const DigitalState& s) const {
@@ -61,18 +71,34 @@ bool DigitalSemantics::invariant_ok(const DigitalState& s) const {
   return true;
 }
 
-bool DigitalSemantics::can_delay(const DigitalState& s) const {
-  if (sym_.delay_forbidden(s.locs, s.vars)) return false;
-  DigitalState next = delay_one(s);
-  return invariant_ok(next);
+std::int32_t DigitalSemantics::delayed(const DigitalState& s,
+                                       std::size_t clock) const {
+  const std::int32_t v = s.clocks[clock];
+  return v < caps_[clock] ? v + 1 : v;
 }
 
-DigitalState DigitalSemantics::delay_one(const DigitalState& s) const {
-  DigitalState next = s;
-  for (std::size_t i = 1; i < next.clocks.size(); ++i) {
-    if (next.clocks[i] < caps_[i]) next.clocks[i] += 1;
+bool DigitalSemantics::can_delay(const DigitalState& s) const {
+  if (sym_.delay_forbidden(s.locs, s.vars)) return false;
+  // The invariants, read on the delayed clocks without building the
+  // delayed state.
+  const auto clock = [this, &s](int i) {
+    return delayed(s, static_cast<std::size_t>(i));
+  };
+  for (int p = 0; p < system().process_count(); ++p) {
+    const Location& loc = system().process(p).locations.at(s.locs[p]);
+    for (const auto& c : loc.invariant) {
+      if (!holds(c, clock)) return false;
+    }
   }
-  return next;
+  return true;
+}
+
+void DigitalSemantics::delay_one(const DigitalState& s,
+                                 DigitalState& next) const {
+  next = s;
+  for (std::size_t i = 1; i < next.clocks.size(); ++i) {
+    next.clocks[i] = delayed(s, i);
+  }
 }
 
 void DigitalSemantics::enabled_moves(const DigitalState& s,

@@ -45,8 +45,9 @@ class DigitalSemantics {
   /// no committed/urgent context forbids delay).
   bool can_delay(const DigitalState& s) const;
 
-  /// Unit delay with per-clock capping. Requires can_delay().
-  DigitalState delay_one(const DigitalState& s) const;
+  /// Unit delay with per-clock capping, written into `next` (whose buffers
+  /// are reused; it may be `s` itself). Requires can_delay(s).
+  void delay_one(const DigitalState& s, DigitalState& next) const;
 
   /// Fills `out` with the discrete moves enabled right now (data + clock
   /// guards + committed).
@@ -67,6 +68,9 @@ class DigitalSemantics {
   std::int32_t cap(int clock) const { return caps_.at(static_cast<std::size_t>(clock)); }
 
  private:
+  /// Clock `clock` of `s` after a unit delay (capped; clock 0 stays 0).
+  std::int32_t delayed(const DigitalState& s, std::size_t clock) const;
+
   SymbolicSemantics sym_;
   std::vector<std::int32_t> caps_;  ///< max constant + 1 per clock
 };

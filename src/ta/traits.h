@@ -125,25 +125,15 @@ struct StateTraits<ta::SymState> {
     }
     return out;
   }
-  static ta::SymState unpool(const store::ZonePool& p, const Pooled& st) {
-    const auto dim = static_cast<std::size_t>(st.dim);
-    dbm::raw_t inline_buf[kInlineRows * kInlineRows];
-    std::vector<dbm::raw_t> heap_buf;
-    dbm::raw_t* buf = inline_buf;
-    if (st.dim > kInlineRows) {
-      heap_buf.resize(dim * dim);
-      buf = heap_buf.data();
+  static void unpool(const store::ZonePool& p, const Pooled& st,
+                     ta::SymState& s) {
+    if (s.zone.dim() != st.dim) s.zone = dbm::Dbm(st.dim);
+    for (int r = 0; r < st.dim; ++r) {
+      const store::Ref row = row_ref(p, st, static_cast<std::size_t>(r));
+      s.zone.set_row(r, p.data(row).data());
     }
-    for (std::size_t r = 0; r < dim; ++r) {
-      std::memcpy(buf + r * dim, p.data(row_ref(p, st, r)).data(),
-                  dim * sizeof(dbm::raw_t));
-    }
-    // The zone is built in place: a default SymState would first allocate
-    // a throwaway 1x1 zone.
-    ta::SymState s{{}, {}, dbm::Dbm::from_raw(st.dim, buf)};
     store::unpack_vec(p, st.locs, s.locs);
     store::unpack_vec(p, st.vars, s.vars);
-    return s;
   }
   static bool equal(const store::ZonePool& p, const Pooled& st,
                     const ta::SymState& s) {
@@ -258,12 +248,11 @@ struct StateTraits<ta::DigitalState> {
     out.clocks = store::intern_vec(p, s.clocks);
     return out;
   }
-  static ta::DigitalState unpool(const store::ZonePool& p, const Pooled& st) {
-    ta::DigitalState s;
+  static void unpool(const store::ZonePool& p, const Pooled& st,
+                     ta::DigitalState& s) {
     store::unpack_vec(p, st.locs, s.locs);
     store::unpack_vec(p, st.vars, s.vars);
     store::unpack_vec(p, st.clocks, s.clocks);
-    return s;
   }
   static bool equal(const store::ZonePool& p, const Pooled& st,
                     const ta::DigitalState& s) {

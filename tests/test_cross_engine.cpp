@@ -104,7 +104,10 @@ TEST_P(SymbolicVsDigital, SameReachableLocationVectors) {
         sem.apply(s, moves[i], next);
         cmp_insert(next);
       }
-      if (sem.can_delay(s)) cmp_insert(sem.delay_one(s));
+      if (sem.can_delay(s)) {
+        sem.delay_one(s, next);
+        cmp_insert(next);
+      }
     }
   }
   EXPECT_EQ(symbolic, digital)

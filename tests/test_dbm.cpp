@@ -271,6 +271,51 @@ TEST_P(DbmProperty, ExtrapolationIsAnUpperApproximation) {
   EXPECT_TRUE(z.subset_eq(ex));
 }
 
+/// What extrapolate_max_bounds must produce: every bound past its clock's
+/// max constant loosened, then a full Floyd-Warshall close().
+Dbm loosen_then_close(Dbm z, const std::vector<std::int32_t>& k) {
+  if (z.is_empty()) return z;
+  for (int i = 0; i < z.dim(); ++i) {
+    for (int j = 0; j < z.dim(); ++j) {
+      const raw_t b = z.at(i, j);
+      if (i == j || b >= kInf) continue;
+      if (i != 0 && bound_value(b) > k[static_cast<std::size_t>(i)]) {
+        z.set(i, j, kInf);
+      } else if (-bound_value(b) > k[static_cast<std::size_t>(j)]) {
+        z.set(i, j, bound_lt(-k[static_cast<std::size_t>(j)]));
+      }
+    }
+  }
+  z.close();
+  return z;
+}
+
+TEST_P(DbmProperty, ExtrapolationEqualsLoosenThenFullClose) {
+  // extrapolate_max_bounds re-closes only the entries it loosens; the result
+  // must be the canonical form a full close() gives, bit for bit. Dimensions
+  // run past ta::StateTraits<SymState>::kInlineRows (8 clocks).
+  quanta::common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 41 + 13);
+  for (int round = 0; round < 40; ++round) {
+    const int dim = rng.uniform_int(1, 9);
+    Dbm z = random_zone(rng, dim, 20);
+    if (dim > 1 && rng.bernoulli(0.5)) {
+      z.reset(rng.uniform_int(1, dim - 1), rng.uniform_int(0, 20));
+    }
+    if (rng.bernoulli(0.5)) z.up();
+    std::vector<std::int32_t> k(static_cast<std::size_t>(dim), 0);
+    for (std::size_t c = 1; c < k.size(); ++c) {
+      k[c] = rng.bernoulli(0.25) ? 0 : rng.uniform_int(0, 15);
+    }
+    const Dbm expected = loosen_then_close(z, k);
+    Dbm got = z;
+    got.extrapolate_max_bounds(k);
+    ASSERT_EQ(got, expected) << "round " << round << ", dim " << dim
+                             << "\nzone:     " << z.to_string()
+                             << "\nexpected: " << expected.to_string()
+                             << "\ngot:      " << got.to_string();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, DbmProperty, ::testing::Range(0, 25));
 
 }  // namespace

@@ -263,7 +263,8 @@ TEST(Digital, UnitStepsRespectInvariants) {
   sem.enabled_moves(s, moves);
   EXPECT_TRUE(moves.empty());
   ASSERT_TRUE(sem.can_delay(s));
-  s = sem.delay_one(sem.delay_one(s));  // x = 2
+  sem.delay_one(s, s);
+  sem.delay_one(s, s);  // x = 2
   sem.enabled_moves(s, moves);
   ASSERT_EQ(moves.size(), 1u);
   DigitalState busy;
@@ -272,7 +273,7 @@ TEST(Digital, UnitStepsRespectInvariants) {
   // Invariant x<=5: can delay 3 more times, then no further.
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(sem.can_delay(busy)) << "step " << i;
-    busy = sem.delay_one(busy);
+    sem.delay_one(busy, busy);
   }
   EXPECT_FALSE(sem.can_delay(busy));
 }
@@ -283,10 +284,11 @@ TEST(Digital, ClockCappingIsStable) {
   DigitalState s = sem.initial();
   for (int i = 0; i < 100; ++i) {
     if (!sem.can_delay(s)) break;
-    s = sem.delay_one(s);
+    sem.delay_one(s, s);
   }
   EXPECT_LE(s.clocks[1], sem.cap(1));
-  DigitalState again = sem.delay_one(s);
+  DigitalState again;
+  sem.delay_one(s, again);
   EXPECT_EQ(again.clocks[1], s.clocks[1]) << "capped clock must not grow";
 }
 
